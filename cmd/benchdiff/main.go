@@ -1,16 +1,11 @@
 // Command benchdiff compares a freshly measured benchmark JSON file
 // against a committed baseline and fails when a metric regressed past
-// a threshold. It understands the flat JSON objects the repo's timing
-// tests and load harness write (BENCH_cache.json, BENCH_load.json and
-// friends): string metadata plus float64 metrics.
+// a threshold. It understands the flat JSON objects the load harness
+// writes (BENCH_load.json): string metadata plus float64 metrics.
 //
 // Metrics are lower-is-better by default; prefix a name with "higher:"
 // for throughput-style metrics where a *drop* is the regression.
 //
-//	go test -run TestBenchCacheColdWarm .            # writes BENCH_cache.json
-//	BENCH_CACHE_OUT=/tmp/fresh.json go test -run TestBenchCacheColdWarm .
-//	benchdiff -base BENCH_cache.json -new /tmp/fresh.json \
-//	    -metrics cold_seconds,warm_seconds -threshold 0.5
 //	benchdiff -base BENCH_load.json -new /tmp/load.json \
 //	    -metrics submit_p99_ms,higher:achieved_qps
 //

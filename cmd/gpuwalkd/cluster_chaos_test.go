@@ -81,18 +81,17 @@ func TestClusterChaosKillRestart(t *testing.T) {
 	names := make([]string, len(nodeAddrs))
 	for i, a := range nodeAddrs {
 		nodeURLs[i] = "http://" + a
-		names[i] = fmt.Sprintf("n%d", i)
+		names[i] = cluster.NodeName(nodeURLs[i])
 	}
 	peerList := strings.Join(nodeURLs, ",")
 	nodeArgs := func(i int) []string {
 		return []string{
 			"-addr", nodeAddrs[i],
-			"-cache", filepath.Join(tmp, "cache-"+names[i]),
-			"-journal", filepath.Join(tmp, "journal-"+names[i]),
+			"-cache", filepath.Join(tmp, fmt.Sprintf("cache-n%d", i)),
+			"-journal", filepath.Join(tmp, fmt.Sprintf("journal-n%d", i)),
 			"-workers", "1", // one worker: most of a node's jobs are still queued at the kill
 			"-peers", peerList,
 			"-self", nodeURLs[i],
-			"-node", names[i],
 			"-probe-interval", "250ms",
 			"-log-format", "text",
 		}
@@ -164,8 +163,7 @@ func TestClusterChaosKillRestart(t *testing.T) {
 	_ = servers[victim].cmd.Wait()
 	waitCluster(t, gw.base, "victim marked down", func(st cluster.Status) bool {
 		for _, m := range st.Members {
-			// Status members are named host:port, not by -node label.
-			if m.Node == cluster.NodeName(nodeURLs[victim]) {
+			if m.Node == names[victim] {
 				return !m.Healthy
 			}
 		}

@@ -81,8 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retryCap     = fs.Duration("retry-cap", 30*time.Second, "ceiling on a job's retry backoff")
 		gatewayMode  = fs.Bool("gateway", false, "run as a cluster gateway instead of a backend (requires -peers; see docs/CLUSTER.md)")
 		peersFlag    = fs.String("peers", "", "comma-separated cluster node URLs (the same full list on every node and the gateway)")
-		selfURL      = fs.String("self", "", "this node's URL within -peers; enables cache peering on a backend")
-		nodeName     = fs.String("node", "", "node name label on jobs and metrics (default: host:port of -self)")
+		selfURL      = fs.String("self", "", "this node's URL within -peers; its host:port labels the node's jobs and job IDs, and it enables cache peering")
 		vnodes       = fs.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per member on the consistent-hash ring")
 		probeEvery   = fs.Duration("probe-interval", 2*time.Second, "cluster health-probe cadence")
 		traceSpans   = fs.Int("trace-spans", 0, "max recorded spans per request trace (0 = default 256, negative disables tracing)")
@@ -106,6 +105,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			logLevel:   *logLevel,
 			traceSpans: *traceSpans,
 		}, stdout, stderr)
+	}
+	// A peered backend labels its jobs and prefixes their IDs with the
+	// host:port of -self, which is how a gateway finds a job's owner.
+	// Without -self its IDs would collide with every other node's.
+	if (*selfURL == "") != (*peersFlag == "") {
+		fmt.Fprintln(stderr, "gpuwalkd: a backend takes -peers and -self together, or neither")
+		return 2
 	}
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
@@ -144,12 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// who owns what.
 	var member *cluster.Membership
 	var peering *cluster.Peering
-	nodeLabel := *nodeName
+	var nodeLabel string
 	if *selfURL != "" {
-		if *peersFlag == "" {
-			fmt.Fprintln(stderr, "gpuwalkd: -self requires -peers")
-			return 2
-		}
 		member, err = cluster.NewMembership(cluster.MemberOptions{
 			Peers:         splitPeers(*peersFlag),
 			VNodes:        *vnodes,
@@ -166,9 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cache.SetPeer(peering)
-		if nodeLabel == "" {
-			nodeLabel = cluster.NodeName(peering.Self())
-		}
+		nodeLabel = cluster.NodeName(peering.Self())
 	}
 
 	opts := jobd.Options{

@@ -339,6 +339,25 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// TestPeersRequireSelf: a backend given only one of -peers and -self
+// exits 2 before serving. Without -self a peered backend would mint
+// unprefixed IDs that collide with every other node's.
+func TestPeersRequireSelf(t *testing.T) {
+	for _, args := range [][]string{
+		{"-peers", "http://127.0.0.1:1,http://127.0.0.1:2"},
+		{"-self", "http://127.0.0.1:1"},
+	} {
+		var stdout, stderr syncBuffer
+		args = append(args, "-addr", "127.0.0.1:0", "-cache", filepath.Join(t.TempDir(), "cache"))
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Fatalf("run %v = %d, want 2\nstderr: %s", args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-peers and -self together") {
+			t.Fatalf("run %v: stderr %q does not explain the refusal", args, stderr.String())
+		}
+	}
+}
+
 func compactJSON(t *testing.T, raw json.RawMessage) string {
 	t.Helper()
 	var buf bytes.Buffer

@@ -43,9 +43,6 @@ type GatewayOptions struct {
 	// ScrapeTimeout bounds one backend /metrics scrape during rollup.
 	// Defaults to 3s.
 	ScrapeTimeout time.Duration
-	// MaxRoutes bounds the job-ID routing table (FIFO eviction beyond
-	// it). Defaults to 65536.
-	MaxRoutes int
 	// Logger receives routing and proxy-failure logs. Nil discards.
 	Logger *slog.Logger
 	// SpanLimit bounds each trace's gateway span buffer. Zero uses
@@ -59,19 +56,16 @@ type GatewayOptions struct {
 // that accepted the job, /v1/cluster exposes ring and health, and
 // /metrics rolls every node's exposition up under a node label.
 //
-// The gateway holds no job state of its own beyond the job-ID → node
-// routing table; a restarted gateway rebuilds routes lazily by
-// scatter-gathering unknown IDs across the healthy members.
+// The gateway holds no job state: a backend mints its job IDs as
+// "<host:port>-j<seq>", so every read resolves its node from the ID
+// alone (see owner), and a restarted or second gateway is correct from
+// its first request.
 type Gateway struct {
 	m    *Membership
 	opts GatewayOptions
 	log  *slog.Logger
 	hc   *http.Client
 	sse  *http.Client
-
-	mu         sync.Mutex
-	routes     map[string]string // job ID -> node URL
-	routeOrder []string          // FIFO for eviction
 
 	// traces holds the gateway's routing spans per trace ID, nil when
 	// GatewayOptions.SpanLimit < 0. See tracestore.go.
@@ -89,9 +83,6 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	if opts.ScrapeTimeout <= 0 {
 		opts.ScrapeTimeout = 3 * time.Second
 	}
-	if opts.MaxRoutes <= 0 {
-		opts.MaxRoutes = 65536
-	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(discardHandler{})
@@ -101,12 +92,11 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		hc = &http.Client{Timeout: 30 * time.Second}
 	}
 	g := &Gateway{
-		m:      opts.Membership,
-		opts:   opts,
-		log:    log,
-		hc:     hc,
-		sse:    &http.Client{}, // SSE streams outlive any fixed timeout
-		routes: make(map[string]string),
+		m:    opts.Membership,
+		opts: opts,
+		log:  log,
+		hc:   hc,
+		sse:  &http.Client{}, // SSE streams outlive any fixed timeout
 	}
 	g.metrics = newGatewayMetrics(g, time.Now())
 	if opts.SpanLimit >= 0 {
@@ -149,47 +139,13 @@ func fallbackKey(spec []byte) string {
 	return "raw:" + hex.EncodeToString(sum[:])
 }
 
-// recordRoute remembers which node accepted a job, evicting the oldest
-// entries beyond MaxRoutes.
-func (g *Gateway) recordRoute(jobID, node string) {
-	if jobID == "" {
-		return
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.routes[jobID]; !ok {
-		g.routeOrder = append(g.routeOrder, jobID)
-	}
-	g.routes[jobID] = node
-	for len(g.routeOrder) > g.opts.MaxRoutes {
-		evict := g.routeOrder[0]
-		g.routeOrder[0] = ""
-		g.routeOrder = g.routeOrder[1:]
-		delete(g.routes, evict)
-	}
-}
-
-// route returns the node known to hold jobID, or "".
-func (g *Gateway) route(jobID string) string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.routes[jobID]
-}
-
-// routeCount returns the routing-table size.
-func (g *Gateway) routeCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.routes)
-}
-
 // Handler returns the gateway HTTP API. The surface mirrors a single
 // gpuwalkd node — clients need not know they are talking to a cluster
 // — plus the /v1/cluster status endpoint:
 //
 //	POST /v1/jobs              route to the key's owner
 //	GET  /v1/jobs              merged list across healthy nodes
-//	GET  /v1/jobs/{id}         proxy to the accepting node
+//	GET  /v1/jobs/{id}         proxy to the node named in the ID
 //	GET  /v1/jobs/{id}/trace   merged gateway + backend span timeline
 //	GET  /v1/jobs/{id}/events  streamed SSE proxy (Last-Event-ID passes through)
 //	GET  /v1/cluster           ring layout, per-node health, ownership
@@ -336,7 +292,6 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if json.Unmarshal(rbody, &v) == nil {
 			jobID = v.ID
-			g.recordRoute(v.ID, owner)
 			if buf != nil {
 				g.traces.bindJob(v.ID, buf.Trace())
 			}
@@ -353,14 +308,16 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	g.relay(w, owner, resp, rbody)
 }
 
-// handleJob proxies GET /v1/jobs/{id} to the node that accepted the
-// job. A known route is authoritative even while its node is down —
-// the job genuinely lives there, and a 502 with Retry-After invites
-// the client to wait out the node's restart rather than being told the
-// job does not exist. Unknown IDs (a restarted gateway) scatter across
-// the healthy members.
+// handleJob proxies GET /v1/jobs/{id} to the node named in the ID. The
+// owner is authoritative even while it is down: the job genuinely
+// lives there, and a 502 with Retry-After invites the client to wait
+// out the node's restart rather than being told the job does not
+// exist. Only IDs that name no member scatter across the healthy ones.
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
-	g.proxyJobRead(w, r, "/v1/jobs/"+r.PathValue("id"), r.PathValue("id"))
+	jobID := r.PathValue("id")
+	if node, resp, body, ok := g.readJob(w, r, jobID, "/v1/jobs/"+jobID); ok {
+		g.relay(w, node, resp, body)
+	}
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the merged span
@@ -375,87 +332,88 @@ func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
 	local := g.traces.spansForJob(jobID)
 	if local == nil {
-		g.proxyJobRead(w, r, "/v1/jobs/"+jobID+"/trace", jobID)
+		if node, resp, body, ok := g.readJob(w, r, jobID, "/v1/jobs/"+jobID+"/trace"); ok {
+			g.relay(w, node, resp, body)
+		}
 		return
 	}
 
-	path := "/v1/jobs/" + jobID + "/trace?format=spans"
-	node := g.route(jobID)
-	var (
-		resp *http.Response
-		body []byte
-		err  error
-	)
-	if node != "" {
-		resp, body, err = g.exchange(r, node, http.MethodGet, path, nil)
-	} else {
-		node, resp, body, err = g.scatterFind(r, jobID, path)
+	node, resp, body, ok := g.readJob(w, r, jobID, "/v1/jobs/"+jobID+"/trace?format=spans")
+	if !ok {
+		return
 	}
-
+	// When the backend has no trace (restarted node, span buffer
+	// disabled) the gateway's own spans are still a valid — if thin —
+	// timeline.
 	spans := local
-	switch {
-	case err != nil:
-		g.proxyFailure(w, node, err)
-		return
-	case resp == nil || resp.StatusCode != http.StatusOK:
-		// The backend has no trace (restarted node, span buffer
-		// disabled): the gateway's own spans are still a valid — if
-		// thin — timeline.
-	default:
+	if resp.StatusCode == http.StatusOK {
 		var doc obs.SpanDoc
 		if jerr := json.Unmarshal(body, &doc); jerr == nil {
 			spans = append(append([]obs.Span{}, local...), doc.Spans...)
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if node != "" {
-		w.Header().Set("X-Gpuwalkd-Node", NodeName(node))
-	}
+	w.Header().Set("X-Gpuwalkd-Node", NodeName(node))
 	_ = obs.WriteChromeSpans(w, spans)
 }
 
-func (g *Gateway) proxyJobRead(w http.ResponseWriter, r *http.Request, path, jobID string) {
-	if node := g.route(jobID); node != "" {
-		resp, body, err := g.exchange(r, node, http.MethodGet, path, nil)
-		if err != nil {
-			g.proxyFailure(w, node, err)
-			return
+// owner returns the member that minted jobID: the peer whose NodeName
+// is the text before the ID's last "-j". It returns "" for an ID that
+// names no member — one minted by a backend started without -self, or
+// journaled under an older label.
+func (g *Gateway) owner(jobID string) string {
+	i := strings.LastIndex(jobID, "-j")
+	if i < 0 {
+		return ""
+	}
+	for _, p := range g.m.Peers() {
+		if NodeName(p) == jobID[:i] {
+			return p
 		}
-		g.relay(w, node, resp, body)
-		return
 	}
-	node, resp, body, err := g.scatterFind(r, jobID, path)
-	if err != nil {
-		g.proxyFailure(w, "", err)
-		return
-	}
-	if resp == nil {
-		gwError(w, http.StatusNotFound, "no such job on any healthy node")
-		return
-	}
-	g.relay(w, node, resp, body)
+	return ""
 }
 
-// scatterFind asks each healthy member, in ring order, for a job the
-// gateway has no route for, recording the route on a hit. resp is nil
-// when every node said 404; err is non-nil only when no node could be
-// reached at all.
-func (g *Gateway) scatterFind(r *http.Request, jobID, path string) (string, *http.Response, []byte, error) {
-	members := g.m.Ring().Members()
+// readJob GETs path from the member holding jobID: its owner, or for an
+// ID that names no member the first healthy member that knows it. When
+// that fails it answers the client itself — 502 + Retry-After for an
+// unreachable backend, 404 when no member has the job — and returns
+// ok=false.
+func (g *Gateway) readJob(w http.ResponseWriter, r *http.Request, jobID, path string) (node string, resp *http.Response, body []byte, ok bool) {
+	var err error
+	if node = g.owner(jobID); node != "" {
+		resp, body, err = g.exchange(r, node, http.MethodGet, path, nil)
+	} else {
+		node, resp, body, err = g.scatterFind(r, path)
+	}
+	switch {
+	case err != nil:
+		g.proxyFailure(w, node, err)
+	case resp == nil:
+		gwError(w, http.StatusNotFound, "no such job on any healthy node")
+	default:
+		return node, resp, body, true
+	}
+	return "", nil, nil, false
+}
+
+// scatterFind asks each healthy member, in ring order, for path and
+// returns the first answer that is not a 404. resp is nil when every
+// node said 404; err is non-nil only when no node could be reached at
+// all.
+func (g *Gateway) scatterFind(r *http.Request, path string) (string, *http.Response, []byte, error) {
 	var lastErr error
 	reached := false
-	for _, node := range members {
+	for _, node := range g.m.Ring().Members() {
 		resp, body, err := g.exchange(r, node, http.MethodGet, path, nil)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		reached = true
-		if resp.StatusCode == http.StatusNotFound {
-			continue
+		if resp.StatusCode != http.StatusNotFound {
+			return node, resp, body, nil
 		}
-		g.recordRoute(jobID, node)
-		return node, resp, body, nil
 	}
 	if !reached && lastErr != nil {
 		return "", nil, nil, lastErr
@@ -556,27 +514,19 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	writeGwJSON(w, http.StatusOK, payload)
 }
 
-// handleEvents proxies a job's SSE stream from the owning node,
-// flushing per event so progress arrives live through the extra hop.
-// The inbound Last-Event-ID travels to the backend, so a client
-// resuming through the gateway resumes exactly where it left off.
+// handleEvents proxies a job's SSE stream from the node named in the
+// ID, flushing per event so progress arrives live through the extra
+// hop. The inbound Last-Event-ID travels to the backend, so a client
+// resuming through the gateway resumes exactly where it left off. An
+// ID that names no member is located first through its JSON read.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
-	node := g.route(jobID)
+	node := g.owner(jobID)
 	if node == "" {
-		// No route: locate the job first via the cheap JSON endpoint,
-		// then stream from wherever it lives.
-		found, resp, body, err := g.scatterFind(r, jobID, "/v1/jobs/"+jobID)
-		if err != nil {
-			g.proxyFailure(w, "", err)
+		var ok bool
+		if node, _, _, ok = g.readJob(w, r, jobID, "/v1/jobs/"+jobID); !ok {
 			return
 		}
-		if resp == nil {
-			gwError(w, http.StatusNotFound, "no such job on any healthy node")
-			return
-		}
-		_ = body
-		node = found
 	}
 	g.streamProxy(w, r, node, "/v1/jobs/"+jobID+"/events")
 }
@@ -706,11 +656,7 @@ func errString(err error) string {
 
 // handleCluster serves the ring/health status view.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
-	st := g.m.Snapshot("gateway")
-	writeGwJSON(w, http.StatusOK, struct {
-		Status
-		Routes int `json:"routes"`
-	}{Status: st, Routes: g.routeCount()})
+	writeGwJSON(w, http.StatusOK, g.m.Snapshot("gateway"))
 }
 
 // handleHealth: the gateway is healthy while it can route anywhere.
@@ -842,8 +788,6 @@ func newGatewayMetrics(g *Gateway, start time.Time) *gatewayMetrics {
 		func() float64 { return float64(g.m.HealthyCount()) })
 	fs.CounterFunc("gateway_ring_rebuilds_total", "Health-driven ring rebuilds.",
 		func() float64 { return float64(g.m.Rebuilds()) })
-	fs.GaugeFunc("gateway_routes", "Job-ID routing-table entries.",
-		func() float64 { return float64(g.routeCount()) })
 	fs.GaugeFunc("gateway_uptime_seconds", "Seconds since the gateway started.",
 		func() float64 { return time.Since(start).Seconds() })
 	fs.GaugeFunc("gateway_traces", "Retained request-trace span buffers.",

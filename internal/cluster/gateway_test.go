@@ -17,9 +17,11 @@ import (
 	"gpuwalk/internal/obs"
 )
 
-// fakeNode is a scriptable stand-in for a backend gpuwalkd.
+// fakeNode is a scriptable stand-in for a backend gpuwalkd. Like a
+// backend started with -self, it labels itself and prefixes its job
+// IDs with the host:port of its own URL.
 type fakeNode struct {
-	name string
+	name string // NodeName(srv.URL)
 	srv  *httptest.Server
 
 	healthy atomic.Bool
@@ -35,9 +37,9 @@ type fakeNode struct {
 // newFakeNode builds the fake; extras register additional routes on
 // the mux before the server starts (so no handler swap races the
 // serving goroutine under -race).
-func newFakeNode(t *testing.T, name string, extras ...func(n *fakeNode, mux *http.ServeMux)) *fakeNode {
+func newFakeNode(t *testing.T, extras ...func(n *fakeNode, mux *http.ServeMux)) *fakeNode {
 	t.Helper()
-	n := &fakeNode{name: name, jobs: make(map[string]string)}
+	n := &fakeNode{jobs: make(map[string]string)}
 	n.healthy.Store(true)
 	mux := http.NewServeMux()
 	for _, extra := range extras {
@@ -83,7 +85,9 @@ func newFakeNode(t *testing.T, name string, extras ...func(n *fakeNode, mux *htt
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"jobs":[{"id":"%s-listed"}]}`, n.name)
 	})
-	n.srv = httptest.NewServer(mux)
+	n.srv = httptest.NewUnstartedServer(mux)
+	n.name = n.srv.Listener.Addr().String()
+	n.srv.Start()
 	t.Cleanup(n.srv.Close)
 	return n
 }
@@ -143,7 +147,7 @@ func submitBody(key string) string {
 // key, the response names the node, and subsequent GETs proxy straight
 // to that node without scattering.
 func TestGatewayRoutesByKey(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")}
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t), newFakeNode(t)}
 	_, m, srv := newTestGateway(t, nodes...)
 
 	for i := 0; i < 30; i++ {
@@ -172,7 +176,7 @@ func TestGatewayRoutesByKey(t *testing.T) {
 			t.Fatalf("bad submit response %s", body)
 		}
 
-		// The route map sends the read straight to the owner.
+		// The ID's prefix sends the read straight to the owner.
 		var otherGets int64
 		for _, n := range nodes {
 			if n != owner {
@@ -195,7 +199,7 @@ func TestGatewayRoutesByKey(t *testing.T) {
 			}
 		}
 		if otherAfter != otherGets {
-			t.Fatalf("GET %s scattered to non-owners despite a recorded route", v.ID)
+			t.Fatalf("GET %s scattered to non-owners despite naming its owner", v.ID)
 		}
 	}
 
@@ -212,7 +216,7 @@ func TestGatewayRoutesByKey(t *testing.T) {
 // what keeps client backoff and log correlation working across the
 // extra hop.
 func TestGatewayHeaderPropagation(t *testing.T) {
-	node := newFakeNode(t, "a")
+	node := newFakeNode(t)
 	_, _, srv := newTestGateway(t, node)
 
 	node.mu.Lock()
@@ -265,7 +269,7 @@ func TestGatewayHeaderPropagation(t *testing.T) {
 // TestGatewayNoHealthyOwner: with every node down the gateway sheds
 // submissions with 503 + Retry-After instead of hanging or 500ing.
 func TestGatewayNoHealthyOwner(t *testing.T) {
-	node := newFakeNode(t, "a")
+	node := newFakeNode(t)
 	_, m, srv := newTestGateway(t, node)
 	node.healthy.Store(false)
 	m.probeAll()
@@ -298,15 +302,112 @@ func TestGatewayNoHealthyOwner(t *testing.T) {
 	}
 }
 
-// TestGatewayScatterFind: a gateway with no route for an ID (fresh
-// restart) locates the job by asking each member, then records the
-// route so the next read goes direct.
+// TestGatewaySecondGatewayReads: a job submitted through one gateway
+// reads as JSON, SSE and trace through a freshly built second gateway
+// over the same members, and no read touches a node other than the one
+// its ID names — there is no routing state to share or relearn.
+func TestGatewaySecondGatewayReads(t *testing.T) {
+	withStreams := func(n *fakeNode, mux *http.ServeMux) {
+		mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+			n.gets.Add(1)
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprint(w, "id: 0\nevent: done\ndata: {}\n\n")
+		})
+		mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+			n.gets.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"traceEvents":[]}`)
+		})
+	}
+	nodes := []*fakeNode{newFakeNode(t, withStreams), newFakeNode(t, withStreams), newFakeNode(t, withStreams)}
+	_, _, gwA := newTestGateway(t, nodes...)
+	_, _, gwB := newTestGateway(t, nodes...)
+
+	resp, err := http.Post(gwA.URL+"/v1/jobs", "application/json", strings.NewReader(submitBody("k")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit via gateway A: %d, %v", resp.StatusCode, err)
+	}
+	owner := nodes[0]
+	for _, n := range nodes {
+		if strings.HasPrefix(v.ID, n.name+"-j") {
+			owner = n
+		}
+	}
+
+	for _, path := range []string{"", "/trace"} {
+		resp, err := http.Get(gwB.URL + "/v1/jobs/" + v.ID + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s%s via gateway B = %d: %s", v.ID, path, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Gpuwalkd-Node"); got != owner.name {
+			t.Fatalf("GET %s%s served by %q, want the owner %q", v.ID, path, got, owner.name)
+		}
+	}
+	if events, _ := readSSE(t, gwB.URL+"/v1/jobs/"+v.ID+"/events", nil); fmt.Sprint(events) != "[done]" {
+		t.Fatalf("SSE via gateway B = %v, want [done]", events)
+	}
+	if got := owner.gets.Load(); got != 3 {
+		t.Fatalf("owner served %d reads, want 3 (JSON, trace, SSE)", got)
+	}
+	for _, n := range nodes {
+		if n != owner && n.gets.Load() != 0 {
+			t.Fatalf("non-owner %s received %d reads", n.name, n.gets.Load())
+		}
+	}
+}
+
+// TestGatewayOwnerDownFreshGateway: on a gateway that never saw the job,
+// a read whose owner the prober has marked down answers 502 +
+// Retry-After — the job lives there and a journaled node brings it
+// back — not a 404 from the surviving members.
+func TestGatewayOwnerDownFreshGateway(t *testing.T) {
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t)}
+	_, m, srv := newTestGateway(t, nodes...)
+	nodes[0].srv.Close()
+	m.probeAll()
+	if m.Healthy(nodes[0].srv.URL) {
+		t.Fatal("closed owner still healthy after a probe")
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + nodes[0].name + "-j000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("status = %d, want 502", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("502 without Retry-After")
+	}
+	if nodes[1].gets.Load() != 0 {
+		t.Fatal("a read for a named owner scattered to another member")
+	}
+}
+
+// TestGatewayScatterFind: an ID that names no member (a backend without
+// -self, or an old label) is found by asking each healthy member; an ID
+// no member knows is a 404.
 func TestGatewayScatterFind(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")}
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t), newFakeNode(t)}
 	_, _, srv := newTestGateway(t, nodes...)
 
 	nodes[2].mu.Lock()
-	nodes[2].jobs["c-j9"] = `{"id":"c-j9","state":"done","node":"c"}`
+	nodes[2].jobs["c-j9"] = `{"id":"c-j9","state":"done"}`
 	nodes[2].mu.Unlock()
 
 	resp, err := http.Get(srv.URL + "/v1/jobs/c-j9")
@@ -321,17 +422,15 @@ func TestGatewayScatterFind(t *testing.T) {
 	if !strings.Contains(string(body), "c-j9") {
 		t.Fatalf("wrong body: %s", body)
 	}
-
-	holderGets := nodes[2].gets.Load()
-	resp2, _ := http.Get(srv.URL + "/v1/jobs/c-j9")
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if nodes[2].gets.Load() != holderGets+1 {
-		t.Fatal("second GET did not go direct to the recorded route")
+	if got := resp.Header.Get("X-Gpuwalkd-Node"); got != nodes[2].name {
+		t.Fatalf("served by %q, want the holder %q", got, nodes[2].name)
 	}
 
 	// Unknown everywhere: 404.
-	resp3, _ := http.Get(srv.URL + "/v1/jobs/nope")
+	resp3, err := http.Get(srv.URL + "/v1/jobs/nope")
+	if err != nil {
+		t.Fatal(err)
+	}
 	io.Copy(io.Discard, resp3.Body)
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusNotFound {
@@ -339,17 +438,16 @@ func TestGatewayScatterFind(t *testing.T) {
 	}
 }
 
-// TestGatewayDownNodeJobRead: a recorded route to a dead node answers
+// TestGatewayDownNodeJobRead: a read for a job on a dead node answers
 // 502 + Retry-After — the job lives there and will come back with the
 // node (journal recovery), so the client is told to retry, not that
 // the job is gone.
 func TestGatewayDownNodeJobRead(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b")}
-	gw, _, srv := newTestGateway(t, nodes...)
-	gw.recordRoute("a-j1", nodes[0].srv.URL)
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t)}
+	_, _, srv := newTestGateway(t, nodes...)
 	nodes[0].srv.Close()
 
-	resp, err := http.Get(srv.URL + "/v1/jobs/a-j1")
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + nodes[0].name + "-j1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +465,7 @@ func TestGatewayDownNodeJobRead(t *testing.T) {
 // jobs and names the unreachable ones instead of silently shortening
 // the list.
 func TestGatewayListMerge(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")}
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t), newFakeNode(t)}
 	_, _, srv := newTestGateway(t, nodes...)
 	downName := NodeName(nodes[1].srv.URL)
 	nodes[1].srv.Close()
@@ -392,27 +490,11 @@ func TestGatewayListMerge(t *testing.T) {
 	}
 }
 
-// TestGatewayRouteEviction: the routing table is bounded FIFO.
-func TestGatewayRouteEviction(t *testing.T) {
-	node := newFakeNode(t, "a")
-	gw, _, _ := newTestGateway(t, node)
-	gw.opts.MaxRoutes = 4
-	for i := 0; i < 10; i++ {
-		gw.recordRoute(fmt.Sprintf("j%d", i), node.srv.URL)
-	}
-	if got := gw.routeCount(); got != 4 {
-		t.Fatalf("route table has %d entries, want 4", got)
-	}
-	if gw.route("j0") != "" || gw.route("j9") == "" {
-		t.Fatal("FIFO eviction kept the wrong entries")
-	}
-}
-
 // sseBackend serves a scripted SSE stream alongside the standard fake
 // routes.
 func sseBackend(t *testing.T, script func(w http.ResponseWriter, r *http.Request)) *fakeNode {
 	t.Helper()
-	return newFakeNode(t, "sse", func(_ *fakeNode, mux *http.ServeMux) {
+	return newFakeNode(t, func(_ *fakeNode, mux *http.ServeMux) {
 		mux.HandleFunc("GET /v1/jobs/{id}/events", script)
 	})
 }
@@ -461,9 +543,8 @@ func TestGatewaySSEProxyCleanStream(t *testing.T) {
 		fl.Flush()
 	})
 	gw, _, srv := newTestGateway(t, node)
-	gw.recordRoute("sse-j1", node.srv.URL)
 
-	events, _ := readSSE(t, srv.URL+"/v1/jobs/sse-j1/events", map[string]string{"Last-Event-ID": "1"})
+	events, _ := readSSE(t, srv.URL+"/v1/jobs/"+node.name+"-j1/events", map[string]string{"Last-Event-ID": "1"})
 	if got := gotLastID.Load(); got != "1" {
 		t.Fatalf("backend saw Last-Event-ID %v, want 1 (passthrough)", got)
 	}
@@ -490,9 +571,8 @@ func TestGatewaySSESyntheticErrorOnDrop(t *testing.T) {
 		// as if the node was killed mid-job.
 	})
 	gw, _, srv := newTestGateway(t, node)
-	gw.recordRoute("sse-j2", node.srv.URL)
 
-	events, raw := readSSE(t, srv.URL+"/v1/jobs/sse-j2/events", nil)
+	events, raw := readSSE(t, srv.URL+"/v1/jobs/"+node.name+"-j2/events", nil)
 	if len(events) < 2 || events[len(events)-1] != "error" {
 		t.Fatalf("events = %v, want progress then a synthetic terminal error\nstream:\n%s", events, raw)
 	}
@@ -507,7 +587,7 @@ func TestGatewaySSESyntheticErrorOnDrop(t *testing.T) {
 // TestGatewayClusterStatus: /v1/cluster reports every member with
 // ownership fractions and health.
 func TestGatewayClusterStatus(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b")}
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t)}
 	_, m, srv := newTestGateway(t, nodes...)
 	m.probeAll()
 
@@ -547,8 +627,8 @@ func TestGatewayMetricsRollup(t *testing.T) {
 		}
 	}
 	nodes := []*fakeNode{
-		newFakeNode(t, "a", withMetrics(1)),
-		newFakeNode(t, "b", withMetrics(2)),
+		newFakeNode(t, withMetrics(1)),
+		newFakeNode(t, withMetrics(2)),
 	}
 	_, _, srv := newTestGateway(t, nodes...)
 
@@ -585,7 +665,7 @@ func TestGatewayMetricsRollup(t *testing.T) {
 // TestGatewayFallbackKeyRouting: specs the KeyFunc rejects still route
 // deterministically (same bytes, same node).
 func TestGatewayFallbackKeyRouting(t *testing.T) {
-	nodes := []*fakeNode{newFakeNode(t, "a"), newFakeNode(t, "b"), newFakeNode(t, "c")}
+	nodes := []*fakeNode{newFakeNode(t), newFakeNode(t), newFakeNode(t)}
 	_, _, srv := newTestGateway(t, nodes...)
 
 	body := `{"spec":{"bogus":true}}` // keyFromSpec errors: no "k"

@@ -9,7 +9,7 @@ import (
 // from the ring (its keys reassign to survivors), and a recovering
 // probe restores the original assignment.
 func TestMembershipHealthTransitions(t *testing.T) {
-	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+	a, b := newFakeNode(t), newFakeNode(t)
 	m, err := NewMembership(MemberOptions{
 		Peers:         []string{a.srv.URL, b.srv.URL},
 		ProbeInterval: time.Hour,
@@ -113,7 +113,7 @@ func TestNormalizeURL(t *testing.T) {
 // TestMembershipProberLifecycle: Start probes synchronously, the
 // ticker keeps probing, Close stops it (twice is safe).
 func TestMembershipProberLifecycle(t *testing.T) {
-	a := newFakeNode(t, "a")
+	a := newFakeNode(t)
 	m, err := NewMembership(MemberOptions{
 		Peers:         []string{a.srv.URL},
 		ProbeInterval: 10 * time.Millisecond,

@@ -13,14 +13,14 @@ import (
 // cacheNode couples a fake HTTP node with a simcache it serves over
 // GET /v1/cache/{key} — the backend half of peering, as cmd/gpuwalkd
 // wires it (GetLocal, never Get, so fetches cannot recurse).
-func cacheNode(t *testing.T, name string) (*fakeNode, *simcache.Cache) {
+func cacheNode(t *testing.T) (*fakeNode, *simcache.Cache) {
 	t.Helper()
 	cache, err := simcache.Open(t.TempDir(), simcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cache.Close() })
-	n := newFakeNode(t, name, func(_ *fakeNode, mux *http.ServeMux) {
+	n := newFakeNode(t, func(_ *fakeNode, mux *http.ServeMux) {
 		mux.HandleFunc("GET /v1/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 			b, ok, err := cache.GetLocal(r.PathValue("key"))
 			if err != nil || !ok {
@@ -53,8 +53,8 @@ func keyOwnedBy(t *testing.T, m *Membership, owner, salt string) string {
 // adopts it locally (PeerHits + Puts), and the next Get is a pure
 // local hit. Keys the node owns itself never generate wire traffic.
 func TestPeeringReadThrough(t *testing.T) {
-	nodeA, cacheA := cacheNode(t, "a")
-	nodeB, cacheB := cacheNode(t, "b")
+	nodeA, cacheA := cacheNode(t)
+	nodeB, cacheB := cacheNode(t)
 	m, err := NewMembership(MemberOptions{
 		Peers:         []string{nodeA.srv.URL, nodeB.srv.URL},
 		ProbeInterval: time.Hour,
@@ -120,8 +120,8 @@ func TestPeeringReadThrough(t *testing.T) {
 // the node simulates instead of failing the job — and the error is
 // counted.
 func TestPeeringPeerDown(t *testing.T) {
-	nodeA, _ := cacheNode(t, "a")
-	nodeB, cacheB := cacheNode(t, "b")
+	nodeA, _ := cacheNode(t)
+	nodeB, cacheB := cacheNode(t)
 	m, err := NewMembership(MemberOptions{
 		Peers:         []string{nodeA.srv.URL, nodeB.srv.URL},
 		ProbeInterval: time.Hour,
@@ -150,8 +150,8 @@ func TestPeeringPeerDown(t *testing.T) {
 // TestPeeringMissOnPeer: the owner not having the key is a normal
 // miss (404), not an error.
 func TestPeeringMissOnPeer(t *testing.T) {
-	nodeA, _ := cacheNode(t, "a")
-	nodeB, cacheB := cacheNode(t, "b")
+	nodeA, _ := cacheNode(t)
+	nodeB, cacheB := cacheNode(t)
 	m, err := NewMembership(MemberOptions{
 		Peers:         []string{nodeA.srv.URL, nodeB.srv.URL},
 		ProbeInterval: time.Hour,

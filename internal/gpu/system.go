@@ -120,9 +120,8 @@ type Params struct {
 
 	// ReferenceEngine runs the simulation on the retained container/heap
 	// event queue instead of the flat four-ary heap. The two dispatch in
-	// byte-identical order (the differential tests pin this); the switch
-	// exists so those tests and the BENCH_sim benchmark can compare the
-	// queues through a full system run.
+	// byte-identical order; the switch exists so the differential tests
+	// can compare the queues through a full system run.
 	ReferenceEngine bool
 }
 

@@ -281,21 +281,6 @@ func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
 	return v, nil
 }
 
-// Jobs lists every job the server still retains, in admission order.
-func (c *Client) Jobs(ctx context.Context) ([]JobView, error) {
-	b, err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, http.StatusOK)
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		Jobs []JobView `json:"jobs"`
-	}
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("jobd: decoding job list: %w", err)
-	}
-	return out.Jobs, nil
-}
-
 // Health probes the server's /healthz, returning nil on 200. It does
 // not use the retry policy: health checks want the current truth, and
 // the cluster prober depends on a prompt verdict.

@@ -210,11 +210,11 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// jobID renders a job's wire ID. A named node (Options.NodeName, set
-// on cluster backends) prefixes its name so IDs are unique across the
-// cluster — the gateway's routing table is keyed by job ID, and two
-// nodes both minting "j000001" would silently cross their routes.
-// Recovered jobs keep the IDs their journal recorded.
+// jobID renders a job's wire ID. A named node (Options.NodeName, the
+// host:port of a cluster backend's own URL) prefixes its name so IDs
+// are unique across the cluster and name their owner: the gateway
+// resolves every job read from that prefix. Recovered jobs keep the
+// IDs their journal recorded.
 func (s *Server) jobID(seq uint64) string {
 	if s.opts.NodeName != "" {
 		return fmt.Sprintf("%s-j%06d", s.opts.NodeName, seq)

@@ -31,7 +31,7 @@ type JobdTarget struct {
 	SSEEvery int
 	// Priority is passed through on every submission.
 	Priority int
-	// WaitPoll is Finish's polling cadence. Defaults to 25ms.
+	// WaitPoll is Finish's per-job polling cadence. Defaults to 25ms.
 	WaitPoll time.Duration
 
 	mu  sync.Mutex
@@ -109,61 +109,36 @@ type TargetStats struct {
 
 // Finish waits until every accepted job reaches a terminal state (or
 // ctx expires), waits for the SSE watchers, and returns the tallies.
+// Jobs are awaited one by one in admission order, so draining costs
+// one small GET per poll rather than listing the whole job table.
 func (t *JobdTarget) Finish(ctx context.Context) (TargetStats, error) {
 	t.mu.Lock()
-	pending := make(map[string]bool, len(t.ids))
-	for _, id := range t.ids {
-		pending[id] = true
-	}
+	ids := append([]string(nil), t.ids...)
 	t.mu.Unlock()
 
-	st := TargetStats{Jobs: len(pending)}
-	poll := t.WaitPoll
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	for len(pending) > 0 {
-		views, err := t.Client.Jobs(ctx)
+	st := TargetStats{Jobs: len(ids)}
+	for _, id := range ids {
+		v, err := t.Client.WaitTerminal(ctx, id, t.WaitPoll)
+		if errors.Is(err, jobd.ErrNotFound) {
+			// The server's RetainJobs bound evicted it; its items
+			// finished (eviction only takes terminal jobs) but the
+			// cache tally is lost.
+			st.Evicted++
+			continue
+		}
 		if err != nil {
-			return st, fmt.Errorf("loadgen: polling jobs: %w", err)
+			return st, fmt.Errorf("loadgen: waiting for job %s: %w", id, err)
 		}
-		byID := make(map[string]jobd.JobView, len(views))
-		for _, v := range views {
-			byID[v.ID] = v
+		switch v.State {
+		case jobd.StateDone:
+			st.Done++
+		case jobd.StateFailed:
+			st.Failed++
+		case jobd.StateCancelled:
+			st.Cancelled++
 		}
-		for id := range pending {
-			v, ok := byID[id]
-			if !ok {
-				// The server's RetainJobs bound evicted it; its items
-				// finished (eviction only takes terminal jobs) but the
-				// cache tally is lost.
-				st.Evicted++
-				delete(pending, id)
-				continue
-			}
-			if !v.State.Terminal() {
-				continue
-			}
-			switch v.State {
-			case jobd.StateDone:
-				st.Done++
-			case jobd.StateFailed:
-				st.Failed++
-			case jobd.StateCancelled:
-				st.Cancelled++
-			}
-			st.ItemsDone += v.ItemsDone
-			st.CacheHits += v.CacheHits
-			delete(pending, id)
-		}
-		if len(pending) == 0 {
-			break
-		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
+		st.ItemsDone += v.ItemsDone
+		st.CacheHits += v.CacheHits
 	}
 
 	// SSE watchers end when their job's stream closes (terminal) or

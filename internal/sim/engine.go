@@ -22,8 +22,7 @@
 // The container/heap implementation is retained behind
 // NewReferenceEngine. It is not dead code: the ordering property test
 // (order_test.go) and the system-level differential tests prove the
-// flat heap dispatches in byte-identical (cycle, seq) order to it, and
-// the BENCH_sim benchmark measures the speedup against it.
+// flat heap dispatches in byte-identical (cycle, seq) order to it.
 package sim
 
 import "container/heap"
@@ -101,8 +100,7 @@ func NewEngine() *Engine { return &Engine{} }
 // container/heap implementation. Its dispatch order is byte-identical
 // to NewEngine's flat heap — the ordering property test and the
 // system-level differential tests pin that — and it exists so those
-// tests and the BENCH_sim benchmark always have the reference to
-// compare against.
+// tests always have the reference to compare against.
 func NewReferenceEngine() *Engine { return &Engine{ref: true} }
 
 // push inserts ev into the queue.
