@@ -2,6 +2,7 @@ package gpuwalk
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 
 	"gpuwalk/internal/obs"
@@ -13,6 +14,13 @@ import (
 // resume incrementally and a repeated one return near-instantly: the
 // cached payload is the byte-exact JSON encoding of the Result a fresh
 // simulation of the same config would produce.
+//
+// Hits are served verbatim: RunCachedJSON returns the stored payload
+// as read and digest-checked, without decoding and re-encoding it. The
+// payload slices hits return are shared by every caller that holds a
+// hit on the same key, and are read-only. Because stored payloads are
+// never re-encoded, any change to Result's JSON shape must bump
+// gpu.ModelVersion (SimVersion), which is part of every key.
 //
 // cmd/gpuwalkd serves jobs through one, cmd/paperfigs reuses one across
 // sweeps (-resume / -cache), and examples/sensitivity shows the client
@@ -46,6 +54,34 @@ func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 // cross-reference. Without a span in ctx all of this is skipped at the
 // cost of one pointer check.
 func RunCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, hit bool, err error) {
+	res, payload, hit, err := runCached(ctx, c, cfg)
+	if hit {
+		if err := json.Unmarshal(payload, &res); err != nil {
+			return Result{}, false, fmt.Errorf("gpuwalk: decoding cached result: %w", err)
+		}
+	}
+	return res, hit, err
+}
+
+// RunCachedJSON is RunCached returning the Result's JSON encoding, the
+// form gpuwalkd serves. A hit returns the stored payload verbatim; it
+// may be shared with other callers and must not be modified. A miss
+// returns the bytes just stored, and a run that bypasses the cache
+// json.Marshal of its Result. For one config all three are
+// byte-identical.
+func RunCachedJSON(ctx context.Context, c *ResultCache, cfg Config) (payload []byte, hit bool, err error) {
+	res, payload, hit, err := runCached(ctx, c, cfg)
+	if payload == nil && err == nil {
+		payload, err = json.Marshal(res)
+	}
+	return payload, hit, err
+}
+
+// runCached is the one lookup/simulate/store flow behind RunCached and
+// RunCachedJSON. A hit returns only the stored payload; a miss returns
+// the fresh Result and the bytes stored for it; a run that bypasses the
+// cache returns no payload.
+func runCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, payload []byte, hit bool, err error) {
 	ref := obs.SpanRefFrom(ctx)
 	if ref.Valid() && cfg.Obs.Tracer != nil {
 		cfg.Obs.Tracer.SetMeta("trace_id", ref.Buf.Trace().String())
@@ -62,40 +98,37 @@ func RunCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, hit
 	}
 	if c == nil {
 		res, err = runTraced()
-		return res, false, err
+		return res, nil, false, err
 	}
 	key, err := ConfigHash(cfg)
 	if err == ErrUncacheable {
 		res, err = runTraced()
-		return res, false, err
+		return res, nil, false, err
 	}
 	if err != nil {
-		return Result{}, false, err
+		return Result{}, nil, false, err
 	}
 	lookupSpan := ref.Start("cache.lookup")
-	ok, err := c.GetJSONContext(ctx, key, &res)
-	lookupSpan.End(obs.U64("hit", b2uCache(ok)))
-	if err != nil {
-		return Result{}, false, err
-	}
-	if ok {
-		return res, true, nil
+	payload, hit, err = c.GetContext(ctx, key)
+	lookupSpan.End(obs.U64("hit", b2uCache(hit)))
+	if err != nil || hit {
+		return Result{}, payload, hit, err
 	}
 	res, err = runTraced()
 	if err != nil {
-		return Result{}, false, err
+		return Result{}, nil, false, err
 	}
 	putSpan := ref.Start("cache.put")
-	_, perr := c.PutJSON(key, res)
+	payload, perr := c.PutJSON(key, res)
 	putSpan.End()
 	if perr != nil {
 		// The simulation succeeded; a failing cache write is still an
 		// error (the store is misconfigured or the disk is full) but the
 		// result is returned alongside it so callers can choose to
 		// proceed uncached.
-		return res, false, fmt.Errorf("gpuwalk: caching result: %w", perr)
+		return res, payload, false, fmt.Errorf("gpuwalk: caching result: %w", perr)
 	}
-	return res, false, nil
+	return res, payload, false, nil
 }
 
 func b2uCache(b bool) uint64 {

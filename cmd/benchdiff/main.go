@@ -6,8 +6,11 @@
 // Metrics are lower-is-better by default; prefix a name with "higher:"
 // for throughput-style metrics where a *drop* is the regression.
 //
-//	benchdiff -base BENCH_load.json -new /tmp/load.json \
-//	    -metrics submit_p99_ms,higher:achieved_qps
+//	benchdiff -new /tmp/load.json
+//
+// compares submit_p50_ms, submit_p99_ms and higher:achieved_qps against
+// BENCH_load.json in the working directory; -base and -metrics name a
+// different baseline or metric list.
 //
 // Exit status: 0 when every compared metric is within threshold (or
 // improved), 1 on a regression, 2 on usage or file errors. Timing on
@@ -33,9 +36,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		base      = fs.String("base", "BENCH_cache.json", "committed baseline JSON file")
+		base      = fs.String("base", "BENCH_load.json", "committed baseline JSON file")
 		fresh     = fs.String("new", "", "freshly measured JSON file (required)")
-		metrics   = fs.String("metrics", "cold_seconds,warm_seconds", "comma-separated metrics to compare (lower-is-better unless prefixed with higher:)")
+		metrics   = fs.String("metrics", "submit_p50_ms,submit_p99_ms,higher:achieved_qps", "comma-separated metrics to compare (lower-is-better unless prefixed with higher:)")
 		threshold = fs.Float64("threshold", 0.5, "allowed fractional slowdown before failing (0.5 = +50%)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -17,7 +17,7 @@ func writeBench(t *testing.T, name, body string) string {
 	return path
 }
 
-const baseDoc = `{"model_version":"v4","cold_seconds":2.0,"warm_seconds":0.01,"speedup":200}`
+const baseDoc = `{"model_version":"v4","submit_p50_ms":2.0,"submit_p99_ms":10.0,"achieved_qps":200,"speedup":200}`
 
 func runDiff(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -28,7 +28,7 @@ func runDiff(t *testing.T, args ...string) (int, string, string) {
 
 func TestWithinThresholdPasses(t *testing.T) {
 	base := writeBench(t, "base.json", baseDoc)
-	fresh := writeBench(t, "new.json", `{"model_version":"v4","cold_seconds":2.4,"warm_seconds":0.012}`)
+	fresh := writeBench(t, "new.json", `{"model_version":"v4","submit_p50_ms":2.4,"submit_p99_ms":12.0,"achieved_qps":180}`)
 	code, out, _ := runDiff(t, "-base", base, "-new", fresh, "-threshold", "0.5")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, out)
@@ -40,19 +40,19 @@ func TestWithinThresholdPasses(t *testing.T) {
 
 func TestRegressionFails(t *testing.T) {
 	base := writeBench(t, "base.json", baseDoc)
-	fresh := writeBench(t, "new.json", `{"model_version":"v4","cold_seconds":4.0,"warm_seconds":0.01}`)
+	fresh := writeBench(t, "new.json", `{"model_version":"v4","submit_p50_ms":4.0,"submit_p99_ms":10.0,"achieved_qps":200}`)
 	code, out, _ := runDiff(t, "-base", base, "-new", fresh, "-threshold", "0.5")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", code, out)
 	}
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "cold_seconds") {
+	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "submit_p50_ms") {
 		t.Fatalf("report:\n%s", out)
 	}
 }
 
 func TestImprovementPasses(t *testing.T) {
 	base := writeBench(t, "base.json", baseDoc)
-	fresh := writeBench(t, "new.json", `{"model_version":"v4","cold_seconds":1.0,"warm_seconds":0.005}`)
+	fresh := writeBench(t, "new.json", `{"model_version":"v4","submit_p50_ms":1.0,"submit_p99_ms":5.0,"achieved_qps":400}`)
 	code, out, _ := runDiff(t, "-base", base, "-new", fresh)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, out)
@@ -84,9 +84,34 @@ func TestHigherIsBetterInverts(t *testing.T) {
 	}
 }
 
+// TestDefaultsCompareLoadBaseline: with only -new given, benchdiff reads
+// BENCH_load.json from the working directory and compares the submit
+// latencies and achieved throughput, the last as higher-is-better.
+func TestDefaultsCompareLoadBaseline(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_load.json"), []byte(baseDoc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(dir)
+	fresh := writeBench(t, "new.json", `{"model_version":"v4","submit_p50_ms":2.0,"submit_p99_ms":10.0,"achieved_qps":200}`)
+	code, out, errOut := runDiff(t, "-new", fresh)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, out, errOut)
+	}
+	for _, m := range []string{"submit_p50_ms", "submit_p99_ms", "achieved_qps"} {
+		if !strings.Contains(out, m) {
+			t.Errorf("default report lacks %s:\n%s", m, out)
+		}
+	}
+	slower := writeBench(t, "slower.json", `{"model_version":"v4","submit_p50_ms":2.0,"submit_p99_ms":10.0,"achieved_qps":50}`)
+	if code, out, _ := runDiff(t, "-new", slower); code != 1 {
+		t.Fatalf("throughput drop: exit = %d, want 1\n%s", code, out)
+	}
+}
+
 func TestModelVersionMismatchNoted(t *testing.T) {
 	base := writeBench(t, "base.json", baseDoc)
-	fresh := writeBench(t, "new.json", `{"model_version":"v5","cold_seconds":2.0,"warm_seconds":0.01}`)
+	fresh := writeBench(t, "new.json", `{"model_version":"v5","submit_p50_ms":2.0,"submit_p99_ms":10.0,"achieved_qps":200}`)
 	_, out, _ := runDiff(t, "-base", base, "-new", fresh)
 	if !strings.Contains(out, "model_version differs") {
 		t.Fatalf("no mismatch note in:\n%s", out)

@@ -300,7 +300,9 @@ func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	}
 }
 
-// newRunner adapts gpuwalk.RunCached to the jobd Runner contract. A
+// newRunner adapts gpuwalk.RunCachedJSON to the jobd Runner contract: a
+// cache hit's result is the stored payload itself, shared read-only
+// with every other job that hit the same key. A
 // spec is a partial gpuwalk.Config merged over DefaultConfig, so
 // {"Workload":"ATX"} is a complete, valid submission. When jobd
 // supplies a progress sink (it always does for HTTP jobs), the
@@ -325,11 +327,7 @@ func newRunner(cache *gpuwalk.ResultCache, progCycles uint64) jobd.Runner {
 			}
 			cfg.Obs.ProgressEvery = progCycles
 		}
-		res, hit, err := gpuwalk.RunCached(ctx, cache, cfg)
-		if err != nil {
-			return nil, false, err
-		}
-		out, err := json.Marshal(res)
+		out, hit, err := gpuwalk.RunCachedJSON(ctx, cache, cfg)
 		if err != nil {
 			return nil, false, err
 		}

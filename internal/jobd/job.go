@@ -4,7 +4,7 @@
 //
 // jobd knows nothing about simulations. Work arrives as opaque JSON
 // specs and is executed by an injected Runner; cmd/gpuwalkd wires the
-// runner to gpuwalk.RunCached so identical specs short-circuit into
+// runner to gpuwalk.RunCachedJSON so identical specs short-circuit into
 // the persistent result cache.
 package jobd
 

@@ -24,7 +24,8 @@ import (
 // The context carries the job's deadline and the server's lifetime;
 // runners must return promptly once it is cancelled. Runners that can
 // report live progress should fetch the sink with ProgressSink(ctx)
-// and call it as they go.
+// and call it as they go. The server never modifies a returned result,
+// so runners may return bytes shared with other jobs.
 type Runner func(ctx context.Context, spec json.RawMessage) (result json.RawMessage, cacheHit bool, err error)
 
 // Options configures a Server.

@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
+	"weak"
 
 	"gpuwalk/internal/atomicio"
 	"gpuwalk/internal/obs"
@@ -76,6 +79,31 @@ type entry struct {
 	Size   int64  `json:"size"`
 	Seq    uint64 `json:"seq"`
 	Digest string `json:"sha256"`
+
+	// shared is a weak pointer to the first byte of the payload slice the
+	// last verified read of this entry returned, sharedLen its length.
+	// While some caller still holds that slice, later reads return it
+	// instead of their own copy; once none does, the GC frees it. Put
+	// installs a fresh entry and dropLocked discards this one, so a slice
+	// is never shared across a change of the stored payload.
+	shared    weak.Pointer[byte]
+	sharedLen int
+}
+
+// share returns the slice an earlier verified read of e handed out if a
+// caller still holds it and its bytes equal b, the payload just read and
+// verified; otherwise it records b as the slice to share from now on.
+// The caller holds c.mu.
+func (e *entry) share(b []byte) []byte {
+	if p := e.shared.Value(); p != nil {
+		if s := unsafe.Slice(p, e.sharedLen); bytes.Equal(s, b) {
+			return s
+		}
+	}
+	if len(b) > 0 {
+		e.shared, e.sharedLen = weak.Make(&b[0]), len(b)
+	}
+	return b
 }
 
 // index is the on-disk index file layout.
@@ -227,7 +255,8 @@ func (c *Cache) SetPeer(p Peer) {
 // miss read-throughs the peer — outside the cache lock, so a slow
 // network fetch never blocks concurrent local hits — and an adopted
 // payload is stored locally (a Put) so the next Get hits without a
-// network hop.
+// network hop. The payload may be shared with other callers (see
+// GetLocal) and must not be modified.
 func (c *Cache) Get(key string) (payload []byte, ok bool, err error) {
 	return c.GetContext(context.Background(), key)
 }
@@ -271,6 +300,11 @@ func (c *Cache) GetContext(ctx context.Context, key string) (payload []byte, ok 
 // GetLocal is Get without the peer read-through: it consults only this
 // process's store. The cluster cache-serving endpoint uses it so a
 // peer fetch can never recurse into another peer fetch.
+//
+// Every call reads the object and checks its digest. A hit returns the
+// same backing array as an earlier hit on the key while some caller
+// still holds that slice, so callers must treat the payload as
+// read-only.
 func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -297,7 +331,7 @@ func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 	e.Seq = c.seq
 	c.dirty = true
 	c.stats.Hits++
-	return b, true, nil
+	return e.share(b), true, nil
 }
 
 // Put stores payload under key, atomically, and evicts least recently
@@ -393,13 +427,7 @@ func (c *Cache) Close() error {
 
 // GetJSON reads the entry under key into out.
 func (c *Cache) GetJSON(key string, out any) (bool, error) {
-	return c.GetJSONContext(context.Background(), key, out)
-}
-
-// GetJSONContext is GetJSON via GetContext (see there for the tracing
-// semantics of ctx).
-func (c *Cache) GetJSONContext(ctx context.Context, key string, out any) (bool, error) {
-	b, ok, err := c.GetContext(ctx, key)
+	b, ok, err := c.Get(key)
 	if err != nil || !ok {
 		return false, err
 	}

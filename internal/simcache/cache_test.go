@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -171,6 +172,118 @@ func TestConcurrentPutGet(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+}
+
+// TestGetSharesHeldPayload: while the slice one Get returned is still
+// held, a second Get of the same key returns the same backing array
+// instead of a private copy, and both count as verified hits.
+func TestGetSharesHeldPayload(t *testing.T) {
+	c := open(t, t.TempDir(), Options{})
+	key := mustKey(t, "shared")
+	if err := c.Put(key, []byte("payload-v1")); err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := c.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("first Get: ok=%v err=%v", ok, err)
+	}
+	second, ok, err := c.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("second Get: ok=%v err=%v", ok, err)
+	}
+	if &first[0] != &second[0] || string(second) != "payload-v1" {
+		t.Fatalf("second Get returned a private copy %q", second)
+	}
+	if st := c.Stats(); st.Hits != 2 {
+		t.Fatalf("Hits = %d, want 2", st.Hits)
+	}
+	runtime.KeepAlive(first)
+}
+
+// TestPutReplacesSharedPayload: a Put of new bytes ends sharing, so the
+// next Get returns the new payload even while a slice of the old one is
+// still held, and the held slice is left as it was.
+func TestPutReplacesSharedPayload(t *testing.T) {
+	c := open(t, t.TempDir(), Options{})
+	key := mustKey(t, "replaced")
+	if err := c.Put(key, []byte("payload-v1")); err != nil {
+		t.Fatal(err)
+	}
+	old, ok, err := c.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	if err := c.Put(key, []byte("payload-v2")); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := c.Get(key)
+	if err != nil || !ok || string(got) != "payload-v2" {
+		t.Fatalf("Get after Put = %q, %v, %v; want payload-v2", got, ok, err)
+	}
+	if string(old) != "payload-v1" {
+		t.Fatalf("held slice changed to %q", old)
+	}
+}
+
+// TestCorruptObjectMissesWhileShared: sharing never skips verification.
+// With a verified slice of the key still held, a corrupted object file
+// makes the next Get a miss.
+func TestCorruptObjectMissesWhileShared(t *testing.T) {
+	c := open(t, t.TempDir(), Options{})
+	key := mustKey(t, "corrupt-shared")
+	if err := c.Put(key, []byte("payload-v1")); err != nil {
+		t.Fatal(err)
+	}
+	held, ok, err := c.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	if err := os.WriteFile(c.objectPath(key), []byte("tampered!!"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := c.Get(key); ok || err != nil {
+		t.Fatalf("Get of corrupted object = %q, %v, %v; want a miss", got, ok, err)
+	}
+	if st := c.Stats(); st.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
+	}
+	if string(held) != "payload-v1" {
+		t.Fatalf("held slice changed to %q", held)
+	}
+}
+
+// TestConcurrentSharedGets reads one key from many goroutines at once,
+// each holding its slice while the others read; run it under -race.
+func TestConcurrentSharedGets(t *testing.T) {
+	c := open(t, t.TempDir(), Options{})
+	key := mustKey(t, "concurrent-shared")
+	want := strings.Repeat("result-bytes;", 64)
+	if err := c.Put(key, []byte(want)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held [][]byte
+			for i := 0; i < 20; i++ {
+				b, ok, err := c.Get(key)
+				if err != nil || !ok || string(b) != want {
+					t.Errorf("Get = %d bytes, %v, %v", len(b), ok, err)
+					return
+				}
+				held = append(held, b)
+			}
+			for _, b := range held {
+				if string(b) != want {
+					t.Error("held payload changed")
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 }

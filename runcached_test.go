@@ -1,8 +1,10 @@
 package gpuwalk_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"gpuwalk"
@@ -67,6 +69,73 @@ func TestRunCachedDifferential(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Puts != 1 || st.Hits != 1 {
 		t.Fatalf("cache stats = %+v, want exactly 1 put and 1 hit", st)
+	}
+}
+
+// TestRunCachedJSONByteIdentity: on the payload path a miss returns
+// exactly json.Marshal of a fresh Run, and after the cache is closed
+// and reopened (a daemon restart) hits return the same bytes, read from
+// disk verbatim, with two hits sharing one backing array. The struct
+// form decodes those bytes back to the same Result.
+func TestRunCachedJSONByteIdentity(t *testing.T) {
+	cfg := tinyCachedConfig()
+	fresh, err := gpuwalk.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	cache, err := gpuwalk.OpenResultCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miss, hit, err := gpuwalk.RunCachedJSON(ctx, cache, cfg)
+	if err != nil || hit {
+		t.Fatalf("first run: hit=%v err=%v", hit, err)
+	}
+	if !bytes.Equal(miss, want) {
+		t.Fatal("miss payload differs from json.Marshal of a fresh Run")
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err = gpuwalk.OpenResultCache(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	first, hit, err := gpuwalk.RunCachedJSON(ctx, cache, cfg)
+	if err != nil || !hit {
+		t.Fatalf("run after reopen: hit=%v err=%v", hit, err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatal("hit payload after reopen differs from the miss payload")
+	}
+	second, hit, err := gpuwalk.RunCachedJSON(ctx, cache, cfg)
+	if err != nil || !hit {
+		t.Fatalf("second hit: hit=%v err=%v", hit, err)
+	}
+	if &second[0] != &first[0] {
+		t.Fatal("two hits on one key returned separate copies")
+	}
+	runtime.KeepAlive(first)
+
+	res, hit, err := gpuwalk.RunCached(ctx, cache, cfg)
+	if err != nil || !hit {
+		t.Fatalf("struct-form hit: hit=%v err=%v", hit, err)
+	}
+	if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
+		t.Fatal("struct-form hit differs from a fresh Run")
+	}
+
+	uncached, hit, err := gpuwalk.RunCachedJSON(ctx, nil, cfg)
+	if err != nil || hit || !bytes.Equal(uncached, want) {
+		t.Fatalf("nil-cache payload: hit=%v err=%v equal=%v", hit, err, bytes.Equal(uncached, want))
 	}
 }
 
