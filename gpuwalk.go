@@ -72,7 +72,7 @@ type (
 	// Tracer records structured simulation events for Chrome
 	// trace_event export (see docs/OBSERVABILITY.md).
 	Tracer = obs.Tracer
-	// Metrics is a registry of counters/gauges/histograms sampled per
+	// Metrics is a registry of closure-sampled columns, evaluated per
 	// epoch into a CSV time series.
 	Metrics = obs.Registry
 	// FaultInjectConfig configures deterministic fault injection

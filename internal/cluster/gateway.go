@@ -11,13 +11,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpuwalk/internal/obs"
+	"gpuwalk/internal/obs/httpobs"
 )
 
 // KeyFunc derives the routing key of one job spec. gpuwalkd wires it
@@ -72,7 +71,6 @@ type Gateway struct {
 	traces *traceStore
 
 	metrics *gatewayMetrics
-	reqSeq  atomic.Uint64
 }
 
 // NewGateway builds a gateway over an existing membership.
@@ -161,69 +159,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster", g.handleCluster)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	return g.withTelemetry(mux)
-}
-
-// withTelemetry assigns (or adopts) the request ID and counts requests
-// by route pattern and status. An inbound X-Request-Id is honored so
-// one ID threads client → gateway → backend logs; the backend echoes
-// it for the same reason. When the request carries a traceparent but
-// no request ID, the ID derives from the trace ID — the same
-// derivation the backend uses, so every hop of a traced request logs
-// under one request ID with zero coordination.
-func (g *Gateway) withTelemetry(mux *http.ServeMux) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		remote, tpErr := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		reqID := SanitizeRequestID(r.Header.Get("X-Request-Id"))
-		if reqID == "" {
-			if tpErr == nil {
-				reqID = obs.RequestIDFromTrace(remote.Trace)
-			} else {
-				reqID = fmt.Sprintf("g%06d", g.reqSeq.Add(1))
-			}
-		}
-		w.Header().Set("X-Request-Id", reqID)
-		r.Header.Set("X-Request-Id", reqID)
-		_, route := mux.Handler(r)
-		if route == "" {
-			route = "unmatched"
-		}
-		rec := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
-		mux.ServeHTTP(rec, r)
-		code := rec.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		g.metrics.httpReqs.With(route, strconv.Itoa(code)).Inc()
-		logArgs := []any{"request_id", reqID, "route", route,
-			"path", r.URL.Path, "code", code,
-			"duration_ms", float64(time.Since(start).Microseconds()) / 1000}
-		if tpErr == nil {
-			logArgs = append(logArgs, "trace_id", remote.Trace.String(), "span_id", remote.Span.String())
-		}
-		g.log.Debug("gateway request", logArgs...)
-	})
-}
-
-// SanitizeRequestID validates an externally supplied request ID:
-// non-empty, at most 64 bytes, limited to [A-Za-z0-9._-]. Anything
-// else returns "" and the server mints its own — an inbound header is
-// an optimization for log correlation, never a trusted value.
-func SanitizeRequestID(id string) string {
-	if id == "" || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return ""
-		}
-	}
-	return id
+	return httpobs.Wrap(mux, g.metrics.httpReqs, g.log, "g")
 }
 
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -242,17 +178,17 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		routeSpan  *obs.ActiveSpan
 		parentSpan obs.SpanID
 	)
+	reqID := httpobs.RequestID(r.Context())
 	if g.traces != nil {
-		remote, tpErr := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+		remote := httpobs.RemoteSpan(r.Context())
 		trace := remote.Trace
-		if tpErr != nil {
-			trace = obs.NewTraceID()
-		} else {
+		if remote.Valid() {
 			parentSpan = remote.Span
+		} else {
+			trace = obs.NewTraceID()
 		}
 		buf = g.traces.buf(trace)
-		gwSpan = buf.StartSpan("gateway.submit", parentSpan,
-			obs.Str("request_id", r.Header.Get("X-Request-Id")))
+		gwSpan = buf.StartSpan("gateway.submit", parentSpan, obs.Str("request_id", reqID))
 		routeSpan = buf.StartSpan("gateway.route", gwSpan.ID())
 	}
 
@@ -297,7 +233,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		g.metrics.routedJobs.With(NodeName(owner)).Inc()
-		logArgs := []any{"request_id", r.Header.Get("X-Request-Id"),
+		logArgs := []any{"request_id", reqID,
 			"node", NodeName(owner), "job_id", v.ID, "key", shortKey(key)}
 		if buf != nil {
 			logArgs = append(logArgs, "trace_id", buf.Trace().String())
@@ -437,7 +373,7 @@ func (g *Gateway) exchange(r *http.Request, node, method, path string, body []by
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("X-Request-Id", r.Header.Get("X-Request-Id"))
+	req.Header.Set("X-Request-Id", httpobs.RequestID(r.Context()))
 	if tp := r.Header.Get(obs.TraceparentHeader); tp != "" {
 		req.Header.Set(obs.TraceparentHeader, tp)
 	}
@@ -552,7 +488,8 @@ func (g *Gateway) streamProxy(w http.ResponseWriter, r *http.Request, node, path
 		g.proxyFailure(w, node, err)
 		return
 	}
-	for _, h := range []string{"Last-Event-ID", "Accept", "X-Request-Id", obs.TraceparentHeader} {
+	req.Header.Set("X-Request-Id", httpobs.RequestID(r.Context()))
+	for _, h := range []string{"Last-Event-ID", "Accept", obs.TraceparentHeader} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
@@ -670,15 +607,15 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics writes the gateway's own families, then scrapes every
-// member (healthy or not — a down node might still answer /metrics
-// while draining) and re-emits each sample under a node label. One
-// scrape, one consistent per-node snapshot; unreachable nodes count in
-// gateway_rollup_errors_total and are skipped.
+// handleMetrics scrapes every member (healthy or not — a down node
+// might still answer /metrics while draining) and writes the gateway's
+// own families with every node's samples rolled up under a node label,
+// each family declared once (obs.FamilySet.WriteRollup). One scrape,
+// one consistent per-node snapshot; unreachable nodes count in
+// gateway_rollup_errors_total, this scrape's failures included, and
+// are skipped.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentTypeProm)
-	_ = g.metrics.fams.WriteText(w)
-
 	peers := g.m.Peers()
 	docs := make([]*obs.PromText, len(peers))
 	var wg sync.WaitGroup
@@ -701,7 +638,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			byNode[NodeName(p)] = docs[i]
 		}
 	}
-	_ = WriteRollup(w, byNode)
+	_ = g.metrics.fams.WriteRollup(w, byNode)
 }
 
 // scrapeOne fetches and parses one member's /metrics.
@@ -811,33 +748,6 @@ func shortKey(key string) string {
 		return key[:12]
 	}
 	return key
-}
-
-// statusRecorder captures the response code for the request counter,
-// passing Flush through so SSE streaming works behind it.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func writeGwJSON(w http.ResponseWriter, code int, v any) {

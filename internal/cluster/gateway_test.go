@@ -612,13 +612,16 @@ func TestGatewayClusterStatus(t *testing.T) {
 
 // TestGatewayMetricsRollup: /metrics carries the gateway's own
 // families plus every backend's samples re-labeled with node=...,
-// and the merged document still parses as valid exposition text.
+// each family declared once even when the gateway registers it too
+// (the runtime families), and the merged document still parses as
+// valid exposition text.
 func TestGatewayMetricsRollup(t *testing.T) {
 	mkMetrics := func(jobs int) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", obs.ContentTypeProm)
 			fmt.Fprintf(w, "# HELP jobd_jobs_total Jobs by terminal state.\n# TYPE jobd_jobs_total counter\njobd_jobs_total{state=\"done\"} %d\n", jobs)
 			fmt.Fprint(w, "# HELP gpuwalkd_cache_peer_hits_total Local misses answered by the cluster peer read-through.\n# TYPE gpuwalkd_cache_peer_hits_total counter\ngpuwalkd_cache_peer_hits_total 2\n")
+			fmt.Fprintf(w, "# HELP go_goroutines Number of goroutines that currently exist.\n# TYPE go_goroutines gauge\ngo_goroutines %d\n", 10+jobs)
 		}
 	}
 	withMetrics := func(jobs int) func(*fakeNode, *http.ServeMux) {
@@ -653,12 +656,21 @@ func TestGatewayMetricsRollup(t *testing.T) {
 		if v, ok := doc.Sample(peerKey); !ok || v != 2 {
 			t.Errorf("rollup missing peer-hit counter %s (got %v, %v)", peerKey, v, ok)
 		}
+		goKey := fmt.Sprintf("go_goroutines{node=%q}", NodeName(n.srv.URL))
+		if _, ok := doc.Sample(goKey); !ok {
+			t.Errorf("rollup missing %s\n%s", goKey, text)
+		}
 	}
 	if _, ok := doc.Types["gateway_nodes_healthy"]; !ok {
 		t.Error("gateway's own families missing from /metrics")
 	}
-	if got := strings.Count(text, "# TYPE jobd_jobs_total "); got != 1 {
-		t.Errorf("TYPE emitted %d times for jobd_jobs_total, want once", got)
+	if _, ok := doc.Sample("go_goroutines"); !ok {
+		t.Errorf("gateway's own unlabeled go_goroutines missing\n%s", text)
+	}
+	for _, fam := range []string{"jobd_jobs_total", "go_goroutines"} {
+		if got := strings.Count(text, "# TYPE "+fam+" "); got != 1 {
+			t.Errorf("TYPE emitted %d times for %s, want once", got, fam)
+		}
 	}
 }
 

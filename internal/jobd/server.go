@@ -13,10 +13,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpuwalk/internal/obs"
+	"gpuwalk/internal/obs/httpobs"
 )
 
 // Runner executes one job item. It receives the item's opaque spec and
@@ -148,8 +148,7 @@ type Server struct {
 	// job's next transition.
 	backoff map[string]*time.Timer
 
-	metrics   *serverMetrics
-	nextReqID atomic.Uint64
+	metrics *serverMetrics
 }
 
 // NewServer builds a server and starts its worker pool.
@@ -858,44 +857,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// reqIDKey carries the middleware-assigned request ID through handler
-// contexts.
-type reqIDKey struct{}
-
-// requestID extracts the middleware-assigned request ID, if any.
-func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(reqIDKey{}).(string)
-	return id
-}
-
-// statusRecorder captures the response code for the request log and
-// the http_requests_total code label, passing Flush through so SSE
-// streaming keeps working behind it.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 // Handler returns the HTTP API:
 //
 //	POST /v1/jobs             submit a job (SubmitRequest body)
@@ -930,73 +891,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
 	}
-	return s.withTelemetry(mux)
-}
-
-// withTelemetry assigns each request an ID, counts it by route pattern
-// and status code, and logs it. The route label is the mux pattern
-// ("GET /v1/jobs/{id}"), never the raw path, so label cardinality
-// stays bounded.
-//
-// A well-formed inbound X-Request-Id is adopted instead of minted so
-// one ID threads a request across hops (client → gateway → backend);
-// anything malformed, oversized, or absent gets a fresh local ID —
-// except when the request carries a valid traceparent, in which case
-// the ID derives from the trace ID so every hop of the trace mints
-// the same one and the hops' logs join on it.
-func (s *Server) withTelemetry(mux *http.ServeMux) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		remote, tpErr := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		reqID := sanitizeRequestID(r.Header.Get("X-Request-Id"))
-		if reqID == "" {
-			if tpErr == nil {
-				reqID = obs.RequestIDFromTrace(remote.Trace)
-			} else {
-				reqID = fmt.Sprintf("r%06d", s.nextReqID.Add(1))
-			}
-		}
-		w.Header().Set("X-Request-Id", reqID)
-		_, route := mux.Handler(r)
-		if route == "" {
-			route = "unmatched"
-		}
-		rec := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
-		ctx := context.WithValue(r.Context(), reqIDKey{}, reqID)
-		logArgs := []any{"request_id", reqID, "route", route, "path", r.URL.Path}
-		if tpErr == nil {
-			ctx = context.WithValue(ctx, traceCtxKey{}, remote)
-			logArgs = append(logArgs, "trace_id", remote.Trace.String(), "span_id", remote.Span.String())
-		}
-		mux.ServeHTTP(rec, r.WithContext(ctx))
-		code := rec.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		s.metrics.httpReqs.With(route, strconv.Itoa(code)).Inc()
-		s.log.Debug("http request", append(logArgs, "code", code,
-			"duration_ms", float64(time.Since(start).Microseconds())/1000)...)
-	})
-}
-
-// sanitizeRequestID validates an externally supplied request ID:
-// non-empty, at most 64 bytes, limited to [A-Za-z0-9._-]. Anything
-// else returns "" and the server mints its own — the inbound header is
-// a log-correlation convenience, never a trusted value.
-func sanitizeRequestID(id string) string {
-	if id == "" || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return ""
-		}
-	}
-	return id
+	return httpobs.Wrap(mux, s.metrics.httpReqs, s.log, "r")
 }
 
 // handleCacheGet serves one raw result payload to a cluster peer
@@ -1023,7 +918,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	v, err := s.submit(req, requestID(r.Context()), traceContext(r.Context()))
+	v, err := s.submit(req, httpobs.RequestID(r.Context()), httpobs.RemoteSpan(r.Context()))
 	switch {
 	case errors.Is(err, ErrDraining):
 		// Retry-After tells well-behaved open-loop clients to back off

@@ -218,7 +218,9 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestQueueBound(t *testing.T) {
-	started := make(chan struct{})
+	// Buffered so the first runner's signal is kept even when the test
+	// has not reached its receive yet; later signals are dropped.
+	started := make(chan struct{}, 1)
 	runner := func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
 		select {
 		case started <- struct{}{}:

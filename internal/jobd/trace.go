@@ -16,7 +16,6 @@ package jobd
 // overhead guard in the repository root pins this).
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -93,17 +92,6 @@ func journalSpan(buf *obs.SpanBuf, parent obs.SpanID, record string, fn func() e
 	}
 	sp.End()
 	return err
-}
-
-// traceCtxKey carries the inbound traceparent's SpanContext through
-// handler contexts.
-type traceCtxKey struct{}
-
-// traceContext extracts the remote SpanContext parsed by the
-// telemetry middleware (zero when the request had none).
-func traceContext(ctx context.Context) obs.SpanContext {
-	sc, _ := ctx.Value(traceCtxKey{}).(obs.SpanContext)
-	return sc
 }
 
 // handleJobTrace serves a completed (or in-flight) job's span

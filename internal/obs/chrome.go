@@ -10,31 +10,38 @@ import (
 	"gpuwalk/internal/atomicio"
 )
 
-// This file writes a Tracer's buffer in the Chrome trace_event JSON
-// format (the "JSON Array Format" with an object wrapper), which loads
-// directly in chrome://tracing and https://ui.perfetto.dev. One
-// simulated GPU cycle is rendered as one microsecond, the format's
-// native timestamp unit.
+// This file writes the Chrome trace_event JSON format (the "JSON Array
+// Format" with an object wrapper), which loads directly in
+// chrome://tracing and https://ui.perfetto.dev. Both trace kinds go
+// through one encoder, writeChromeDoc: a Tracer's buffer, where one
+// simulated GPU cycle is rendered as one microsecond (the format's
+// native timestamp unit), and service spans (spanchrome.go), stamped
+// in wall-clock microseconds.
 //
-// The writer emits metadata first (process and thread names in
-// registration order), then every event in insertion order, building
-// the JSON by hand so the byte stream is a pure function of the
-// recorded events — no map iteration, no float formatting ambiguity.
+// The encoder emits metadata first (process and thread names in
+// order), then every event in order, building the JSON by hand so the
+// byte stream is a pure function of its input — no map iteration, no
+// float formatting ambiguity.
 
 // WriteChrome writes the trace as Chrome trace_event JSON.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: WriteChrome on a nil Tracer")
 	}
+	other := append([]Arg{U64("dropped", t.dropped)}, t.metas...)
+	return writeChromeDoc(w, other, t.procs, t.events)
+}
+
+// writeChromeDoc writes one trace_event document: the otherData object
+// ("tool":"gpuwalk", then other in order), a process_name metadata
+// event per process (pid = index+1) and a thread_name one per thread
+// (tid = index), then the events in order.
+func writeChromeDoc(w io.Writer, other []Arg, procs []process, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.WriteString(`{"displayTimeUnit":"ms","otherData":{"tool":"gpuwalk","dropped":`)
-	bw.WriteString(strconv.FormatUint(t.dropped, 10))
-	for i := range t.metas {
-		m := &t.metas[i]
+	bw.WriteString(`{"displayTimeUnit":"ms","otherData":{"tool":"gpuwalk"`)
+	for i := range other {
 		bw.WriteByte(',')
-		bw.WriteString(jsonString(m.Key))
-		bw.WriteByte(':')
-		bw.WriteString(jsonString(m.Str))
+		writeArg(bw, &other[i])
 	}
 	bw.WriteString("},\n\"traceEvents\":[\n")
 
@@ -45,10 +52,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		}
 		first = false
 	}
-
-	// Metadata: name every registered process and thread.
-	for pi := range t.procs {
-		p := &t.procs[pi]
+	for pi := range procs {
+		p := &procs[pi]
 		sep()
 		fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
 			pi+1, jsonString(p.name))
@@ -58,10 +63,9 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				pi+1, ti, jsonString(th))
 		}
 	}
-
-	for i := range t.events {
+	for i := range events {
 		sep()
-		writeEvent(bw, &t.events[i])
+		writeEvent(bw, &events[i])
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
@@ -93,18 +97,23 @@ func writeEvent(bw *bufio.Writer, e *Event) {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			a := &e.Args[i]
-			bw.WriteString(jsonString(a.Key))
-			bw.WriteByte(':')
-			if a.Str != "" {
-				bw.WriteString(jsonString(a.Str))
-			} else {
-				bw.WriteString(strconv.FormatUint(a.Val, 10))
-			}
+			writeArg(bw, &e.Args[i])
 		}
 		bw.WriteByte('}')
 	}
 	bw.WriteByte('}')
+}
+
+// writeArg encodes one "key":value member: a non-empty Str as a JSON
+// string, otherwise Val as a number.
+func writeArg(bw *bufio.Writer, a *Arg) {
+	bw.WriteString(jsonString(a.Key))
+	bw.WriteByte(':')
+	if a.Str != "" {
+		bw.WriteString(jsonString(a.Str))
+	} else {
+		bw.WriteString(strconv.FormatUint(a.Val, 10))
+	}
 }
 
 // jsonString encodes s as a JSON string literal.

@@ -1,7 +1,11 @@
 // Package obs is the simulator's observability layer: a structured
 // event tracer whose output opens directly in chrome://tracing or
-// Perfetto (see chrome.go), and a counter/gauge/histogram registry
-// sampled per epoch into CSV time series (see registry.go).
+// Perfetto (see chrome.go), and a registry of closure-sampled columns
+// written per epoch as a CSV time series (see registry.go). The
+// service side shares it: request spans (span.go) render through the
+// same Chrome encoder, and labeled metric families (prom.go) serve
+// /metrics; the HTTP middleware lives in the httpobs sub-package so
+// the simulator never links net/http.
 //
 // Both are strictly opt-in. Every model component holds a *Tracer that
 // is nil by default, and every hook site is guarded by a single pointer

@@ -108,6 +108,8 @@ func TestParsePromTextRejectsMalformed(t *testing.T) {
 		"# TYPE x nonsense\nx 1\n",
 		"# TYPE x counter\nx{9bad=\"v\"} 1\n",
 		"# TYPE x counter\nx notanumber\n",
+		"# TYPE x counter\nx 1\n# TYPE x counter\nx{a=\"b\"} 2\n",
+		"# HELP x One.\n# TYPE x counter\n# HELP x One.\nx 1\n",
 	} {
 		if _, err := ParsePromText(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParsePromText accepted %q", bad)

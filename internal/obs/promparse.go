@@ -58,8 +58,9 @@ func (t *PromText) Sample(key string) (float64, bool) {
 
 // ParsePromText parses the Prometheus text exposition format (the
 // subset WriteText emits: HELP/TYPE comments and sample lines without
-// timestamps). It is the test-side half of the round-trip contract on
-// the /metrics endpoint — strict enough to reject malformed samples,
+// timestamps). It is the reading half of the round-trip contract on
+// the /metrics endpoint — strict enough to reject malformed samples
+// and, as the format does, a second HELP or TYPE line for a family;
 // small enough to not be a scrape client.
 func ParsePromText(r io.Reader) (*PromText, error) {
 	out := &PromText{Types: make(map[string]string), Help: make(map[string]string)}
@@ -87,22 +88,24 @@ func ParsePromText(r io.Reader) (*PromText, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	// Every sample must belong to a declared family (histogram suffixes
-	// map back to their base name).
+	// Every sample must belong to a declared family.
 	for _, s := range out.Samples {
-		base := s.Name
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			trimmed := strings.TrimSuffix(s.Name, suf)
-			if trimmed != s.Name && out.Types[trimmed] == "histogram" {
-				base = trimmed
-				break
-			}
-		}
-		if _, ok := out.Types[base]; !ok {
+		if _, ok := out.Types[out.family(s.Name)]; !ok {
 			return nil, fmt.Errorf("obs: sample %q has no # TYPE declaration", s.Name)
 		}
 	}
 	return out, nil
+}
+
+// family maps a sample name to its family name: histogram series
+// (_bucket/_sum/_count) belong to their declared base name.
+func (t *PromText) family(sample string) string {
+	for _, suf := range []string{"_bucket", "_sum", "_count"} {
+		if trimmed := strings.TrimSuffix(sample, suf); trimmed != sample && t.Types[trimmed] == "histogram" {
+			return trimmed
+		}
+	}
+	return sample
 }
 
 func parseComment(line string, out *PromText) error {
@@ -119,6 +122,9 @@ func parseComment(line string, out *PromText) error {
 		rest = fields[3]
 	}
 	if fields[1] == "HELP" {
+		if _, ok := out.Help[name]; ok {
+			return fmt.Errorf("second HELP line for %q", name)
+		}
 		out.Help[name] = rest
 		return nil
 	}
@@ -127,8 +133,8 @@ func parseComment(line string, out *PromText) error {
 	default:
 		return fmt.Errorf("unknown TYPE %q for %q", rest, name)
 	}
-	if prev, ok := out.Types[name]; ok && prev != rest {
-		return fmt.Errorf("conflicting TYPE for %q: %s vs %s", name, prev, rest)
+	if _, ok := out.Types[name]; ok {
+		return fmt.Errorf("second TYPE line for %q", name)
 	}
 	out.Types[name] = rest
 	return nil

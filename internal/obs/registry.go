@@ -4,22 +4,22 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-	"sync/atomic"
 
 	"gpuwalk/internal/atomicio"
 )
 
 // Registry is a metrics registry sampled into a CSV time series: one
-// column per registered metric, one row per sample epoch. Columns are
+// column per registered closure, one row per sample epoch. Columns are
 // fixed at first sample; sampling evaluates every column's closure, so
-// registered metrics may read live model state (the usual pattern is a
-// closure over a component's Stats() snapshot).
+// columns read live model state (the usual pattern is a closure over a
+// component's Stats() snapshot).
 //
 // Like the Tracer, the Registry is deterministic: columns appear in
-// registration order and values are formatted with a fixed format, so
-// two runs of the same seeded workload produce byte-identical CSV.
+// registration order and values are formatted as on /metrics
+// (formatPromValue), so two runs of the same seeded workload produce
+// byte-identical CSV. Server metrics with labels live in FamilySet
+// (prom.go).
 type Registry struct {
 	names  []string
 	fns    []func() float64
@@ -56,31 +56,6 @@ func (r *Registry) Func(name string, fn func() float64) {
 	r.fns = append(r.fns, fn)
 }
 
-// Counter registers and returns a monotonic counter.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.Func(name, func() float64 { return float64(c.Value()) })
-	return c
-}
-
-// Gauge registers and returns a settable gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	g := &Gauge{}
-	r.Func(name, func() float64 { return float64(g.Value()) })
-	return g
-}
-
-// Histogram registers a streaming histogram summary under three
-// columns — name.count, name.mean and name.max — and returns the
-// observation handle.
-func (r *Registry) Histogram(name string) *HistogramMetric {
-	h := &HistogramMetric{}
-	r.Func(name+".count", func() float64 { return float64(h.n) })
-	r.Func(name+".mean", func() float64 { return h.Mean() })
-	r.Func(name+".max", func() float64 { return h.max })
-	return h
-}
-
 // Sample evaluates every column at the given cycle and appends a row.
 // Sampling twice at the same cycle overwrites the earlier row (at most
 // one row per cycle), which lets an end-of-run sample coexist with a
@@ -101,40 +76,12 @@ func (r *Registry) Sample(cycle uint64) {
 	r.rows = append(r.rows, sampleRow{cycle: cycle, vals: vals})
 }
 
-// Snapshot evaluates every registered column right now and returns
-// (name, value) pairs in registration order, without recording a row or
-// sealing the registry. It backs live exposition endpoints where
-// sampling into the CSV time series would be wrong. Counter and Gauge
-// columns mutate atomically, so Snapshot may race with their writers
-// and still read consistent values; Func columns closing over other
-// shared state need caller-side synchronization, and registration
-// itself must not race with Snapshot. Server-grade exposition with
-// labels lives in FamilySet (prom.go).
-func (r *Registry) Snapshot() ([]string, []float64) {
-	if r == nil {
-		return nil, nil
-	}
-	vals := make([]float64, len(r.fns))
-	for i, fn := range r.fns {
-		vals[i] = fn()
-	}
-	return append([]string(nil), r.names...), vals
-}
-
 // Rows returns the number of sampled rows.
 func (r *Registry) Rows() int {
 	if r == nil {
 		return 0
 	}
 	return len(r.rows)
-}
-
-// Names returns the registered column names in registration order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	return append([]string(nil), r.names...)
 }
 
 // WriteCSV writes the sampled time series: a "cycle,<name>,..." header
@@ -155,7 +102,7 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		bw.WriteString(strconv.FormatUint(row.cycle, 10))
 		for _, v := range row.vals {
 			bw.WriteByte(',')
-			bw.WriteString(formatMetric(v))
+			bw.WriteString(formatPromValue(v))
 		}
 		bw.WriteByte('\n')
 	}
@@ -179,101 +126,4 @@ func csvField(s string) string {
 		}
 	}
 	return s
-}
-
-// formatMetric renders a sample value deterministically: integers
-// without a fraction, everything else in shortest round-trip form.
-func formatMetric(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Counter is a monotonically increasing metric handle. Mutations are
-// atomic, so a counter may be bumped by worker goroutines while an HTTP
-// scrape snapshots it.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a point-in-time metric handle. Mutations are atomic, like
-// Counter's.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add moves the value by delta.
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// HistogramMetric is a streaming summary (count, mean, max) handle.
-type HistogramMetric struct {
-	n   uint64
-	sum float64
-	max float64
-}
-
-// Observe records one sample.
-func (h *HistogramMetric) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.n++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of samples.
-func (h *HistogramMetric) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Mean returns the mean sample, or 0 with none.
-func (h *HistogramMetric) Mean() float64 {
-	if h == nil || h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
 }

@@ -3,26 +3,36 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestRegistrySampleAndCSV(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("walks")
-	g := r.Gauge("pending")
-	h := r.Histogram("lat")
+	var walks, pending float64
+	var lat []float64
+	r.Func("walks", func() float64 { return walks })
+	r.Func("pending", func() float64 { return pending })
+	r.Func("lat.count", func() float64 { return float64(len(lat)) })
+	r.Func("lat.mean", func() float64 {
+		sum := 0.0
+		for _, v := range lat {
+			sum += v
+		}
+		return sum / float64(len(lat))
+	})
+	r.Func("lat.max", func() float64 { return slices.Max(lat) })
 	r.Func("rate", func() float64 { return 0.5 })
 
-	c.Add(3)
-	g.Set(2)
-	h.Observe(10)
-	h.Observe(20)
+	walks, pending = 3, 2
+	lat = append(lat, 10, 20)
 	r.Sample(100)
 
-	c.Inc()
-	g.Add(-2)
-	h.Observe(60)
+	walks, pending = 4, 0
+	lat = append(lat, 60)
 	r.Sample(250)
 
 	var buf bytes.Buffer
@@ -38,17 +48,34 @@ func TestRegistrySampleAndCSV(t *testing.T) {
 	if r.Rows() != 2 {
 		t.Fatalf("rows = %d", r.Rows())
 	}
-	if got := r.Names(); len(got) != 6 || got[0] != "walks" {
-		t.Fatalf("names = %v", got)
+}
+
+// TestRegistryValueFormat pins how CSV cells render: integers bare,
+// other values in shortest round-trip form, infinities and NaN named,
+// negative zero as 0 — the same rendering as /metrics.
+func TestRegistryValueFormat(t *testing.T) {
+	r := NewRegistry()
+	for i, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), -7, 1e15, 123.5, 1.0 / 3.0} {
+		r.Func(fmt.Sprint("c", i), func() float64 { return v })
+	}
+	r.Sample(9)
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "cycle,c0,c1,c2,c3,c4,c5,c6,c7\n9,+Inf,-Inf,NaN,0,-7,1e+15,123.5,0.3333333333333333\n"
+	if buf.String() != want {
+		t.Fatalf("CSV:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }
 
 func TestRegistryDeterministicBytes(t *testing.T) {
 	build := func() []byte {
 		r := NewRegistry()
-		c := r.Counter("a")
+		a := 0.0
+		r.Func("a", func() float64 { return a })
 		r.Func("b", func() float64 { return 1.0 / 3.0 })
-		c.Add(7)
+		a = 7
 		r.Sample(10)
 		r.Sample(20)
 		var buf bytes.Buffer
@@ -64,10 +91,10 @@ func TestRegistryDeterministicBytes(t *testing.T) {
 
 func TestRegistrySameCycleOverwrites(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("g")
-	g.Set(1)
+	g := 1.0
+	r.Func("g", func() float64 { return g })
 	r.Sample(50)
-	g.Set(9)
+	g = 9
 	r.Sample(50)
 	if r.Rows() != 1 {
 		t.Fatalf("rows = %d, want 1", r.Rows())
@@ -81,6 +108,8 @@ func TestRegistrySameCycleOverwrites(t *testing.T) {
 	}
 }
 
+func zero() float64 { return 0 }
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -88,8 +117,8 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
-	r.Counter("x")
+	r.Func("x", zero)
+	r.Func("x", zero)
 }
 
 func TestRegistryLateRegistrationPanics(t *testing.T) {
@@ -99,31 +128,20 @@ func TestRegistryLateRegistrationPanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x")
+	r.Func("x", zero)
 	r.Sample(1)
-	r.Counter("y")
+	r.Func("y", zero)
 }
 
 func TestRegistryNilSafety(t *testing.T) {
 	var r *Registry
 	r.Func("x", nil)
 	r.Sample(1)
-	if r.Rows() != 0 || r.Names() != nil {
+	if r.Rows() != 0 {
 		t.Fatal("nil registry recorded something")
 	}
 	if err := r.WriteCSV(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteCSV on nil registry should error")
-	}
-	var c *Counter
-	c.Inc()
-	c.Add(2)
-	var g *Gauge
-	g.Set(1)
-	g.Add(1)
-	var h *HistogramMetric
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 {
-		t.Fatal("nil handles accumulated state")
 	}
 }
 
@@ -156,7 +174,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestRegistryWriteErrorPropagates(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a")
+	r.Func("a", zero)
 	for i := 0; i < 20000; i++ {
 		r.Sample(uint64(i))
 	}

@@ -1,19 +1,16 @@
 package obs
 
 // Rendering service spans in the same Chrome trace_event JSON the sim
-// tracer emits, so a job's request timeline opens in chrome://tracing
-// or Perfetto with the exact tooling (and CheckChrome validator) the
-// repository already has. Each service ("gateway", each node name)
-// becomes one process row; timestamps are absolute wall-clock
-// microseconds, so spans merged from several nodes line up as well as
-// their clocks do.
+// tracer emits, through the same encoder (chrome.go), so a job's
+// request timeline opens in chrome://tracing or Perfetto with the
+// exact tooling (and CheckChrome validator) the repository already
+// has. Each service ("gateway", each node name) becomes one process
+// row; timestamps are absolute wall-clock microseconds, so spans
+// merged from several nodes line up as well as their clocks do.
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // SpanDoc is the raw-span wire format served by a backend's
@@ -62,64 +59,31 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 		}
 	}
 	sort.Strings(services)
+	procs := make([]process, len(services))
 	for i, svc := range services {
 		seen[svc] = i + 1
+		procs[i] = process{name: svc, threads: []string{"spans"}}
 	}
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	bw.WriteString(`{"displayTimeUnit":"ms","otherData":{"tool":"gpuwalk","kind":"spans"`)
+	other := []Arg{Str("kind", "spans")}
 	if len(sorted) > 0 {
-		bw.WriteString(`,"trace_id":`)
-		bw.WriteString(jsonString(sorted[0].Trace.String()))
+		other = append(other, Str("trace_id", sorted[0].Trace.String()))
 	}
-	bw.WriteString("},\n\"traceEvents\":[\n")
-
-	first := true
-	sep := func() {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-	}
-	for _, svc := range services {
-		pid := seen[svc]
-		sep()
-		fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
-			pid, jsonString(svc))
-		sep()
-		fmt.Fprintf(bw, `{"name":"thread_name","ph":"M","pid":%d,"tid":0,"args":{"name":"spans"}}`, pid)
-	}
+	events := make([]Event, len(sorted))
 	for i := range sorted {
 		s := &sorted[i]
-		sep()
-		bw.WriteString(`{"name":`)
-		bw.WriteString(jsonString(s.Name))
-		bw.WriteString(`,"cat":"span","ph":"X","ts":`)
-		bw.WriteString(strconv.FormatInt(s.Start.UnixMicro(), 10))
-		bw.WriteString(`,"dur":`)
-		bw.WriteString(strconv.FormatInt(s.Dur.Microseconds(), 10))
-		fmt.Fprintf(bw, `,"pid":%d,"tid":0,"args":{`, seen[s.Service])
-		bw.WriteString(`"trace_id":`)
-		bw.WriteString(jsonString(s.Trace.String()))
-		bw.WriteString(`,"span_id":`)
-		bw.WriteString(jsonString(s.ID.String()))
+		args := make([]Arg, 0, 3+len(s.Attrs))
+		args = append(args, Str("trace_id", s.Trace.String()), Str("span_id", s.ID.String()))
 		if !s.Parent.IsZero() {
-			bw.WriteString(`,"parent_id":`)
-			bw.WriteString(jsonString(s.Parent.String()))
+			args = append(args, Str("parent_id", s.Parent.String()))
 		}
-		for j := range s.Attrs {
-			a := &s.Attrs[j]
-			bw.WriteByte(',')
-			bw.WriteString(jsonString(a.Key))
-			bw.WriteByte(':')
-			if a.Str != "" {
-				bw.WriteString(jsonString(a.Str))
-			} else {
-				bw.WriteString(strconv.FormatUint(a.Val, 10))
-			}
+		events[i] = Event{
+			Name: s.Name, Cat: "span", Phase: PhaseComplete,
+			TS:    uint64(max(s.Start.UnixMicro(), 0)),
+			Dur:   uint64(max(s.Dur.Microseconds(), 0)),
+			Track: Track{pid: int32(seen[s.Service])},
+			Args:  append(args, s.Attrs...),
 		}
-		bw.WriteString("}}")
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	return writeChromeDoc(w, other, procs, events)
 }
