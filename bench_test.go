@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (see DESIGN.md's experiment index), plus ablation benches
-// for the design choices and micro-benchmarks of the hot structures.
+// for the design choices. The hot structures' micro-benchmarks run in
+// bench/ (micro.*) and, for the scheduler, in internal/core.
 //
 // Figure benches run the corresponding experiment at a reduced scale per
 // iteration and report the headline metric of that figure (speedup,
@@ -9,16 +10,11 @@
 package gpuwalk_test
 
 import (
-	"strconv"
 	"testing"
 
 	"gpuwalk"
-	"gpuwalk/internal/core"
-	"gpuwalk/internal/dram"
 	"gpuwalk/internal/experiments"
 	"gpuwalk/internal/gpu"
-	"gpuwalk/internal/pwc"
-	"gpuwalk/internal/sim"
 	"gpuwalk/internal/tlb"
 	"gpuwalk/internal/workload"
 )
@@ -436,116 +432,6 @@ func BenchmarkAblationTLBRepl(b *testing.B) {
 			}
 			b.ReportMetric(float64(walks), "walks")
 		})
-	}
-}
-
-// --- Micro-benchmarks of the hot structures ---------------------------
-
-func BenchmarkEngineEvent(b *testing.B) {
-	eng := sim.NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.After(1, func() {})
-		eng.Step()
-	}
-}
-
-func BenchmarkTLBLookup(b *testing.B) {
-	t := tlb.New(tlb.Config{Name: "bench", Entries: 512, Ways: 16})
-	for vpn := uint64(0); vpn < 512; vpn++ {
-		t.Insert(vpn, vpn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Lookup(uint64(i) & 511)
-	}
-}
-
-func BenchmarkPWCProbe(b *testing.B) {
-	p := pwc.New(pwc.DefaultConfig())
-	for vpn := uint64(0); vpn < 64; vpn++ {
-		p.Fill(vpn << 9)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Probe(uint64(i&63) << 9)
-	}
-}
-
-func BenchmarkDRAMAccess(b *testing.B) {
-	eng := sim.NewEngine()
-	m := dram.New(eng, dram.DefaultConfig())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Access(uint64(i)*64, false, nil)
-		if i%64 == 63 {
-			eng.Run()
-		}
-	}
-	eng.Run()
-}
-
-// BenchmarkSchedulerSelect measures steady-state scheduling throughput
-// (one dispatch plus one arrival per iteration, buffer occupancy held
-// at the target size) for the indexed pending buffer against the linear
-// reference, across the ISSUE's buffer sweep. Requests arrive in
-// same-instruction runs of 8, matching the coalescer's bursty miss
-// pattern.
-func BenchmarkSchedulerSelect(b *testing.B) {
-	for _, kind := range []core.Kind{core.KindSIMTAware, core.KindCUFair} {
-		for _, entries := range []int{256, 1024, 4096} {
-			for _, ref := range []bool{true, false} {
-				mode := "indexed"
-				if ref {
-					mode = "reference"
-				}
-				b.Run(string(kind)+"/"+mode+"/buf-"+strconv.Itoa(entries), func(b *testing.B) {
-					benchSchedulerSteadyState(b, kind, entries, ref)
-				})
-			}
-		}
-	}
-}
-
-func benchSchedulerSteadyState(b *testing.B, kind core.Kind, entries int, ref bool) {
-	s, err := core.New(kind, core.Options{Seed: 1, AgingThreshold: 1 << 20, Reference: ref})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, _ := s.(core.IndexedScheduler)
-	var pending []*core.Request
-	seq := uint64(0)
-	admit := func() {
-		seq++
-		instr := core.InstrID(seq / 8)
-		r := &core.Request{
-			Instr: instr,
-			CU:    int(uint64(instr) % 8),
-			Seq:   seq,
-			Est:   1 + int(seq%4),
-		}
-		if ix != nil {
-			ix.Admit(r)
-			return
-		}
-		pending = append(pending, r)
-		s.OnArrival(r, pending)
-	}
-	pick := func() {
-		if ix != nil {
-			ix.Pick()
-			return
-		}
-		i := s.Select(pending)
-		pending = append(pending[:i], pending[i+1:]...)
-	}
-	for i := 0; i < entries; i++ {
-		admit()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pick()
-		admit()
 	}
 }
 

@@ -98,6 +98,35 @@ func TestConfigHashIgnoresLiveHandles(t *testing.T) {
 	}
 }
 
+// TestConfigHashGolden pins the cache keys of the default config and two
+// variants. Every result cache is addressed by these keys, so a change
+// to the hashed Config shape or to its canonicalization must show up
+// here, as a deliberate golden update, rather than as silent cache
+// misses.
+func TestConfigHashGolden(t *testing.T) {
+	simt := gpuwalk.DefaultConfig()
+	simt.Scheduler = gpuwalk.SIMTAware
+	simt.SchedOpts.AgingThreshold = 4096
+	random := gpuwalk.DefaultConfig()
+	random.Workload = "GEV"
+	random.Scheduler = gpuwalk.Random
+	random.SchedOpts.Seed = 7
+	random.IOMMU.Walkers = 16
+	for _, tc := range []struct {
+		name string
+		cfg  gpuwalk.Config
+		want string
+	}{
+		{"default", gpuwalk.DefaultConfig(), "833475cef59911f475260100965c9135bab627645b55878b2ac6d56c00e222da"},
+		{"simt-aware", simt, "cefff439204b326f6e3598017c11607693c1e352a0f7cc2b24bcf4eaed9ab163"},
+		{"random/GEV", random, "a4002538494e2b674bd931ca23b43bb804e8a888c21c5a143ddcde8891603e0b"},
+	} {
+		if got := mustHash(t, tc.cfg); got != tc.want {
+			t.Errorf("%s: ConfigHash = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestConfigHashRejectsCustomScheduler(t *testing.T) {
 	cfg := gpuwalk.DefaultConfig()
 	cfg.CustomScheduler = sentinelScheduler{}

@@ -42,15 +42,15 @@ func TestCUFairRoundRobinsAcrossCUs(t *testing.T) {
 		i := s.Select(pending)
 		cus = append(cus, pending[i].CU)
 		pending = append(pending[:i], pending[i+1:]...)
+		if d := s.LastDecision(); d != DecisionFair {
+			t.Errorf("pick %d by rule %s, want fair", len(cus), d)
+		}
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	for i := range want {
 		if cus[i] != want[i] {
 			t.Fatalf("CU service order = %v, want %v", cus, want)
 		}
-	}
-	if s.FairPicks != 6 {
-		t.Errorf("FairPicks = %d, want 6", s.FairPicks)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestCUFairBatchingBeatsFairness(t *testing.T) {
 	if pending[i].Instr != 7 {
 		t.Errorf("batching broken: second pick instr = %d, want 7", pending[i].Instr)
 	}
-	if s.BatchHits != 1 {
-		t.Errorf("BatchHits = %d, want 1", s.BatchHits)
+	if d := s.LastDecision(); d != DecisionBatch {
+		t.Errorf("second pick by rule %s, want batch", d)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestCUFairAging(t *testing.T) {
 			if i < 2 {
 				t.Fatalf("heavy request selected before aging could fire (round %d)", i)
 			}
-			if s.AgingPicks == 0 {
-				t.Error("aging pick not recorded")
+			if d := s.LastDecision(); d != DecisionAging {
+				t.Errorf("starved request picked by rule %s, want aging", d)
 			}
 			return
 		}

@@ -1,18 +1,14 @@
 package core
 
-import (
-	"fmt"
+import "gpuwalk/internal/xrand"
 
-	"gpuwalk/internal/xrand"
-)
-
-// This file implements the indexed pending buffer: the production
-// counterpart of the linear reference schedulers in scheduler.go and
-// fairness.go. Instead of scanning the whole buffer on every arrival,
-// selection and aging update — O(n) each, O(n²) per dispatch cycle —
-// the index groups pending requests into per-instruction FIFOs,
-// maintains a (score, oldest-seq) min-heap over the groups, and ages
-// lazily from a global dispatch counter:
+// This file implements the indexed pending buffer behind every
+// built-in policy. Instead of scanning the whole buffer on every
+// arrival, selection and aging update — O(n) each, O(n²) per dispatch
+// cycle, as the linear specifications in linear_test.go do — the index
+// groups pending requests into per-instruction FIFOs, maintains a
+// (score, oldest-seq) min-heap over the groups, and ages lazily from a
+// global dispatch counter:
 //
 //	arrival (action 1-b)  O(log n)   fold Est into the group's running
 //	                                 score, fix the group's heap slot
@@ -27,26 +23,27 @@ import (
 // IOMMU guarantees this: overflow requests are promoted FIFO and new
 // arrivals never jump the overflow queue). Two properties follow:
 //
-//  1. The arrival list, every per-instruction FIFO, and the legacy
-//     buffer slice of the reference path all hold requests in the same
-//     (seq) order, so "oldest pending of X" is always a list head.
+//  1. The arrival list and every per-instruction FIFO hold requests in
+//     seq order, so "oldest pending of X" is always a list head.
 //
-//  2. Lazy aging is exact. The eager reference increments p.passed on
-//     every dispatch of a younger request. Under FIFO admission,
-//     passed is monotone non-increasing along arrival order (an older
-//     pending request has been admitted at least as long and every
-//     younger dispatch that passed its successor also passed it), so
-//     the set of requests over the aging threshold is always a prefix
-//     of the arrival list, and the reference rule "oldest request with
-//     passed >= threshold" fires exactly when the head does. For the
-//     head, passed equals dispatches-since-admission minus the
-//     then-pending (all older) requests, all of which have been
-//     dispatched by the time it is the head; stamping
-//     agingBase = dispatches + pendingLen at admission makes
-//     dispatches - agingBase the head's exact passed count.
+//  2. Lazy aging is exact. The linear specification counts, for every
+//     pending request, the younger requests dispatched past it
+//     ("passed"). Under FIFO admission, passed is monotone
+//     non-increasing along arrival order (an older pending request has
+//     been admitted at least as long and every younger dispatch that
+//     passed its successor also passed it), so the set of requests over
+//     the aging threshold is always a prefix of the arrival list, and
+//     the rule "oldest request with passed >= threshold" fires exactly
+//     when the head does. For the head, passed equals
+//     dispatches-since-admission minus the then-pending (all older)
+//     requests, all of which have been dispatched by the time it is the
+//     head; stamping agingBase = dispatches + pendingLen at admission
+//     makes dispatches - agingBase the head's exact passed count.
 type IndexedScheduler interface {
-	Scheduler
+	DecisionReporter
 
+	// Name identifies the policy in reports.
+	Name() string
 	// Admit adds r to the pending set (r.Est set by the caller; Seq
 	// strictly greater than every previous Admit).
 	Admit(r *Request)
@@ -55,32 +52,6 @@ type IndexedScheduler interface {
 	Pick() *Request
 	// PendingLen returns the number of pending requests.
 	PendingLen() int
-}
-
-// NewIndexed constructs the indexed implementation of a built-in
-// policy. Every indexed scheduler dispatches in byte-identical order
-// to its linear reference (NewReference) counterpart.
-func NewIndexed(kind Kind, opt Options) (IndexedScheduler, error) {
-	aging := opt.AgingThreshold
-	if aging == 0 {
-		aging = DefaultAging
-	}
-	switch kind {
-	case KindFCFS:
-		return &IndexedFIFO{}, nil
-	case KindRandom:
-		return NewIndexedRandom(opt.Seed), nil
-	case KindSJF:
-		return &IndexedSIMT{SJF: true, AgingThreshold: aging, name: string(KindSJF)}, nil
-	case KindBatch:
-		return &IndexedSIMT{Batching: true, AgingThreshold: aging, name: string(KindBatch)}, nil
-	case KindSIMTAware:
-		return &IndexedSIMT{SJF: true, Batching: true, AgingThreshold: aging, name: string(KindSIMTAware)}, nil
-	case KindCUFair:
-		return &IndexedCUFair{AgingThreshold: aging}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler kind %q", kind)
-	}
 }
 
 // reqList is the arrival-ordered pending list (intrusive, doubly
@@ -251,24 +222,12 @@ func (s *IndexedFIFO) PendingLen() int { return s.list.n }
 // LastDecision implements DecisionReporter: FCFS has only one rule.
 func (s *IndexedFIFO) LastDecision() Decision { return DecisionFCFS }
 
-// OnArrival implements Scheduler as a compatibility shim; the IOMMU
-// detects IndexedScheduler and calls Admit/Pick directly.
-func (s *IndexedFIFO) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedFIFO) Select(pending []*Request) int { return shimSelect(s, pending) }
-
 // IndexedRandom is the indexed Random scheduler. Random is the paper's
 // strawman: it needs uniform selection by buffer position, for which a
 // slice is already optimal, so only removal bookkeeping lives here.
 type IndexedRandom struct {
 	rng     *xrand.Rand
 	pending []*Request
-}
-
-// NewIndexedRandom returns an IndexedRandom with a deterministic seed.
-func NewIndexedRandom(seed uint64) *IndexedRandom {
-	return &IndexedRandom{rng: xrand.New(seed)}
 }
 
 // Name implements Scheduler.
@@ -278,7 +237,7 @@ func (s *IndexedRandom) Name() string { return string(KindRandom) }
 func (s *IndexedRandom) Admit(r *Request) { s.pending = append(s.pending, r) }
 
 // Pick implements IndexedScheduler: a uniformly random pending request,
-// drawing the same stream as the reference Random for a given seed.
+// drawing the same stream as the linear Random for a given seed.
 func (s *IndexedRandom) Pick() *Request {
 	i := s.rng.Intn(len(s.pending))
 	r := s.pending[i]
@@ -292,17 +251,24 @@ func (s *IndexedRandom) PendingLen() int { return len(s.pending) }
 // LastDecision implements DecisionReporter.
 func (s *IndexedRandom) LastDecision() Decision { return DecisionRandom }
 
-// OnArrival implements Scheduler as a compatibility shim.
-func (s *IndexedRandom) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedRandom) Select(pending []*Request) int { return shimSelect(s, pending) }
-
-// IndexedSIMT is the indexed implementation of the paper's scheduler
-// (and, with one rule disabled, of the sjf / batch ablations). It
-// follows the same priority order as the reference SIMTAware —
-// starvation, batching, SJF/FCFS — with the per-operation costs listed
-// at the top of this file.
+// IndexedSIMT is the paper's scheduler: with both SJF and Batching set
+// it is the full proposal, with only one set the corresponding
+// ablation.
+//
+// Scoring (Admit): the new request's PWC estimate is added to the
+// running score of its instruction, which every pending request of that
+// instruction shares; a dispatch subtracts its estimate again, so a
+// score is the sum over the instruction's pending requests.
+//
+// Selection (Pick), in priority order:
+//  1. starvation: a request passed by AgingThreshold younger requests
+//     (oldest first);
+//  2. batching: the oldest pending request of the most recently
+//     scheduled instruction;
+//  3. shortest-job-first: the lowest-score request (oldest on ties);
+//     without SJF, the oldest request.
+//
+// The per-operation costs are listed at the top of this file.
 type IndexedSIMT struct {
 	SJF            bool
 	Batching       bool
@@ -318,12 +284,6 @@ type IndexedSIMT struct {
 	lastInstr    InstrID
 	haveLast     bool
 	lastDecision Decision
-
-	// Stats, matching the reference SIMTAware field for field.
-	BatchHits  uint64
-	SJFPicks   uint64
-	AgingPicks uint64
-	Rescores   uint64
 }
 
 // Name implements Scheduler.
@@ -346,7 +306,6 @@ func (s *IndexedSIMT) Admit(r *Request) {
 		g = &instrGroup{instr: r.Instr, cu: r.CU, hpos: -1}
 		s.groups[r.Instr] = g
 	}
-	s.Rescores += uint64(g.count) // every sibling's shared score moves
 	g.score += r.Est
 	r.Score = g.score
 	g.push(r)
@@ -365,7 +324,6 @@ func (s *IndexedSIMT) Pick() *Request {
 	// head is always the first request to reach the threshold.
 	if s.AgingThreshold > 0 {
 		if h := s.list.head; h != nil && s.dispatches-h.agingBase >= s.AgingThreshold {
-			s.AgingPicks++
 			s.lastDecision = DecisionAging
 			return s.commit(h)
 		}
@@ -374,7 +332,6 @@ func (s *IndexedSIMT) Pick() *Request {
 	// 2. Batching: continue the most recently scheduled instruction.
 	if s.Batching && s.haveLast {
 		if g := s.groups[s.lastInstr]; g != nil {
-			s.BatchHits++
 			s.lastDecision = DecisionBatch
 			return s.commit(g.head)
 		}
@@ -382,7 +339,6 @@ func (s *IndexedSIMT) Pick() *Request {
 
 	// 3. Shortest-job-first by score, oldest on ties; or pure FCFS.
 	if s.SJF {
-		s.SJFPicks++
 		s.lastDecision = DecisionSJF
 		return s.commit(s.heap[0].head)
 	}
@@ -414,24 +370,3 @@ func (s *IndexedSIMT) commit(r *Request) *Request {
 
 // PendingLen implements IndexedScheduler.
 func (s *IndexedSIMT) PendingLen() int { return s.list.n }
-
-// OnArrival implements Scheduler as a compatibility shim.
-func (s *IndexedSIMT) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedSIMT) Select(pending []*Request) int { return shimSelect(s, pending) }
-
-// shimSelect adapts Pick to the legacy index-returning Select for
-// callers that drive an indexed scheduler through the slice interface.
-// The caller's slice must mirror the index (append on OnArrival,
-// order-preserving removal of the selected entry), as the IOMMU's
-// reference path does.
-func shimSelect(s IndexedScheduler, pending []*Request) int {
-	r := s.Pick()
-	for i, p := range pending {
-		if p == r {
-			return i
-		}
-	}
-	panic("core: indexed scheduler diverged from the caller's pending slice")
-}

@@ -1,30 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"gpuwalk/internal/xrand"
 )
-
-// refDriver drives a reference (linear) scheduler the way the IOMMU's
-// legacy path does: append on arrival, order-preserving splice on
-// select.
-type refDriver struct {
-	s       Scheduler
-	pending []*Request
-}
-
-func (d *refDriver) admit(r *Request) {
-	d.pending = append(d.pending, r)
-	d.s.OnArrival(r, d.pending)
-}
-
-func (d *refDriver) pick() *Request {
-	i := d.s.Select(d.pending)
-	r := d.pending[i]
-	d.pending = append(d.pending[:i], d.pending[i+1:]...)
-	return r
-}
 
 // diffOptions are the construction variants the differential suite
 // exercises: frequent aging, effectively-disabled aging.
@@ -36,9 +17,9 @@ func diffOptions() []Options {
 }
 
 // TestDifferentialIndexedVsReference feeds identical randomized
-// arrival/select streams (FIFO admission, as the IOMMU guarantees) to
-// the indexed and reference implementation of every built-in policy
-// and asserts byte-identical dispatch orders.
+// arrival/pick streams (FIFO admission, as the IOMMU guarantees) to the
+// indexed and the linear implementation of every built-in policy and
+// requires the same pick and the same LastDecision every time.
 func TestDifferentialIndexedVsReference(t *testing.T) {
 	for _, kind := range Kinds() {
 		for _, opt := range diffOptions() {
@@ -49,17 +30,18 @@ func TestDifferentialIndexedVsReference(t *testing.T) {
 	}
 }
 
-func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) {
+// testDifferentialStream runs one differential stream and returns how
+// often each rule made a pick.
+func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) map[Decision]int {
 	t.Helper()
-	refSched, err := NewReference(kind, opt)
+	ref, err := newLinear(kind, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewIndexed(kind, opt)
+	ix, err := New(kind, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &refDriver{s: refSched}
 
 	rng := xrand.New(seed)
 	seq := uint64(0)
@@ -82,89 +64,64 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) {
 		return a, b
 	}
 
-	steps := 3000
-	pendingN := 0
-	for i := 0; i < steps; i++ {
-		arrive := pendingN == 0 || rng.Uint64n(100) < 55
-		if arrive {
+	rules := map[Decision]int{}
+	pick := func(step string) {
+		got, want := ix.Pick(), ref.Pick()
+		if got.Seq != want.Seq {
+			t.Fatalf("%s opt=%+v seed=%d %s: indexed picked seq %d, reference picked seq %d",
+				kind, opt, seed, step, got.Seq, want.Seq)
+		}
+		if g, w := ix.LastDecision(), ref.LastDecision(); g != w {
+			t.Fatalf("%s opt=%+v seed=%d %s: indexed picked seq %d by rule %s, reference by %s",
+				kind, opt, seed, step, got.Seq, g, w)
+		}
+		rules[ix.LastDecision()]++
+	}
+	for i := 0; i < 3000; i++ {
+		if ref.PendingLen() == 0 || rng.Uint64n(100) < 55 {
 			a, b := mk()
-			ref.admit(a)
+			ref.Admit(a)
 			ix.Admit(b)
-			pendingN++
 			continue
 		}
-		got, want := ix.Pick(), ref.pick()
-		if got.Seq != want.Seq {
-			t.Fatalf("%s opt=%+v seed=%d step %d: indexed picked seq %d, reference picked seq %d",
-				kind, opt, seed, i, got.Seq, want.Seq)
-		}
-		pendingN--
+		pick(fmt.Sprintf("step %d", i))
 	}
 	// Drain completely: tail-end behaviour (groups emptying, CUs
 	// leaving the round-robin) must match too.
-	for pendingN > 0 {
-		got, want := ix.Pick(), ref.pick()
-		if got.Seq != want.Seq {
-			t.Fatalf("%s opt=%+v seed=%d drain: indexed picked seq %d, reference picked seq %d",
-				kind, opt, seed, got.Seq, want.Seq)
-		}
-		pendingN--
+	for ref.PendingLen() > 0 {
+		pick("drain")
 	}
 	if ix.PendingLen() != 0 {
 		t.Fatalf("indexed still reports %d pending after drain", ix.PendingLen())
 	}
+	return rules
 }
 
-// TestDifferentialStats verifies the indexed SIMT-aware scheduler
-// reproduces the reference's decision statistics, not just its
-// dispatch order.
+// TestDifferentialStats checks that the differential streams reach
+// every rule of the multi-rule policies, so the per-pick LastDecision
+// comparison covers aging, batching and SJF or fairness alike.
 func TestDifferentialStats(t *testing.T) {
-	opt := Options{AgingThreshold: 8}
-	refSched, _ := NewReference(KindSIMTAware, opt)
-	ixSched, _ := NewIndexed(KindSIMTAware, opt)
-	ref := &refDriver{s: refSched}
-	ix := ixSched.(*IndexedSIMT)
-
-	rng := xrand.New(99)
-	seq := uint64(0)
-	pendingN := 0
-	for i := 0; i < 4000; i++ {
-		if pendingN == 0 || rng.Uint64n(100) < 52 {
-			seq++
-			r := Request{Instr: InstrID(seq / 5), Seq: seq, Est: 1 + int(rng.Uint64n(4))}
-			a, b := new(Request), new(Request)
-			*a, *b = r, r
-			ref.admit(a)
-			ix.Admit(b)
-			pendingN++
-		} else {
-			ix.Pick()
-			ref.pick()
-			pendingN--
+	want := map[Kind][]Decision{
+		KindSIMTAware: {DecisionAging, DecisionBatch, DecisionSJF},
+		KindCUFair:    {DecisionAging, DecisionBatch, DecisionFair},
+	}
+	for kind, decisions := range want {
+		rules := testDifferentialStream(t, kind, Options{AgingThreshold: 8}, 99)
+		for _, d := range decisions {
+			if rules[d] == 0 {
+				t.Errorf("%s: the stream never picked by rule %s (picks by rule: %v)", kind, d, rules)
+			}
 		}
-	}
-	rs := refSched.(*SIMTAware)
-	if rs.AgingPicks == 0 || rs.BatchHits == 0 || rs.SJFPicks == 0 {
-		t.Fatalf("reference stream did not exercise all rules: %+v", rs)
-	}
-	if ix.BatchHits != rs.BatchHits || ix.SJFPicks != rs.SJFPicks ||
-		ix.AgingPicks != rs.AgingPicks || ix.Rescores != rs.Rescores {
-		t.Errorf("stats diverged: indexed batch/sjf/aging/rescore = %d/%d/%d/%d, reference = %d/%d/%d/%d",
-			ix.BatchHits, ix.SJFPicks, ix.AgingPicks, ix.Rescores,
-			rs.BatchHits, rs.SJFPicks, rs.AgingPicks, rs.Rescores)
 	}
 }
 
 // TestLazyAgingFiresWithEager proves the lazy aging check (dispatch
 // counter vs. admission stamp) force-selects the starved request on
-// exactly the same pick as the reference's eager passed counters.
+// exactly the same pick as the linear specification's eager counts.
 func TestLazyAgingFiresWithEager(t *testing.T) {
 	const threshold = 3
-	refSched, _ := NewReference(KindSIMTAware, Options{AgingThreshold: threshold})
-	ixSched, _ := NewIndexed(KindSIMTAware, Options{AgingThreshold: threshold})
-	ref := &refDriver{s: refSched}
-	ix := ixSched.(*IndexedSIMT)
-	rs := refSched.(*SIMTAware)
+	ref, _ := newLinear(KindSIMTAware, Options{AgingThreshold: threshold})
+	ix, _ := New(KindSIMTAware, Options{AgingThreshold: threshold})
 
 	// One heavy old request, then a stream of light strangers: every
 	// pick passes the old request until aging rescues it.
@@ -174,7 +131,7 @@ func TestLazyAgingFiresWithEager(t *testing.T) {
 		r := Request{Instr: instr, Seq: seq, Est: est}
 		a, b := new(Request), new(Request)
 		*a, *b = r, r
-		ref.admit(a)
+		ref.Admit(a)
 		ix.Admit(b)
 	}
 	admitBoth(1, 4)
@@ -182,15 +139,16 @@ func TestLazyAgingFiresWithEager(t *testing.T) {
 
 	for round := 0; round < 10; round++ {
 		admitBoth(InstrID(100+round), 1)
-		got, want := ix.Pick(), ref.pick()
+		got, want := ix.Pick(), ref.Pick()
 		if got.Seq != want.Seq {
 			t.Fatalf("round %d: indexed picked seq %d, reference seq %d", round, got.Seq, want.Seq)
 		}
-		if ix.AgingPicks != rs.AgingPicks {
-			t.Fatalf("round %d: aging fired on different picks (indexed %d, reference %d)",
-				round, ix.AgingPicks, rs.AgingPicks)
+		aged := ref.LastDecision() == DecisionAging
+		if (ix.LastDecision() == DecisionAging) != aged {
+			t.Fatalf("round %d: aging fired on different picks (indexed %s, reference %s)",
+				round, ix.LastDecision(), ref.LastDecision())
 		}
-		if rs.AgingPicks > 0 {
+		if aged {
 			if want.Seq != 1 {
 				t.Fatalf("aging rescued seq %d, want the starved head (seq 1)", want.Seq)
 			}
@@ -232,42 +190,95 @@ func TestCUFairCommitDecrementsSurvivorScore(t *testing.T) {
 	}
 }
 
-// TestIndexedShimSelect exercises the legacy OnArrival/Select shim on
-// an indexed scheduler driven through a caller-owned slice.
-func TestIndexedShimSelect(t *testing.T) {
-	s, err := New(KindSIMTAware, Options{})
-	if err != nil {
-		t.Fatal(err)
+// recordingPolicy is a slice policy that records what OnArrival sees
+// and selects a fixed position.
+type recordingPolicy struct {
+	arrivals [][]uint64 // Seqs of the pending slice at each OnArrival
+	selectAt int
+}
+
+func (p *recordingPolicy) Name() string { return "recording" }
+
+func (p *recordingPolicy) OnArrival(_ *Request, pending []*Request) {
+	p.arrivals = append(p.arrivals, seqs(pending))
+}
+
+func (p *recordingPolicy) Select(pending []*Request) int { return p.selectAt }
+
+func seqs(rs []*Request) []uint64 {
+	out := make([]uint64, len(rs))
+	for i, r := range rs {
+		out[i] = r.Seq
 	}
-	if _, ok := s.(IndexedScheduler); !ok {
-		t.Fatal("New should return an indexed scheduler by default")
+	return out
+}
+
+// TestAdapt pins the slice-policy adapter: OnArrival sees the pending
+// slice with r appended, and Pick removes the Selected entry without
+// reordering the rest.
+func TestAdapt(t *testing.T) {
+	p := &recordingPolicy{selectAt: 1}
+	a := Adapt(p)
+	for seq := uint64(1); seq <= 4; seq++ {
+		a.Admit(&Request{Seq: seq})
 	}
-	pending := mkreq(s, [2]int{1, 4}, [2]int{1, 4}, [2]int{2, 1})
-	order := drain(s, pending)
-	want := []InstrID{2, 1, 1} // SJF picks the light 2, batching sticks with 1
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("shim drain order = %v, want %v", order, want)
-		}
+	if got, want := fmt.Sprint(p.arrivals), "[[1] [1 2] [1 2 3] [1 2 3 4]]"; got != want {
+		t.Errorf("OnArrival saw %s, want %s", got, want)
+	}
+	if r := a.Pick(); r.Seq != 2 {
+		t.Errorf("Pick = seq %d, want seq 2 (index 1)", r.Seq)
+	}
+	a.Admit(&Request{Seq: 5})
+	if got, want := fmt.Sprint(p.arrivals[len(p.arrivals)-1]), "[1 3 4 5]"; got != want {
+		t.Errorf("pending after Pick and Admit = %s, want %s", got, want)
+	}
+	if a.PendingLen() != 4 {
+		t.Errorf("PendingLen = %d, want 4", a.PendingLen())
+	}
+	if a.Name() != "recording" {
+		t.Errorf("Name = %q", a.Name())
+	}
+	if d := a.LastDecision(); d != DecisionNone {
+		t.Errorf("LastDecision of a non-reporting policy = %s, want none", d)
+	}
+	if d := Adapt(FCFS{}).LastDecision(); d != DecisionFCFS {
+		t.Errorf("LastDecision not forwarded: %s", d)
 	}
 }
 
-// TestNewReferenceKinds mirrors TestNewKinds for the reference
-// constructor and the Options.Reference switch.
-func TestNewReferenceKinds(t *testing.T) {
-	for _, k := range Kinds() {
-		s, err := New(k, Options{Seed: 1, Reference: true})
-		if err != nil {
-			t.Fatalf("New(%s, Reference): %v", k, err)
+// BenchmarkSchedulerSelect measures steady-state scheduling throughput
+// (one pick plus one arrival per iteration, buffer occupancy held at
+// the target size) for the indexed schedulers against their linear
+// specifications. Requests arrive in same-instruction runs of 8,
+// matching the coalescer's bursty miss pattern.
+func BenchmarkSchedulerSelect(b *testing.B) {
+	for _, kind := range []Kind{KindSIMTAware, KindCUFair} {
+		for _, entries := range []int{256, 1024, 4096} {
+			for _, mode := range []struct {
+				name  string
+				build func(Kind, Options) (IndexedScheduler, error)
+			}{{"reference", newLinear}, {"indexed", New}} {
+				b.Run(fmt.Sprintf("%s/%s/buf-%d", kind, mode.name, entries), func(b *testing.B) {
+					s, err := mode.build(kind, Options{Seed: 1, AgingThreshold: 1 << 20})
+					if err != nil {
+						b.Fatal(err)
+					}
+					seq := uint64(0)
+					admit := func() {
+						seq++
+						instr := InstrID(seq / 8)
+						s.Admit(&Request{Instr: instr, CU: int(uint64(instr) % 8), Seq: seq, Est: 1 + int(seq%4)})
+					}
+					for i := 0; i < entries; i++ {
+						admit()
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						s.Pick()
+						admit()
+					}
+				})
+			}
 		}
-		if _, ok := s.(IndexedScheduler); ok {
-			t.Errorf("New(%s, Reference) returned an indexed scheduler", k)
-		}
-		if s.Name() != string(k) {
-			t.Errorf("Name = %q, want %q", s.Name(), k)
-		}
-	}
-	if _, err := NewIndexed("bogus", Options{}); err == nil {
-		t.Error("unknown indexed kind did not error")
 	}
 }

@@ -2,12 +2,26 @@ package core
 
 import "sort"
 
-// IndexedCUFair is the indexed implementation of the CU-fair QoS
-// extension (see fairness.go for the policy rationale). It keeps the
-// same priority order as the reference — starvation, batch integrity,
-// round-robin across CUs with SJF inside the winning CU — but runs a
-// (score, oldest-seq) min-heap per compute unit plus a sorted active-CU
-// set, so a pick is O(log n) instead of three O(n) scans.
+// IndexedCUFair is an extension beyond the paper. Section VI/VII of
+// the paper points at memory-controller QoS research (ATLAS, TCM,
+// PAR-BS, DASH) and explicitly leaves "different flavors of page walk
+// scheduling for both performance and QoS" as follow-on work. CU-fair
+// is one such flavor: it keeps the SIMT-aware scheduler's
+// same-instruction batching (which protects per-instruction completion)
+// and shortest-job-first scoring, but arbitrates *across compute units*
+// round-robin, so a CU whose wavefronts issue translation-light
+// instructions cannot monopolize the walkers indefinitely.
+//
+// Selection order:
+//  1. starvation avoidance (as SIMT-aware);
+//  2. batching: the oldest pending request of the most recently
+//     scheduled instruction, to preserve batch integrity;
+//  3. fairness: the next CU after the last-served one (round-robin over
+//     CUs with pending requests), and within that CU the lowest-score
+//     request, oldest on ties.
+//
+// It runs a (score, oldest-seq) min-heap per compute unit plus a sorted
+// active-CU set, so a pick is O(log n) instead of three O(n) scans.
 type IndexedCUFair struct {
 	AgingThreshold uint64
 
@@ -20,13 +34,8 @@ type IndexedCUFair struct {
 	lastInstr    InstrID
 	haveLast     bool
 	lastCU       int
-	served       bool
+	served       bool // lastCU is only meaningful after the first pick
 	lastDecision Decision
-
-	// Stats, matching the reference CUFair field for field.
-	BatchHits  uint64
-	AgingPicks uint64
-	FairPicks  uint64
 }
 
 // cuLane is one compute unit's slice of the pending buffer: a score
@@ -79,7 +88,6 @@ func (s *IndexedCUFair) Pick() *Request {
 	// 1. Starvation avoidance (as IndexedSIMT).
 	if s.AgingThreshold > 0 {
 		if h := s.list.head; h != nil && s.dispatches-h.agingBase >= s.AgingThreshold {
-			s.AgingPicks++
 			s.lastDecision = DecisionAging
 			return s.commit(h)
 		}
@@ -88,7 +96,6 @@ func (s *IndexedCUFair) Pick() *Request {
 	// 2. Batch integrity.
 	if s.haveLast {
 		if g := s.groups[s.lastInstr]; g != nil {
-			s.BatchHits++
 			s.lastDecision = DecisionBatch
 			return s.commit(g.head)
 		}
@@ -105,7 +112,6 @@ func (s *IndexedCUFair) Pick() *Request {
 		i = 0 // wrap to the smallest pending CU
 	}
 	lane := s.lanes[s.active[i]]
-	s.FairPicks++
 	s.lastDecision = DecisionFair
 	return s.commit(lane.heap[0].head)
 }
@@ -138,9 +144,3 @@ func (s *IndexedCUFair) commit(r *Request) *Request {
 
 // PendingLen implements IndexedScheduler.
 func (s *IndexedCUFair) PendingLen() int { return s.list.n }
-
-// OnArrival implements Scheduler as a compatibility shim.
-func (s *IndexedCUFair) OnArrival(r *Request, _ []*Request) { s.Admit(r) }
-
-// Select implements Scheduler as a compatibility shim.
-func (s *IndexedCUFair) Select(pending []*Request) int { return shimSelect(s, pending) }

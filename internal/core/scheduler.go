@@ -2,13 +2,19 @@
 // policies for the IOMMU's pending page-table-walk buffer, including the
 // SIMT-aware scheduler of Shin et al. (ISCA 2018).
 //
-// The IOMMU (internal/iommu) owns the pending buffer and the walkers; it
-// consults a Scheduler at the two points the paper identifies (Figure 7):
+// The IOMMU (internal/iommu) owns the walkers and hands pending walk
+// requests to an IndexedScheduler at the two points the paper
+// identifies (Figure 7):
 //
 //  1. when a new walk request arrives and no walker is free, the request
-//     is scored (OnArrival), and
+//     is scored and admitted (Admit), and
 //  2. when a walker becomes free, the scheduler picks which pending
-//     request to service next (Select).
+//     request to service next (Pick).
+//
+// New builds the indexed built-in policies (index.go). Custom policies
+// implement the slice-based Scheduler interface and run through Adapt.
+// The linear, O(n)-per-operation versions of the built-in policies live
+// in linear_test.go as their executable specification.
 package core
 
 import (
@@ -48,11 +54,7 @@ type Request struct {
 	// include the fault round trip.
 	Retries int
 
-	// passed counts younger requests scheduled past this one (eager
-	// aging, reference schedulers only).
-	passed uint64
-
-	// Index bookkeeping (indexed schedulers only; see index.go).
+	// Index bookkeeping (built-in schedulers only; see index.go).
 	aprev, anext *Request // arrival-ordered pending list links
 	gnext        *Request // per-instruction FIFO link
 	agingBase    uint64   // dispatch-counter stamp for lazy aging
@@ -94,16 +96,16 @@ func (d Decision) String() string {
 }
 
 // DecisionReporter is implemented by schedulers that can report which
-// rule produced their most recent pick. All built-in policies implement
-// it; custom schedulers may omit it, in which case dispatch events are
-// not labeled with a rule.
+// rule produced their most recent pick. Custom schedulers may omit it,
+// in which case dispatch events are not labeled with a rule.
 type DecisionReporter interface {
 	LastDecision() Decision
 }
 
-// Scheduler selects the order in which pending walk requests are
-// serviced. Implementations are not safe for concurrent use; the
-// simulator is single-threaded per system.
+// Scheduler is a custom policy written against the pending buffer as
+// a slice, in arrival order. Adapt runs it in the IOMMU.
+// Implementations are not safe for concurrent use; the simulator is
+// single-threaded per system.
 type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -112,9 +114,44 @@ type Scheduler interface {
 	// here.
 	OnArrival(r *Request, pending []*Request)
 	// Select returns the index within pending of the request to service
-	// next. It is only called with a non-empty pending slice. The IOMMU
-	// removes the request after Select returns.
+	// next. It is only called with a non-empty pending slice. The
+	// request is removed after Select returns.
 	Select(pending []*Request) int
+}
+
+// Adapt runs a slice policy as an IndexedScheduler. Admit appends r to
+// a pending slice kept in arrival order and then calls OnArrival; Pick
+// calls Select and removes the chosen entry without reordering the
+// rest. LastDecision forwards to s when it implements DecisionReporter
+// and reports DecisionNone otherwise.
+func Adapt(s Scheduler) IndexedScheduler { return &sliceScheduler{s: s} }
+
+type sliceScheduler struct {
+	s       Scheduler
+	pending []*Request
+}
+
+func (a *sliceScheduler) Name() string { return a.s.Name() }
+
+func (a *sliceScheduler) Admit(r *Request) {
+	a.pending = append(a.pending, r)
+	a.s.OnArrival(r, a.pending)
+}
+
+func (a *sliceScheduler) Pick() *Request {
+	i := a.s.Select(a.pending)
+	r := a.pending[i]
+	a.pending = append(a.pending[:i], a.pending[i+1:]...)
+	return r
+}
+
+func (a *sliceScheduler) PendingLen() int { return len(a.pending) }
+
+func (a *sliceScheduler) LastDecision() Decision {
+	if dr, ok := a.s.(DecisionReporter); ok {
+		return dr.LastDecision()
+	}
+	return DecisionNone
 }
 
 // Kind names a built-in scheduling policy.
@@ -127,10 +164,11 @@ const (
 	KindSJF       Kind = "sjf"        // shortest-job-first only (ablation)
 	KindBatch     Kind = "batch"      // same-instruction batching only (ablation)
 	KindSIMTAware Kind = "simt-aware" // full proposal: SJF + batching + aging
+	KindCUFair    Kind = "cu-fair"    // extension: round-robin across CUs (see IndexedCUFair)
 )
 
 // Kinds lists all built-in policies, including the CU-fair QoS
-// extension (see fairness.go).
+// extension.
 func Kinds() []Kind {
 	return []Kind{KindFCFS, KindRandom, KindSJF, KindBatch, KindSIMTAware, KindCUFair}
 }
@@ -144,235 +182,32 @@ type Options struct {
 	// The paper uses two million on full-length gem5 runs; scaled runs
 	// use a proportionally smaller default. Zero means DefaultAging.
 	AgingThreshold uint64
-	// Reference selects the O(n)-per-operation linear reference
-	// implementations instead of the indexed production ones. The two
-	// produce identical dispatch orders (the differential suite asserts
-	// this); the reference exists as the executable specification.
-	Reference bool
 }
 
 // DefaultAging is the default starvation threshold for scaled runs.
 const DefaultAging = 1 << 20
 
-// New constructs a built-in scheduler. By default it returns the
-// indexed implementations (see index.go); opt.Reference selects the
-// linear reference implementations below instead.
-func New(kind Kind, opt Options) (Scheduler, error) {
-	if !opt.Reference {
-		return NewIndexed(kind, opt)
-	}
-	return NewReference(kind, opt)
-}
-
-// NewReference constructs the linear reference implementation of a
-// built-in policy (opt.Reference is implied).
-func NewReference(kind Kind, opt Options) (Scheduler, error) {
+// New constructs a built-in scheduler. Each dispatches in the same
+// order as its linear specification in linear_test.go.
+func New(kind Kind, opt Options) (IndexedScheduler, error) {
 	aging := opt.AgingThreshold
 	if aging == 0 {
 		aging = DefaultAging
 	}
 	switch kind {
 	case KindFCFS:
-		return FCFS{}, nil
+		return &IndexedFIFO{}, nil
 	case KindRandom:
-		return NewRandom(opt.Seed), nil
+		return &IndexedRandom{rng: xrand.New(opt.Seed)}, nil
 	case KindSJF:
-		return &SIMTAware{SJF: true, AgingThreshold: aging, name: string(KindSJF)}, nil
+		return &IndexedSIMT{SJF: true, AgingThreshold: aging, name: string(KindSJF)}, nil
 	case KindBatch:
-		return &SIMTAware{Batching: true, AgingThreshold: aging, name: string(KindBatch)}, nil
+		return &IndexedSIMT{Batching: true, AgingThreshold: aging, name: string(KindBatch)}, nil
 	case KindSIMTAware:
-		return &SIMTAware{SJF: true, Batching: true, AgingThreshold: aging, name: string(KindSIMTAware)}, nil
+		return &IndexedSIMT{SJF: true, Batching: true, AgingThreshold: aging, name: string(KindSIMTAware)}, nil
 	case KindCUFair:
-		return &CUFair{AgingThreshold: aging}, nil
+		return &IndexedCUFair{AgingThreshold: aging}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler kind %q", kind)
 	}
-}
-
-// FCFS services requests strictly in arrival order (the paper's
-// baseline). The zero value is ready to use.
-type FCFS struct{}
-
-// Name implements Scheduler.
-func (FCFS) Name() string { return string(KindFCFS) }
-
-// OnArrival implements Scheduler; FCFS keeps no state.
-func (FCFS) OnArrival(*Request, []*Request) {}
-
-// LastDecision implements DecisionReporter: FCFS has only one rule.
-func (FCFS) LastDecision() Decision { return DecisionFCFS }
-
-// Select implements Scheduler: the oldest pending request. The IOMMU
-// keeps pending in arrival order, so that is index 0.
-func (FCFS) Select(pending []*Request) int {
-	best := 0
-	for i := 1; i < len(pending); i++ {
-		if pending[i].Seq < pending[best].Seq {
-			best = i
-		}
-	}
-	return best
-}
-
-// Random picks a uniformly random pending request — the paper's
-// cautionary strawman, which slows irregular applications by ~26%.
-type Random struct {
-	rng *xrand.Rand
-}
-
-// NewRandom returns a Random scheduler with a deterministic seed.
-func NewRandom(seed uint64) *Random { return &Random{rng: xrand.New(seed)} }
-
-// Name implements Scheduler.
-func (*Random) Name() string { return string(KindRandom) }
-
-// OnArrival implements Scheduler; Random keeps no per-request state.
-func (*Random) OnArrival(*Request, []*Request) {}
-
-// LastDecision implements DecisionReporter.
-func (*Random) LastDecision() Decision { return DecisionRandom }
-
-// Select implements Scheduler.
-func (r *Random) Select(pending []*Request) int {
-	return r.rng.Intn(len(pending))
-}
-
-// SIMTAware is the paper's scheduler. With both SJF and Batching set it
-// is the full proposal; with only one set it is the corresponding
-// ablation.
-//
-// Scoring (OnArrival): the new request's PWC estimate is added to the
-// running score of its instruction, and every pending request of that
-// instruction (including the new one) is updated to the new total.
-//
-// Selection (Select), in priority order:
-//  1. starvation: a request passed by AgingThreshold younger requests
-//     (oldest first);
-//  2. batching: the oldest pending request of the most recently
-//     scheduled instruction;
-//  3. shortest-job-first: the lowest-score request (oldest on ties);
-//     without SJF, the oldest request.
-type SIMTAware struct {
-	SJF            bool
-	Batching       bool
-	AgingThreshold uint64
-
-	name         string
-	lastInstr    InstrID
-	haveLast     bool
-	lastDecision Decision
-
-	// Stats.
-	BatchHits  uint64 // selections made by the batching rule
-	SJFPicks   uint64 // selections made by the score rule
-	AgingPicks uint64 // selections forced by starvation avoidance
-	Rescores   uint64 // OnArrival same-instruction score updates
-}
-
-// Name implements Scheduler.
-func (s *SIMTAware) Name() string {
-	if s.name != "" {
-		return s.name
-	}
-	return string(KindSIMTAware)
-}
-
-// OnArrival implements Scheduler: action 1-a happened in the IOMMU
-// (r.Est is set from the PWC probe); this is action 1-b, the scan that
-// folds the estimate into the instruction's shared score.
-func (s *SIMTAware) OnArrival(r *Request, pending []*Request) {
-	prev := 0
-	for _, p := range pending {
-		if p != r && p.Instr == r.Instr {
-			prev = p.Score
-			break
-		}
-	}
-	score := prev + r.Est
-	for _, p := range pending {
-		if p.Instr == r.Instr {
-			if p != r && p.Score != score {
-				s.Rescores++
-			}
-			p.Score = score
-		}
-	}
-}
-
-// Select implements Scheduler (action 2-a).
-func (s *SIMTAware) Select(pending []*Request) int {
-	best := -1
-	pick := func(i int) { best = i }
-
-	// 1. Starvation avoidance.
-	if s.AgingThreshold > 0 {
-		for i, p := range pending {
-			if p.passed >= s.AgingThreshold &&
-				(best == -1 || p.Seq < pending[best].Seq) {
-				pick(i)
-			}
-		}
-		if best >= 0 {
-			s.AgingPicks++
-			s.lastDecision = DecisionAging
-			return s.commit(pending, best)
-		}
-	}
-
-	// 2. Batching: continue the most recently scheduled instruction.
-	if s.Batching && s.haveLast {
-		for i, p := range pending {
-			if p.Instr == s.lastInstr &&
-				(best == -1 || p.Seq < pending[best].Seq) {
-				pick(i)
-			}
-		}
-		if best >= 0 {
-			s.BatchHits++
-			s.lastDecision = DecisionBatch
-			return s.commit(pending, best)
-		}
-	}
-
-	// 3. Shortest-job-first by score, oldest on ties; or pure FCFS.
-	best = 0
-	for i := 1; i < len(pending); i++ {
-		p, b := pending[i], pending[best]
-		if s.SJF {
-			if p.Score < b.Score || (p.Score == b.Score && p.Seq < b.Seq) {
-				best = i
-			}
-		} else if p.Seq < b.Seq {
-			best = i
-		}
-	}
-	if s.SJF {
-		s.SJFPicks++
-		s.lastDecision = DecisionSJF
-	} else {
-		s.lastDecision = DecisionFCFS
-	}
-	return s.commit(pending, best)
-}
-
-// LastDecision implements DecisionReporter.
-func (s *SIMTAware) LastDecision() Decision { return s.lastDecision }
-
-// commit finalizes a selection: remembers the instruction for batching,
-// ages every request older than the one chosen, and removes the chosen
-// request's estimate from its instruction's shared score so the
-// survivors keep the paper's "sum over pending requests" semantics.
-func (s *SIMTAware) commit(pending []*Request, idx int) int {
-	chosen := pending[idx]
-	s.lastInstr = chosen.Instr
-	s.haveLast = true
-	for _, p := range pending {
-		if p.Seq < chosen.Seq {
-			p.passed++
-		}
-		if p.Instr == chosen.Instr && p != chosen {
-			p.Score -= chosen.Est
-		}
-	}
-	return idx
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -203,8 +204,8 @@ func TestAgingForcesStarvedRequest(t *testing.T) {
 			if i < 3 {
 				t.Fatalf("aged request selected too early (round %d)", i)
 			}
-			if s.AgingPicks == 0 {
-				t.Error("AgingPicks not recorded")
+			if d := s.LastDecision(); d != DecisionAging {
+				t.Errorf("starved request picked by rule %s, want aging", d)
 			}
 			return
 		}
@@ -297,17 +298,20 @@ func TestBatchingTimeline(t *testing.T) {
 	}
 }
 
+// TestStatsCounters checks that a drain reports the rule behind each
+// pick: the light instruction wins by SJF, then batching finishes the
+// heavy one.
 func TestStatsCounters(t *testing.T) {
 	s := &SIMTAware{SJF: true, Batching: true, AgingThreshold: 1 << 30}
-	pending := mkreq(s, [2]int{1, 1}, [2]int{1, 1}, [2]int{2, 1})
-	drain(s, pending)
-	if s.BatchHits == 0 {
-		t.Error("no batch hits recorded")
+	pending := mkreq(s, [2]int{1, 2}, [2]int{1, 2}, [2]int{2, 1})
+	var rules []Decision
+	for len(pending) > 0 {
+		i := s.Select(pending)
+		rules = append(rules, s.LastDecision())
+		pending = append(pending[:i], pending[i+1:]...)
 	}
-	if s.SJFPicks == 0 {
-		t.Error("no SJF picks recorded")
-	}
-	if s.Rescores == 0 {
-		t.Error("no rescores recorded")
+	want := []Decision{DecisionSJF, DecisionSJF, DecisionBatch}
+	if fmt.Sprint(rules) != fmt.Sprint(want) {
+		t.Errorf("rules = %v, want %v", rules, want)
 	}
 }

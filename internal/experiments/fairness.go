@@ -7,7 +7,7 @@ import (
 )
 
 // FairnessRow evaluates the CU-fair extension scheduler (see
-// internal/core/fairness.go) against the paper's SIMT-aware scheduler
+// core.IndexedCUFair) against the paper's SIMT-aware scheduler
 // on one workload. JainStall is Jain's fairness index over per-CU stall
 // cycles (1.0 = perfectly even; 1/CUs = one CU absorbs everything).
 type FairnessRow struct {

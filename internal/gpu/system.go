@@ -70,7 +70,8 @@ type Params struct {
 	// Scheduler is non-nil.
 	SchedKind core.Kind
 	SchedOpts core.Options
-	// Scheduler, when non-nil, is used directly (custom policies).
+	// Scheduler, when non-nil, is a custom slice policy; the IOMMU runs
+	// it through core.Adapt.
 	Scheduler core.Scheduler
 	// PhysBytes sizes simulated physical memory; 0 derives it from the
 	// trace footprint (4x footprint + 256 MB headroom for page tables).
@@ -117,12 +118,6 @@ type Params struct {
 	// ProgressEvery is the publication period in cycles (0 uses
 	// DefaultProgressEvery).
 	ProgressEvery uint64
-
-	// ReferenceEngine runs the simulation on the retained container/heap
-	// event queue instead of the flat four-ary heap. The two dispatch in
-	// byte-identical order; the switch exists so the differential tests
-	// can compare the queues through a full system run.
-	ReferenceEngine bool
 }
 
 // Progress is a point-in-time snapshot of a run's forward motion, for
@@ -172,19 +167,17 @@ func NewSystem(p Params, tr *workload.Trace) (*System, error) {
 	if err := tr.Validate(p.GPU.CUs); err != nil {
 		return nil, err
 	}
-	sched := p.Scheduler
-	if sched == nil {
+	var sched core.IndexedScheduler
+	if p.Scheduler != nil {
+		sched = core.Adapt(p.Scheduler)
+	} else {
 		var err error
-		sched, err = core.New(p.SchedKind, p.SchedOpts)
-		if err != nil {
+		if sched, err = core.New(p.SchedKind, p.SchedOpts); err != nil {
 			return nil, err
 		}
 	}
 
 	eng := sim.NewEngine()
-	if p.ReferenceEngine {
-		eng = sim.NewReferenceEngine()
-	}
 	s := &System{
 		cfg:   p.GPU,
 		eng:   eng,

@@ -285,7 +285,7 @@ func (io *IOMMU) abortWalk(r *core.Request, wasted int) {
 func (u *IOMMU) DumpState(w io.Writer) {
 	s := u.stats
 	fmt.Fprintf(w, "iommu: buffer=%d overflow=%d faultq=%d in-service=%d idle-walkers=%d/%d\n",
-		u.buffered(), len(u.preQueue), len(u.faultQ), u.inService,
+		u.sched.PendingLen(), len(u.preQueue), len(u.faultQ), u.inService,
 		u.idleWalkers, u.cfg.Walkers)
 	fmt.Fprintf(w, "iommu: started=%d done=%d faults=%d serviced=%d retries=%d kills=%d nacks{overflow=%d fault=%d}\n",
 		s.WalksStarted, s.WalksDone, s.Faults, s.FaultsServiced,

@@ -23,7 +23,7 @@ type faultRig struct {
 	io  *IOMMU
 }
 
-func newFaultRig(t *testing.T, cfg Config, sched core.Scheduler, inj *faultinject.Injector, nPages int) *faultRig {
+func newFaultRig(t *testing.T, cfg Config, sched core.IndexedScheduler, inj *faultinject.Injector, nPages int) *faultRig {
 	t.Helper()
 	eng := sim.NewEngine()
 	pm := mmu.NewPhysMem(1 << 30)
@@ -58,7 +58,7 @@ func smallFaultConfig() Config {
 func TestPageFaultServiceAndRetry(t *testing.T) {
 	cfg := smallFaultConfig()
 	cfg.Faults.ServiceLat = 500
-	rig := newFaultRig(t, cfg, core.FCFS{}, nil, 8)
+	rig := newFaultRig(t, cfg, &core.IndexedFIFO{}, nil, 8)
 	const vpn = 3
 	if !rig.as.PT.SetPresent(vpn, false) {
 		t.Fatal("could not unmap test vpn")
@@ -99,7 +99,7 @@ func TestUnmappedWalkFatalWithoutFaultModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	dram := func(addr uint64, done func()) bool { eng.After(10, done); return true }
-	io := New(eng, smallFaultConfig(), core.FCFS{}, as.PT, dram)
+	io := New(eng, smallFaultConfig(), &core.IndexedFIFO{}, as.PT, dram)
 	as.PT.SetPresent(3, false)
 	io.Translate(TranslateReq{VPN: 3, Done: func(uint64) {}})
 	defer func() {
@@ -121,7 +121,7 @@ func TestFaultQueueNACK(t *testing.T) {
 	cfg := smallFaultConfig()
 	cfg.Walkers = 4
 	cfg.Faults = FaultConfig{QueueEntries: 1, ServiceSlots: 1, ServiceLat: 3000, RetryBackoff: 16}
-	rig := newFaultRig(t, cfg, core.FCFS{}, nil, nPages)
+	rig := newFaultRig(t, cfg, &core.IndexedFIFO{}, nil, nPages)
 	for p := 0; p < nPages; p++ {
 		rig.as.PT.SetPresent(uint64(p), false)
 	}
@@ -160,7 +160,7 @@ func TestOverflowNACK(t *testing.T) {
 	cfg.BufferEntries = 2
 	cfg.Walkers = 1
 	cfg.OverflowEntries = 2
-	rig := newFaultRig(t, cfg, core.FCFS{}, nil, 32)
+	rig := newFaultRig(t, cfg, &core.IndexedFIFO{}, nil, 32)
 	done := 0
 	for i := 0; i < nReqs; i++ {
 		vpn := uint64(i % 32)

@@ -5,8 +5,8 @@
 // walkers, and the page walk caches (internal/pwc).
 //
 // The walk-request buffer is the scheduling point the paper studies: when
-// a walker becomes free, a core.Scheduler decides which pending request
-// it services next.
+// a walker becomes free, a core.IndexedScheduler decides which pending
+// request it services next.
 package iommu
 
 import (
@@ -237,7 +237,7 @@ type InstrSummary struct {
 type IOMMU struct {
 	cfg   Config
 	eng   *sim.Engine
-	sched core.Scheduler
+	sched core.IndexedScheduler // owns the pending-walk buffer
 	pt    *mmu.PageTable
 	dram  DRAMFn
 	pwc   *pwc.PWC
@@ -245,13 +245,6 @@ type IOMMU struct {
 	l1 *tlb.TLB
 	l2 *tlb.TLB
 
-	// The pending-walk buffer lives in one of two places: when the
-	// scheduler implements core.IndexedScheduler (the production
-	// default) it owns the pending set itself (ix non-nil, buffer
-	// unused); otherwise the legacy slice path drives the scheduler
-	// through OnArrival/Select scans.
-	ix       core.IndexedScheduler
-	buffer   []*core.Request
 	preQueue []*core.Request // overflow beyond the scheduler window, FIFO
 	// bufVPNs / preVPNs count pending requests per VPN in the buffer
 	// and the overflow queue, so MergeSameVPN coalesces in O(1) instead
@@ -323,7 +316,7 @@ type WalkRecord struct {
 
 // New builds an IOMMU. Panics on invalid config; use Config.Validate for
 // graceful checking.
-func New(eng *sim.Engine, cfg Config, sched core.Scheduler, pt *mmu.PageTable, dram DRAMFn) *IOMMU {
+func New(eng *sim.Engine, cfg Config, sched core.IndexedScheduler, pt *mmu.PageTable, dram DRAMFn) *IOMMU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -346,9 +339,6 @@ func New(eng *sim.Engine, cfg Config, sched core.Scheduler, pt *mmu.PageTable, d
 		instrs:       make(map[core.InstrID]*instrInfo),
 		walkStart:    make(map[*core.Request]walkSlot),
 		faultSince:   make(map[*core.Request]sim.Cycle),
-	}
-	if ix, ok := sched.(core.IndexedScheduler); ok {
-		io.ix = ix
 	}
 	io.fixedLat = cfg.WalkerFixedLat
 	if io.fixedLat == 0 {
@@ -393,7 +383,7 @@ func (io *IOMMU) SetTracer(tr *obs.Tracer) {
 // as one counter track. Callers hold io.tr non-nil.
 func (io *IOMMU) traceQueueDepth() {
 	io.tr.Counter(io.trkSched, "queue",
-		obs.U64("buffer", uint64(io.buffered())),
+		obs.U64("buffer", uint64(io.sched.PendingLen())),
 		obs.U64("overflow", uint64(len(io.preQueue))))
 }
 
@@ -407,7 +397,7 @@ func (io *IOMMU) TLBStats() (l1, l2 tlb.Stats) { return io.l1.Stats(), io.l2.Sta
 func (io *IOMMU) PWCStats() pwc.Stats { return io.pwc.Stats() }
 
 // Scheduler returns the scheduler in use.
-func (io *IOMMU) Scheduler() core.Scheduler { return io.sched }
+func (io *IOMMU) Scheduler() core.IndexedScheduler { return io.sched }
 
 // BusyWalkerIntegral returns the time-integral of busy walkers, for
 // utilization reporting.
@@ -417,18 +407,10 @@ func (io *IOMMU) BusyWalkerIntegral() uint64 { return io.busyInt.Total() }
 func (io *IOMMU) FinishStats() { io.busyInt.Finish(io.eng.Now()) }
 
 // Pending returns buffered plus overflow requests (for tests).
-func (io *IOMMU) Pending() int { return io.buffered() + len(io.preQueue) }
+func (io *IOMMU) Pending() int { return io.sched.PendingLen() + len(io.preQueue) }
 
 // IdleWalkers returns the number of currently idle walkers.
 func (io *IOMMU) IdleWalkers() int { return io.idleWalkers }
-
-// buffered returns the scheduler-visible pending count.
-func (io *IOMMU) buffered() int {
-	if io.ix != nil {
-		return io.ix.PendingLen()
-	}
-	return len(io.buffer)
-}
 
 // ScheduleLog returns the recorded walk schedule (requires
 // Config.RecordSchedule).
@@ -509,7 +491,7 @@ func (io *IOMMU) enqueueRequest(r *core.Request, attempt int) {
 	// if a slot is free. This keeps the scheduler-visible buffer in
 	// arrival order, which the indexed schedulers' lazy aging relies
 	// on (see core/index.go).
-	if len(io.preQueue) == 0 && io.buffered() < io.cfg.BufferEntries {
+	if len(io.preQueue) == 0 && io.sched.PendingLen() < io.cfg.BufferEntries {
 		io.admit(r)
 		return
 	}
@@ -585,13 +567,8 @@ func (io *IOMMU) admit(r *core.Request) {
 	if io.cfg.MergeSameVPN {
 		io.bufVPNs[r.VPN]++
 	}
-	if io.ix != nil {
-		io.ix.Admit(r)
-	} else {
-		io.buffer = append(io.buffer, r)
-		io.sched.OnArrival(r, io.buffer)
-	}
-	if n := io.buffered(); n > io.stats.BufferPeak {
+	io.sched.Admit(r)
+	if n := io.sched.PendingLen(); n > io.stats.BufferPeak {
 		io.stats.BufferPeak = n
 	}
 	if tr := io.tr; tr != nil {
@@ -603,18 +580,10 @@ func (io *IOMMU) admit(r *core.Request) {
 	}
 }
 
-// nextWalk asks the scheduler for the next request and removes it from
-// the pending buffer: O(log n) on the indexed path, the reference
-// O(n) slice splice otherwise.
+// nextWalk asks the scheduler for the next request, which it removes
+// from the pending buffer.
 func (io *IOMMU) nextWalk() *core.Request {
-	var r *core.Request
-	if io.ix != nil {
-		r = io.ix.Pick()
-	} else {
-		idx := io.sched.Select(io.buffer)
-		r = io.buffer[idx]
-		io.buffer = append(io.buffer[:idx], io.buffer[idx+1:]...)
-	}
+	r := io.sched.Pick()
 	if io.cfg.MergeSameVPN {
 		if n := io.bufVPNs[r.VPN]; n <= 1 {
 			delete(io.bufVPNs, r.VPN)
@@ -628,7 +597,7 @@ func (io *IOMMU) nextWalk() *core.Request {
 // promoteOverflow moves overflow requests into the scheduling window,
 // oldest first, while slots are free.
 func (io *IOMMU) promoteOverflow() {
-	for len(io.preQueue) > 0 && io.buffered() < io.cfg.BufferEntries {
+	for len(io.preQueue) > 0 && io.sched.PendingLen() < io.cfg.BufferEntries {
 		r := io.preQueue[0]
 		io.preQueue = io.preQueue[1:]
 		if io.cfg.MergeSameVPN {
@@ -647,15 +616,12 @@ func (io *IOMMU) promoteOverflow() {
 // (action 2-a).
 func (io *IOMMU) walkerFreed() {
 	io.promoteOverflow()
-	if io.buffered() == 0 {
+	if io.sched.PendingLen() == 0 {
 		return
 	}
 	r := io.nextWalk()
 	if io.tr != nil {
-		io.nextRule = core.DecisionNone
-		if dr, ok := io.sched.(core.DecisionReporter); ok {
-			io.nextRule = dr.LastDecision()
-		}
+		io.nextRule = io.sched.LastDecision()
 	}
 	// Refill the slot the pick just freed so the scheduler window
 	// stays full while older overflow requests wait.
@@ -951,7 +917,7 @@ func (io *IOMMU) finishWalk(r *core.Request, accesses int) {
 // demand work, a mapped page, and no TLB-resident translation.
 func (io *IOMMU) maybePrefetch(vpn uint64) {
 	if !io.cfg.PrefetchNext || io.idleWalkers == 0 ||
-		io.buffered() > 0 || len(io.preQueue) > 0 {
+		io.sched.PendingLen() > 0 || len(io.preQueue) > 0 {
 		return
 	}
 	if io.l1.Probe(vpn) || io.l2.Probe(vpn) {

@@ -32,7 +32,7 @@ func testConfig() Config {
 	}
 }
 
-func newRig(t *testing.T, cfg Config, sched core.Scheduler) *rig {
+func newRig(t *testing.T, cfg Config, sched core.IndexedScheduler) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	pm := mmu.NewPhysMem(1 << 30)
@@ -69,7 +69,7 @@ func (r *rig) translate(vpn uint64, instr core.InstrID) *uint64 {
 }
 
 func TestWalkProducesCorrectTranslation(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), &core.IndexedFIFO{})
 	r.mapPage(t, 0x42)
 	want, _ := r.as.PT.Translate(0x42)
 	got := r.translate(0x42, 1)
@@ -91,7 +91,7 @@ func TestWalkProducesCorrectTranslation(t *testing.T) {
 }
 
 func TestPWCShortensSecondWalk(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), &core.IndexedFIFO{})
 	r.mapPage(t, 0x100)
 	r.mapPage(t, 0x101) // same 2MB region: shares upper levels
 	r.translate(0x100, 1)
@@ -109,7 +109,7 @@ func TestPWCShortensSecondWalk(t *testing.T) {
 }
 
 func TestIOMMUTLBHitSkipsWalk(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), &core.IndexedFIFO{})
 	r.mapPage(t, 0x55)
 	r.translate(0x55, 1)
 	r.eng.Run()
@@ -130,18 +130,19 @@ func TestIOMMUTLBHitSkipsWalk(t *testing.T) {
 func TestWalkerConcurrencyBounded(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 2
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	for vpn := uint64(0); vpn < 6; vpn++ {
 		r.mapPage(t, vpn<<18) // far apart: no PWC sharing
 		r.translate(vpn<<18, core.InstrID(vpn))
 	}
 	// After the transfer+TLB latency, only 2 walks may be in flight; the
 	// others queue in the buffer.
-	r.eng.RunUntil(sim.Cycle(cfg.TransferLat + cfg.TLBLat + 1))
-	if got := r.io.Pending(); got != 4 {
-		t.Errorf("pending = %d with 2 walkers, want 4", got)
-	}
+	pending := -1
+	r.eng.At(sim.Cycle(cfg.TransferLat+cfg.TLBLat+1), func() { pending = r.io.Pending() })
 	r.eng.Run()
+	if pending != 4 {
+		t.Errorf("pending = %d with 2 walkers, want 4", pending)
+	}
 	if r.io.Stats().WalksDone != 6 {
 		t.Errorf("WalksDone = %d, want 6", r.io.Stats().WalksDone)
 	}
@@ -151,7 +152,7 @@ func TestBufferOverflowPromotesFIFO(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferEntries = 2
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	var order []uint64
 	for i := uint64(0); i < 8; i++ {
 		vpn := i << 18
@@ -181,7 +182,7 @@ func TestMergeSameVPN(t *testing.T) {
 	cfg := testConfig()
 	cfg.MergeSameVPN = true
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	r.mapPage(t, 0x9)
 	r.mapPage(t, 0x9000>>0) // a second page to occupy the walker
 	r.mapPage(t, 0x77<<18)
@@ -206,7 +207,7 @@ func TestMergeSameVPN(t *testing.T) {
 func TestNoMergeWalksTwice(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	r.mapPage(t, 0x9)
 	r.mapPage(t, 0x77<<18)
 	r.translate(0x77<<18, 1)
@@ -221,7 +222,7 @@ func TestNoMergeWalksTwice(t *testing.T) {
 func TestInstrSummaryInterleaving(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	// Interleave arrivals of instructions 1 and 2 (two walks each) while
 	// the walker is busy with a filler walk.
 	vpns := []struct {
@@ -255,7 +256,7 @@ func TestInstrSummaryInterleaving(t *testing.T) {
 }
 
 func TestBatchingReducesInterleave(t *testing.T) {
-	run := func(sched core.Scheduler) InstrSummary {
+	run := func(sched core.IndexedScheduler) InstrSummary {
 		cfg := testConfig()
 		cfg.Walkers = 1
 		r := newRig(t, cfg, sched)
@@ -272,8 +273,8 @@ func TestBatchingReducesInterleave(t *testing.T) {
 		r.eng.Run()
 		return r.io.InstrSummary()
 	}
-	fcfs := run(core.FCFS{})
-	batch := run(&core.SIMTAware{Batching: true, SJF: true, AgingThreshold: 1 << 30})
+	fcfs := run(&core.IndexedFIFO{})
+	batch := run(&core.IndexedSIMT{Batching: true, SJF: true, AgingThreshold: 1 << 30})
 	if batch.Interleaved >= fcfs.Interleaved {
 		t.Errorf("batching interleave %d not below FCFS %d", batch.Interleaved, fcfs.Interleaved)
 	}
@@ -299,7 +300,7 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestWalkLatencyAccounting(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), &core.IndexedFIFO{})
 	r.mapPage(t, 0x5)
 	r.translate(0x5, 1)
 	r.eng.Run()
@@ -319,7 +320,7 @@ func TestWalkLatencyAccounting(t *testing.T) {
 func TestPrefetchNext(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchNext = true
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	// Map two adjacent far-apart-from-others pages; walking the first
 	// should prefetch the second once the IOMMU idles.
 	r.mapPage(t, 0x700)
@@ -349,7 +350,7 @@ func TestPrefetchNext(t *testing.T) {
 func TestPrefetchSkipsUnmapped(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchNext = true
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	r.mapPage(t, 0x900) // 0x901 left unmapped
 	r.translate(0x900, 1)
 	r.eng.Run()
@@ -361,7 +362,7 @@ func TestPrefetchSkipsUnmapped(t *testing.T) {
 func TestPrefetchDoesNotCascade(t *testing.T) {
 	cfg := testConfig()
 	cfg.PrefetchNext = true
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	// A long run of mapped pages: one demand walk must trigger at most
 	// one prefetch (no chain).
 	for v := uint64(0xa00); v < 0xa10; v++ {
@@ -375,7 +376,7 @@ func TestPrefetchDoesNotCascade(t *testing.T) {
 }
 
 func TestPrefetchOffByDefault(t *testing.T) {
-	r := newRig(t, testConfig(), core.FCFS{})
+	r := newRig(t, testConfig(), &core.IndexedFIFO{})
 	r.mapPage(t, 0xb00)
 	r.mapPage(t, 0xb01)
 	r.translate(0xb00, 1)
@@ -394,7 +395,7 @@ func TestMergeAcrossOverflowQueue(t *testing.T) {
 	cfg.MergeSameVPN = true
 	cfg.BufferEntries = 1
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	vpns := []uint64{0x1 << 18, 0x2 << 18, 0x3 << 18}
 	for _, v := range vpns {
 		r.mapPage(t, v)
@@ -427,7 +428,7 @@ func TestOverflowAdmissionStrictFIFO(t *testing.T) {
 	cfg := testConfig()
 	cfg.BufferEntries = 2
 	cfg.Walkers = 1
-	r := newRig(t, cfg, core.FCFS{})
+	r := newRig(t, cfg, &core.IndexedFIFO{})
 	var order []uint64
 	issue := func(i uint64) {
 		vpn := (i + 1) << 18
@@ -462,16 +463,13 @@ func TestOverflowAdmissionStrictFIFO(t *testing.T) {
 	}
 }
 
-// TestIndexedSchedulerPath runs the IOMMU with a production indexed
-// scheduler (the core.New default) and checks the indexed buffer
-// bookkeeping end to end.
+// TestIndexedSchedulerPath runs the IOMMU with a built-in indexed
+// scheduler from core.New and checks the buffer bookkeeping end to
+// end.
 func TestIndexedSchedulerPath(t *testing.T) {
 	sched, err := core.New(core.KindSIMTAware, core.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := sched.(core.IndexedScheduler); !ok {
-		t.Fatal("core.New default is not indexed")
 	}
 	cfg := testConfig()
 	cfg.BufferEntries = 4

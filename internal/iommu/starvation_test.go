@@ -48,7 +48,7 @@ func TestStarvationFreedomBound(t *testing.T) {
 
 // runRandomStream drives an IOMMU with a random interleaving of walk
 // requests from many instructions and returns the recorded trace.
-func runRandomStream(t *testing.T, sched core.Scheduler, seed uint64, buffer, nReqs, nPages, nInstrs int) *obs.Tracer {
+func runRandomStream(t *testing.T, sched core.IndexedScheduler, seed uint64, buffer, nReqs, nPages, nInstrs int) *obs.Tracer {
 	t.Helper()
 	eng := sim.NewEngine()
 	pm := mmu.NewPhysMem(1 << 30)

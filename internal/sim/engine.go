@@ -9,23 +9,16 @@
 // # Queue internals
 //
 // The event queue is a flat four-ary min-heap specialized to the event
-// struct. The previous implementation drove container/heap, whose
-// Push(any)/Pop() any interface boxes every event through the heap —
-// one allocation per scheduled event and an interface unbox per
-// dispatch, which profiling showed dominated whole-simulation CPU time.
-// The flat heap stores events inline in one slice, sifts with a hole
-// (one write per level instead of a three-write swap), and the four-ary
+// struct. It stores events inline in one slice, sifts with a hole (one
+// write per level instead of a three-write swap), and the four-ary
 // fanout halves the tree depth that pop-side sift-down traverses, at
 // the cost of up to four comparisons per level — a good trade because
-// the comparisons stay within one or two cache lines.
-//
-// The container/heap implementation is retained behind
-// NewReferenceEngine. It is not dead code: the ordering property test
-// (order_test.go) and the system-level differential tests prove the
-// flat heap dispatches in byte-identical (cycle, seq) order to it.
+// the comparisons stay within one or two cache lines. A container/heap
+// queue, whose Push(any)/Pop() any boxes every event, lives on in
+// order_test.go as the executable specification: the ordering property
+// test and FuzzEngineOrder require both to dispatch in identical
+// (cycle, seq) order.
 package sim
-
-import "container/heap"
 
 // Cycle is a point in simulated time, measured in GPU core cycles.
 type Cycle uint64
@@ -49,27 +42,6 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is the retained container/heap reference implementation: a
-// binary min-heap ordered by (at, seq). See the package comment.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = event{} // release fn for GC
-	*h = old[:n-1]
-	return e
-}
-
 // heapArity is the fanout of the flat heap. Four keeps sift-down depth
 // at half a binary heap's while a node's children still span at most
 // two cache lines (an event is 32 bytes).
@@ -80,10 +52,7 @@ const heapArity = 4
 type Engine struct {
 	now    Cycle
 	seq    uint64
-	events []event // min-heap (flat four-ary, or binary when ref)
-	// ref selects the container/heap reference queue algorithm; see
-	// NewReferenceEngine. Both layouts keep the minimum at events[0].
-	ref bool
+	events []event // flat four-ary min-heap, minimum at events[0]
 	// dispatched counts events executed since construction; useful for
 	// progress reporting and runaway detection in tests.
 	dispatched uint64
@@ -96,19 +65,8 @@ type Engine struct {
 // NewEngine returns an engine with clock at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
-// NewReferenceEngine returns an engine whose queue is the original
-// container/heap implementation. Its dispatch order is byte-identical
-// to NewEngine's flat heap — the ordering property test and the
-// system-level differential tests pin that — and it exists so those
-// tests always have the reference to compare against.
-func NewReferenceEngine() *Engine { return &Engine{ref: true} }
-
 // push inserts ev into the queue.
 func (e *Engine) push(ev event) {
-	if e.ref {
-		heap.Push((*eventHeap)(&e.events), ev)
-		return
-	}
 	e.events = append(e.events, ev)
 	// Sift up with a hole: shift parents down until ev's slot is found,
 	// writing ev once instead of swapping at every level.
@@ -127,9 +85,6 @@ func (e *Engine) push(ev event) {
 
 // pop removes and returns the minimum event.
 func (e *Engine) pop() event {
-	if e.ref {
-		return heap.Pop((*eventHeap)(&e.events)).(event)
-	}
 	h := e.events
 	top := h[0]
 	n := len(h) - 1
@@ -287,22 +242,6 @@ func (e *Engine) RunWithInterrupt(stride uint64, interrupted func() bool) Cycle 
 			return e.now
 		}
 	}
-}
-
-// RunUntil executes events with cycle <= limit. It returns true if the
-// queue drained, false if stopped at the limit with events pending.
-// The clock never passes limit.
-func (e *Engine) RunUntil(limit Cycle) bool {
-	for len(e.events) > e.daemons {
-		if e.events[0].at > limit {
-			e.now = limit
-			return false
-		}
-		if !e.Step() { // aborted
-			return false
-		}
-	}
-	return true
 }
 
 // RunFor executes at most n events, returning the number executed. It is

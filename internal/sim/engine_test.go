@@ -148,29 +148,6 @@ func TestEngineAfterDaemonOverflowPanics(t *testing.T) {
 	e.AfterDaemon(^uint64(0), func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
-	if e.RunUntil(20) {
-		t.Error("RunUntil(20) reported drained with events pending")
-	}
-	if ran != 2 {
-		t.Errorf("ran = %d events by cycle 20, want 2", ran)
-	}
-	if e.Now() != 20 {
-		t.Errorf("Now = %d, want 20", e.Now())
-	}
-	if !e.RunUntil(100) {
-		t.Error("RunUntil(100) should drain")
-	}
-	if ran != 3 {
-		t.Errorf("ran = %d, want 3", ran)
-	}
-}
-
 func TestRunFor(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
@@ -336,15 +313,6 @@ func TestEngineAbort(t *testing.T) {
 	}
 	if e.Step() {
 		t.Error("Step executed an event after Abort")
-	}
-}
-
-func TestRunUntilAborted(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func() { e.Abort() })
-	e.At(20, func() { t.Error("event ran after abort") })
-	if e.RunUntil(100) {
-		t.Error("RunUntil reported drained despite abort")
 	}
 }
 

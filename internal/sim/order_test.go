@@ -1,16 +1,17 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // This file is the ordering-equivalence property test for the flat
-// four-ary event queue: an Engine and a NewReferenceEngine (the
-// retained container/heap implementation) are driven through the same
-// randomized program of At/After/AfterDaemon/Abort operations —
-// including callbacks that schedule more events and partial RunFor
+// four-ary event queue: an Engine and a refEngine (the executable
+// specification below, a container/heap binary heap) are driven through
+// the same randomized program of At/After/AfterDaemon/Abort operations
+// — including callbacks that schedule more events and partial RunFor
 // stepping — and must dispatch the exact same (id, cycle, dispatch
 // index) sequence and end in the same clock/pending/dispatched state.
 //
@@ -19,6 +20,96 @@ import (
 // time, so both engines are handed literally the same program; any
 // divergence in the logs is therefore a queue-ordering bug, not test
 // contamination.
+
+// eventHeap is the reference queue: a binary min-heap ordered by
+// (at, seq) through container/heap, which boxes every event.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+
+func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(event)) }
+
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// refEngine is Engine's contract written the plain way over eventHeap:
+// the same seq stamping, daemon accounting and abort rule.
+type refEngine struct {
+	now        Cycle
+	seq        uint64
+	events     eventHeap
+	dispatched uint64
+	aborted    bool
+	daemons    int
+}
+
+func (e *refEngine) Now() Cycle         { return e.now }
+func (e *refEngine) Dispatched() uint64 { return e.dispatched }
+func (e *refEngine) Pending() int       { return len(e.events) - e.daemons }
+func (e *refEngine) Abort()             { e.aborted = true }
+
+func (e *refEngine) At(c Cycle, fn func()) {
+	e.seq++
+	heap.Push(&e.events, event{at: c, seq: e.seq, fn: fn})
+}
+
+func (e *refEngine) After(d uint64, fn func()) { e.At(e.now+Cycle(d), fn) }
+
+func (e *refEngine) AfterDaemon(d uint64, fn func()) {
+	e.seq++
+	heap.Push(&e.events, event{at: e.now + Cycle(d), seq: e.seq, fn: fn, daemon: true})
+	e.daemons++
+}
+
+func (e *refEngine) step() bool {
+	if e.aborted || len(e.events) == e.daemons {
+		return false
+	}
+	ev := heap.Pop(&e.events).(event)
+	if ev.daemon {
+		e.daemons--
+	}
+	e.now = ev.at
+	e.dispatched++
+	ev.fn()
+	return true
+}
+
+func (e *refEngine) RunFor(n uint64) uint64 {
+	var done uint64
+	for done < n && e.step() {
+		done++
+	}
+	return done
+}
+
+func (e *refEngine) Run() Cycle {
+	for e.step() {
+	}
+	return e.now
+}
+
+// scriptEngine is the surface a script drives: Engine and refEngine.
+type scriptEngine interface {
+	Now() Cycle
+	Dispatched() uint64
+	Pending() int
+	At(Cycle, func())
+	After(uint64, func())
+	AfterDaemon(uint64, func())
+	Abort()
+	RunFor(uint64) uint64
+	Run() Cycle
+}
 
 // opKind is one scripted top-level operation.
 type opKind uint8
@@ -65,7 +156,7 @@ func (l *engineLog) note(id int, now Cycle, dispatchIx uint64) {
 
 // runScript drives eng through the script, wiring every event plan to
 // the log, and returns the log plus final engine state.
-func runScript(eng *Engine, script []scriptOp, plans []eventPlan) (*engineLog, Cycle, int, uint64) {
+func runScript(eng scriptEngine, script []scriptOp, plans []eventPlan) (*engineLog, Cycle, int, uint64) {
 	log := &engineLog{}
 	var install func(p eventPlan) func()
 	install = func(p eventPlan) func() {
@@ -145,7 +236,7 @@ func TestEngineOrderProperty(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		script, plans := genProgram(rand.New(rand.NewSource(seed)))
 		flatLog, flatNow, flatPend, flatDisp := runScript(NewEngine(), script, plans)
-		refLog, refNow, refPend, refDisp := runScript(NewReferenceEngine(), script, plans)
+		refLog, refNow, refPend, refDisp := runScript(&refEngine{}, script, plans)
 		if flatNow != refNow || flatPend != refPend || flatDisp != refDisp {
 			t.Fatalf("seed %d: final state (now=%d pend=%d disp=%d) vs reference (now=%d pend=%d disp=%d)",
 				seed, flatNow, flatPend, flatDisp, refNow, refPend, refDisp)
@@ -189,7 +280,7 @@ func FuzzEngineOrder(f *testing.F) {
 			script = append(script, op)
 		}
 		flatLog, flatNow, _, _ := runScript(NewEngine(), script, plans)
-		refLog, refNow, _, _ := runScript(NewReferenceEngine(), script, plans)
+		refLog, refNow, _, _ := runScript(&refEngine{}, script, plans)
 		if flatNow != refNow || len(flatLog.lines) != len(refLog.lines) {
 			t.Fatalf("state diverged: now %d vs %d, %d vs %d dispatches",
 				flatNow, refNow, len(flatLog.lines), len(refLog.lines))
