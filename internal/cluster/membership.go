@@ -357,8 +357,8 @@ func (m *Membership) Snapshot(self string) Status {
 }
 
 // FetchStatus retrieves a gateway's (or peered node's) /v1/cluster
-// view — the typed client half of the status endpoint, used by
-// cmd/gpuwalkbench to report cluster topology after a gateway run.
+// view — the typed client half of the status endpoint, which the
+// cluster chaos test polls until the ring is healthy.
 func FetchStatus(ctx context.Context, hc *http.Client, baseURL string) (Status, error) {
 	if hc == nil {
 		hc = http.DefaultClient

@@ -1,7 +1,6 @@
 package jobd
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,9 +16,8 @@ import (
 )
 
 // Client is a minimal typed client for the jobd HTTP API. It exists so
-// the load harness (cmd/gpuwalkbench via internal/loadgen) and tests
-// speak the same wire types the server marshals, instead of each
-// re-declaring fragments of the API.
+// the benchmark in bench/ and the tests speak the same wire types the
+// server marshals, instead of each re-declaring fragments of the API.
 //
 // The zero value is not usable; set BaseURL. Methods are safe for
 // concurrent use.
@@ -30,11 +28,11 @@ type Client struct {
 	// no timeout (callers pass contexts; SSE streams outlive any fixed
 	// request timeout).
 	HTTP *http.Client
-	// Retry, when set, makes Submit/Job/Jobs retry transport errors
+	// Retry, when set, makes Submit and Job retry transport errors
 	// and backpressure rejections (429/503/journal-500) with jittered
 	// exponential backoff, honoring the server's Retry-After header.
-	// Nil keeps the old single-try behavior — the load harness books
-	// rejections as rejections and must not mask them with retries.
+	// Nil keeps the single-try behavior, so a caller that counts
+	// rejections sees each one instead of a retry that masks it.
 	Retry *RetryPolicy
 	// DisableTrace stops Submit from minting a traceparent header. The
 	// server then starts the trace itself (or records none, if its
@@ -281,26 +279,6 @@ func (c *Client) Job(ctx context.Context, id string) (JobView, error) {
 	return v, nil
 }
 
-// Health probes the server's /healthz, returning nil on 200. It does
-// not use the retry policy: health checks want the current truth, and
-// the cluster prober depends on a prompt verdict.
-func (c *Client) Health(ctx context.Context) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/healthz"), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpc().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return apiError(resp.StatusCode, b)
-	}
-	return nil
-}
-
 // WaitTerminal polls a job until it reaches a terminal state, ctx
 // expires, or the server no longer retains it.
 func (c *Client) WaitTerminal(ctx context.Context, id string, poll time.Duration) (JobView, error) {
@@ -323,47 +301,4 @@ func (c *Client) WaitTerminal(ctx context.Context, id string, poll time.Duration
 			return v, ctx.Err()
 		}
 	}
-}
-
-// FirstProgress opens the job's SSE stream and measures the time until
-// the first `progress` event arrives. It returns seen=false (and no
-// error) when the job reached a terminal state without ever reporting
-// progress — cache hits skip simulation entirely, so that is a normal
-// outcome, not a failure.
-func (c *Client) FirstProgress(ctx context.Context, id string) (d time.Duration, seen bool, err error) {
-	start := time.Now()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url("/v1/jobs/"+id+"/events"), nil)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := c.httpc().Do(hreq)
-	if err != nil {
-		return 0, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return 0, false, apiError(resp.StatusCode, b)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		typ, found := strings.CutPrefix(line, "event: ")
-		if !found {
-			continue
-		}
-		switch typ {
-		case EventProgress:
-			return time.Since(start), true, nil
-		case EventDone, EventFailed, EventCancelled:
-			// The server emits any final progress event before the
-			// terminal one, so reaching here means there was none.
-			return 0, false, nil
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return 0, false, err
-	}
-	return 0, false, ctx.Err()
 }

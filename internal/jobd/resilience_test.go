@@ -447,9 +447,10 @@ func TestClientRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestClientNoRetryWithoutPolicy: the zero-value client keeps the old
-// single-try contract — rejections surface immediately, which the load
-// harness depends on to book them as rejections.
+// TestClientNoRetryWithoutPolicy: the zero-value client keeps the
+// single-try contract — rejections surface immediately, which
+// TestOverloadRejectionsSeparate depends on to count them as
+// rejections.
 func TestClientNoRetryWithoutPolicy(t *testing.T) {
 	var tries atomic.Int64
 	mux := http.NewServeMux()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -524,4 +525,284 @@ func TestQueueHeapOrder(t *testing.T) {
 	if q.pop() != nil {
 		t.Fatal("pop on empty queue should be nil")
 	}
+}
+
+// TestSubmitRejectionRetryAfter pins the rejection wire contract that
+// clients back off on: 429 with a Retry-After header when the queue is
+// full, 503 with Retry-After when draining.
+func TestSubmitRejectionRetryAfter(t *testing.T) {
+	gate := make(chan struct{})
+	s := newTestServer(t, Options{
+		Runner: func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+			return spec, false, nil
+		},
+		Workers:   1,
+		QueueSize: 1,
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		close(gate)
+		ts.Close()
+	}()
+
+	post := func() *http.Response {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"spec":{"k":1}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	// One running (worker blocked on the gate) + one queued fills the
+	// server; submissions beyond that must 429. The first POST may
+	// still be queued when the second arrives, so allow a few tries.
+	var rejected *http.Response
+	for i := 0; i < 10 && rejected == nil; i++ {
+		if resp := post(); resp.StatusCode == http.StatusTooManyRequests {
+			rejected = resp
+		} else if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("unexpected submit status %d", resp.StatusCode)
+		}
+	}
+	if rejected == nil {
+		t.Fatal("never got a 429 from a full 1-slot queue")
+	}
+	if got := rejected.Header.Get("Retry-After"); got == "" {
+		t.Error("429 rejection carries no Retry-After header")
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(rejected.Body).Decode(&body); err != nil || body.Error == "" {
+		t.Errorf("429 body not a JSON error: err=%v body=%+v", err, body)
+	}
+
+	// Draining: same contract on 503.
+	go s.Drain(context.Background())
+	for i := 0; i < 100; i++ {
+		if s.Draining() {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp := post()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining submit status = %d, want 503", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Retry-After"); got == "" {
+		t.Error("503 rejection carries no Retry-After header")
+	}
+}
+
+// TestRetainJobsEviction pins the job-table bound that keeps memory
+// flat under sustained load: once jobs finish, only the newest
+// RetainJobs of them stay addressable.
+func TestRetainJobsEviction(t *testing.T) {
+	s := newTestServer(t, Options{
+		Runner: func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
+			return spec, false, nil
+		},
+		Workers:    2,
+		RetainJobs: 3,
+	})
+
+	var ids []string
+	for i := 0; i < 10; i++ {
+		v, err := s.Submit(SubmitRequest{Spec: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+		// Wait for this job to finish so terminal jobs accumulate.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			got, ok := s.Job(v.ID)
+			if ok && got.State.Terminal() {
+				break
+			}
+			if !ok {
+				break // already evicted, also fine
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never finished", v.ID)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	if got := len(s.Jobs()); got != 3 {
+		t.Fatalf("retained %d jobs, want 3", got)
+	}
+	if _, ok := s.Job(ids[0]); ok {
+		t.Errorf("oldest job %s still addressable past the retention bound", ids[0])
+	}
+	if _, ok := s.Job(ids[len(ids)-1]); !ok {
+		t.Errorf("newest job %s was evicted", ids[len(ids)-1])
+	}
+}
+
+// openLoopSubmits submits, one due every openLoopGap, overload an
+// overloadServer: it takes a job per 5 ms and holds two more.
+const openLoopSubmits, openLoopGap = 60, 2 * time.Millisecond
+
+// overloadServer returns a 2-worker, 2-slot server behind HTTP whose
+// runner reports progress and takes 10 ms.
+func overloadServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	runner := func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
+		ProgressSink(ctx)(ItemProgress{Cycles: 1, Done: 1, Total: 2})
+		select {
+		case <-time.After(10 * time.Millisecond):
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		return spec, false, nil
+	}
+	s := newTestServer(t, Options{
+		Runner:           runner,
+		Workers:          2,
+		QueueSize:        2,
+		ProgressInterval: 5 * time.Millisecond,
+	})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// openLoop submits openLoopSubmits jobs through c, submit i due at
+// i*openLoopGap whether or not earlier submits have returned, and
+// reads each accepted job's event stream from baseURL to its end. It
+// returns the last event type of every accepted job's stream, keyed by
+// job ID, and the number of submits rejected with ErrQueueFull; any
+// other submit or stream error fails the test.
+func openLoop(ctx context.Context, t *testing.T, c *Client, baseURL string) (map[string]string, int) {
+	t.Helper()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		accepted = map[string]string{}
+		rejected int
+		errs     []error
+	)
+	start := time.Now()
+	for i := 0; i < openLoopSubmits; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i) * openLoopGap)))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := c.Submit(ctx, SubmitRequest{Spec: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))})
+			if errors.Is(err, ErrQueueFull) {
+				mu.Lock()
+				rejected++
+				mu.Unlock()
+				return
+			}
+			last := ""
+			if err == nil {
+				last, err = lastSSEEvent(ctx, t, baseURL+"/v1/jobs/"+v.ID+"/events")
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs = append(errs, err)
+				return
+			}
+			accepted[v.ID] = last
+		}(i)
+	}
+	wg.Wait()
+	if len(errs) != 0 {
+		t.Fatalf("%d submits or event streams failed, first: %v", len(errs), errs[0])
+	}
+	return accepted, rejected
+}
+
+// TestOverloadRejectionsSeparate offers submissions over HTTP faster
+// than a 2-worker, 2-slot server can take them, on a fixed schedule
+// that does not slow down for rejections, and checks the overload
+// contract a client sees: every submit is either accepted or rejected
+// with ErrQueueFull, never another error, and every accepted job
+// still finishes.
+func TestOverloadRejectionsSeparate(t *testing.T) {
+	_, ts := overloadServer(t)
+	c := &Client{BaseURL: ts.URL}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	accepted, rejected := openLoop(ctx, t, c, ts.URL)
+	if len(accepted)+rejected != openLoopSubmits {
+		t.Fatalf("accepted %d + rejected %d != %d submits", len(accepted), rejected, openLoopSubmits)
+	}
+	if rejected == 0 {
+		t.Fatalf("open-loop overload of a 2-slot queue rejected none of %d submits", openLoopSubmits)
+	}
+	for id := range accepted {
+		v, err := c.WaitTerminal(ctx, id, 0)
+		if err != nil || v.State != StateDone {
+			t.Errorf("job %s ended %s (%v), want done", id, v.State, err)
+		}
+	}
+}
+
+// TestLoadHarnessEndToEnd runs the same open-loop overload over HTTP
+// end to end and checks what it leaves behind: every accepted job's
+// event stream ends in done, and closing the server leaves no
+// goroutines behind.
+func TestLoadHarnessEndToEnd(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, ts := overloadServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	accepted, _ := openLoop(ctx, t, &Client{BaseURL: ts.URL}, ts.URL)
+	if len(accepted) == 0 {
+		t.Fatalf("open-loop load accepted none of %d submits", openLoopSubmits)
+	}
+	for id, last := range accepted {
+		if last != EventDone {
+			t.Errorf("job %s event stream ended with %q, want %q", id, last, EventDone)
+		}
+	}
+
+	// Everything drained: no goroutines left by the workers, the event
+	// streams or the client's connections. Allow scheduler slack.
+	s.Close()
+	ts.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+8 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// lastSSEEvent reads an event stream until the server closes it and
+// returns the type of its last event.
+func lastSSEEvent(ctx context.Context, t *testing.T, url string) (string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return "", err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	events := readSSE(t, resp.Body)
+	if len(events) == 0 {
+		return "", nil
+	}
+	return events[len(events)-1].typ, nil
 }

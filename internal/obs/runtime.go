@@ -1,11 +1,11 @@
 package obs
 
-// Go runtime self-metrics for a FamilySet: when a BENCH_load run shows
-// a node saturating, the first question is whether it is the workload
-// or the process (goroutine pileup, heap growth, GC pressure, fd
-// exhaustion). These families answer that from the same /metrics
-// scrape. ReadMemStats stops the world briefly, so samples are cached
-// for a second and shared by every callback family.
+// Go runtime self-metrics for a FamilySet: when a node under load
+// saturates, the first question is whether it is the workload or the
+// process (goroutine pileup, heap growth, GC pressure, fd exhaustion).
+// These families answer that from the same /metrics scrape.
+// ReadMemStats stops the world briefly, so samples are cached for a
+// second and shared by every callback family.
 
 import (
 	"os"

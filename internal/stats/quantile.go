@@ -105,31 +105,6 @@ func (q *Quantile) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Merge folds another estimator's samples into q. Every Quantile in a
-// process shares the package-wide bucket bounds, so merging is exact:
-// the merged estimator reports the same quantiles as one that observed
-// every sample itself. This is what lets latency recorders shard their
-// accumulators across goroutines and combine them at read time.
-func (q *Quantile) Merge(o *Quantile) {
-	if o == nil || o.total == 0 {
-		return
-	}
-	if q.counts == nil {
-		q.counts = make([]uint64, len(bucketBounds)+1)
-		q.min = o.min
-	}
-	if o.min < q.min {
-		q.min = o.min
-	}
-	if o.max > q.max {
-		q.max = o.max
-	}
-	q.total += o.total
-	for i, c := range o.counts {
-		q.counts[i] += c
-	}
-}
-
 // Value returns the approximate p-quantile (0 < p <= 1) as the upper
 // bound of the bucket containing that rank, clamped to [Min, Max].
 func (q *Quantile) Value(p float64) uint64 {

@@ -289,48 +289,3 @@ func TestQuantileSmallValues(t *testing.T) {
 		}
 	}
 }
-
-func TestQuantileMerge(t *testing.T) {
-	// Merging two accumulators must be exactly equivalent to one
-	// accumulator that observed every sample itself: same quantiles,
-	// same extremes, same count.
-	var a, b, all Quantile
-	for v := uint64(1); v <= 2000; v += 3 {
-		a.Observe(v)
-		all.Observe(v)
-	}
-	for v := uint64(5); v <= 900000; v *= 7 {
-		b.Observe(v)
-		all.Observe(v)
-	}
-	var merged Quantile
-	merged.Merge(&a)
-	merged.Merge(&b)
-	if merged.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", merged.N(), all.N())
-	}
-	if merged.Min() != all.Min() || merged.Max() != all.Max() {
-		t.Fatalf("merged min/max = %d/%d, want %d/%d", merged.Min(), merged.Max(), all.Min(), all.Max())
-	}
-	for _, p := range []float64{0.01, 0.5, 0.9, 0.99, 0.999, 1} {
-		if got, want := merged.Value(p), all.Value(p); got != want {
-			t.Errorf("p%.3f: merged %d, direct %d", p, got, want)
-		}
-	}
-
-	// Merging an empty or nil estimator is a no-op.
-	before := merged.N()
-	merged.Merge(&Quantile{})
-	merged.Merge(nil)
-	if merged.N() != before {
-		t.Fatalf("empty merge changed N: %d -> %d", before, merged.N())
-	}
-
-	// Merging into a fresh estimator adopts the source's extremes.
-	var fresh Quantile
-	fresh.Merge(&b)
-	if fresh.Min() != b.Min() || fresh.Max() != b.Max() || fresh.N() != b.N() {
-		t.Fatalf("fresh merge: N=%d min=%d max=%d, want N=%d min=%d max=%d",
-			fresh.N(), fresh.Min(), fresh.Max(), b.N(), b.Min(), b.Max())
-	}
-}
