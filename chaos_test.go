@@ -2,10 +2,12 @@ package gpuwalk_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"gpuwalk"
 	"gpuwalk/internal/obs"
+	"gpuwalk/internal/sim"
 )
 
 // chaosConfig is the golden-test workload with every fault class
@@ -87,5 +89,34 @@ func TestChaosAcrossSchedulers(t *testing.T) {
 				t.Errorf("faults %d serviced %d", res.IOMMU.Faults, res.IOMMU.FaultsServiced)
 			}
 		})
+	}
+}
+
+// TestStallDeterministic: a livelocked run stalls the same way every
+// time. WalkerKillPeriod 1 kills every demand walk, re-dispatches
+// included, so the pipeline wedges until the watchdog trips
+// (docs/FAULTS.md). Both runs must fail with a *sim.StallError of
+// identical text: cycle, progress count and queue dump. gpuwalkd runs
+// each job once on the strength of this, since re-running a stalled
+// spec would reproduce the stall.
+func TestStallDeterministic(t *testing.T) {
+	stall := func() string {
+		t.Helper()
+		cfg := gpuwalk.DefaultConfig()
+		cfg.Workload = "MVT"
+		cfg.Gen.Scale = 0.02
+		cfg.Gen.WavefrontsPerCU = 2
+		cfg.Gen.InstrsPerWavefront = 6
+		cfg.FaultInject.WalkerKillPeriod = 1
+		cfg.WatchdogInterval = 20000
+		_, err := gpuwalk.Run(cfg)
+		var se *sim.StallError
+		if !errors.As(err, &se) {
+			t.Fatalf("livelocked run: err = %v, want a *sim.StallError", err)
+		}
+		return se.Error()
+	}
+	if a, b := stall(), stall(); a != b {
+		t.Fatalf("stall differs between identical runs:\n--- first\n%s\n--- second\n%s", a, b)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"gpuwalk/internal/cluster"
 	"gpuwalk/internal/gpu"
 	"gpuwalk/internal/jobd"
-	"gpuwalk/internal/sim"
 )
 
 // splitPeers turns the -peers flag into a URL list (empty entries
@@ -76,9 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progCycles   = fs.Uint64("progress-cycles", gpu.DefaultProgressEvery, "simulated cycles between progress samples")
 		progInterval = fs.Duration("progress-interval", time.Second, "wall-clock cadence of progress SSE events")
 		journalDir   = fs.String("journal", "", "durable job journal directory; empty disables crash recovery (see docs/RELIABILITY.md)")
-		retryMax     = fs.Int("retry-max", 3, "total runs per job when failures are transient (1 = never retry)")
-		retryBase    = fs.Duration("retry-base", 500*time.Millisecond, "backoff before a job's first retry; doubles per retry")
-		retryCap     = fs.Duration("retry-cap", 30*time.Second, "ceiling on a job's retry backoff")
 		gatewayMode  = fs.Bool("gateway", false, "run as a cluster gateway instead of a backend (requires -peers; see docs/CLUSTER.md)")
 		peersFlag    = fs.String("peers", "", "comma-separated cluster node URLs (the same full list on every node and the gateway)")
 		selfURL      = fs.String("self", "", "this node's URL within -peers; its host:port labels the node's jobs and job IDs, and it enables cache peering")
@@ -162,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "gpuwalkd: %v\n", err)
 			return 2
 		}
-		peering, err = cluster.NewPeering(member, *selfURL, 0, logger)
+		peering, err = cluster.NewPeering(member, *selfURL, logger)
 		if err != nil {
 			fmt.Fprintf(stderr, "gpuwalkd: %v\n", err)
 			return 2
@@ -181,10 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ProgressInterval: *progInterval,
 		Pprof:            *pprofOn,
 		Journal:          journal,
-		Retryable:        transientSimError,
-		MaxAttempts:      *retryMax,
-		RetryBaseDelay:   *retryBase,
-		RetryMaxDelay:    *retryCap,
 		NodeName:         nodeLabel,
 		SpanLimit:        *traceSpans,
 	}
@@ -269,16 +261,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st.Hits, st.Misses, st.Puts)
 	logger.Info("exiting", "cache_hits", st.Hits, "cache_misses", st.Misses, "cache_puts", st.Puts)
 	return code
-}
-
-// transientSimError classifies a failed item's error for jobd's retry
-// machinery. Watchdog stalls are the transient class this simulator
-// actually produces — a different interleaving on the next run usually
-// clears them. Everything else (bad specs, panics, cache I/O) is
-// permanent: rerunning cannot fix it.
-func transientSimError(err error) bool {
-	var stall *sim.StallError
-	return errors.As(err, &stall)
 }
 
 // newLogger builds the process logger from the -log-format and

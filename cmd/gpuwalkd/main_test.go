@@ -62,6 +62,55 @@ func tinySpec(t *testing.T, sched gpuwalk.SchedulerKind) json.RawMessage {
 
 var listenRE = regexp.MustCompile(`listening on ([^\s]+) `)
 
+// daemon is a real gpuwalkd running in-process: run() in a goroutine,
+// listening on an ephemeral port, stopped by SIGTERM to the test
+// process.
+type daemon struct {
+	base           string // http://host:port once announced
+	exit           chan int
+	stdout, stderr syncBuffer
+}
+
+// startDaemon runs gpuwalkd with args plus an ephemeral -addr and
+// waits for it to announce its address.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{exit: make(chan int, 1)}
+	go func() {
+		d.exit <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), &d.stdout, &d.stderr)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m := listenRE.FindStringSubmatch(d.stdout.String()); m != nil {
+			d.base = "http://" + m[1]
+			return d
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server never announced its address\nstdout: %s\nstderr: %s", d.stdout.String(), d.stderr.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// stop sends SIGTERM and requires a graceful drain and exit 0.
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-d.exit:
+		if code != 0 {
+			t.Fatalf("exit code = %d\nstdout: %s\nstderr: %s", code, d.stdout.String(), d.stderr.String())
+		}
+	case <-time.After(90 * time.Second):
+		t.Fatalf("server did not exit after SIGTERM\nstdout: %s", d.stdout.String())
+	}
+	if !strings.Contains(d.stdout.String(), "draining") {
+		t.Fatalf("no drain message in stdout:\n%s", d.stdout.String())
+	}
+}
+
 // TestEndToEnd drives a real gpuwalkd: start the server on an
 // ephemeral port, submit a sweep over HTTP, follow its SSE stream,
 // resubmit it and require cache hits with byte-identical results,
@@ -72,36 +121,18 @@ func TestEndToEnd(t *testing.T) {
 		t.Skip("end-to-end server test")
 	}
 	cacheDir := filepath.Join(t.TempDir(), "cache")
-	var stdout, stderr syncBuffer
-	exit := make(chan int, 1)
-	go func() {
-		exit <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-cache", cacheDir,
-			"-workers", "2",
-			"-timeout", "2m",
-			"-drain-timeout", "60s",
-			"-log-format", "text",
-			// Sample progress every 500 simulated cycles and stream it
-			// every 10ms so even this tiny run emits progress events.
-			"-progress-cycles", "500",
-			"-progress-interval", "10ms",
-		}, &stdout, &stderr)
-	}()
-
-	// Wait for the announced address.
-	var base string
-	deadline := time.Now().Add(10 * time.Second)
-	for base == "" {
-		if m := listenRE.FindStringSubmatch(stdout.String()); m != nil {
-			base = "http://" + m[1]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never announced its address\nstdout: %s\nstderr: %s", stdout.String(), stderr.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	d := startDaemon(t,
+		"-cache", cacheDir,
+		"-workers", "2",
+		"-timeout", "2m",
+		"-drain-timeout", "60s",
+		"-log-format", "text",
+		// Sample progress every 500 simulated cycles and stream it
+		// every 10ms so even this tiny run emits progress events.
+		"-progress-cycles", "500",
+		"-progress-interval", "10ms",
+	)
+	base := d.base
 
 	// Submit a two-point sweep (FCFS vs SIMT-aware on the same tiny
 	// workload).
@@ -270,20 +301,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// SIGTERM: the server drains gracefully and exits 0.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("exit code = %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-		}
-	case <-time.After(90 * time.Second):
-		t.Fatalf("server did not exit after SIGTERM\nstdout: %s", stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "draining") {
-		t.Fatalf("no drain message in stdout:\n%s", stdout.String())
-	}
+	d.stop(t)
 
 	// The cache survives the shutdown: a fresh handle serves the same
 	// config as a hit without re-simulating.
@@ -310,6 +328,69 @@ func TestEndToEnd(t *testing.T) {
 	if want := compactJSON(t, firstDone.Items[0].Result); string(got) != want {
 		t.Fatal("reopened cache returned a different result than the server did")
 	}
+}
+
+// TestStallFailsOnce: a spec that livelocks the simulator fails its
+// job after one run. Re-running would reproduce the same stall (see
+// the root package's TestStallDeterministic), so the job error is the
+// plain item count, exactly one item failed, and the event log has no
+// retry in it.
+func TestStallFailsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end server test")
+	}
+	d := startDaemon(t, "-cache", filepath.Join(t.TempDir(), "cache"))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	c := &jobd.Client{BaseURL: d.base}
+	v, err := c.Submit(ctx, jobd.SubmitRequest{Spec: json.RawMessage(`{"Workload":"MVT",` +
+		`"Gen":{"Scale":0.02,"WavefrontsPerCU":2,"InstrsPerWavefront":6},` +
+		`"FaultInject":{"WalkerKillPeriod":1},"WatchdogInterval":20000}`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err = c.WaitTerminal(ctx, v.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != jobd.StateFailed || v.Error != "1 of 1 items failed" {
+		t.Fatalf("stalled job = %s %q, want failed %q", v.State, v.Error, "1 of 1 items failed")
+	}
+	if !strings.HasPrefix(v.Items[0].Error, "sim: no progress for 20000 cycles") {
+		t.Fatalf("item error does not name the stall: %.200q", v.Items[0].Error)
+	}
+
+	resp, err := http.Get(d.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := obs.ParsePromText(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := prom.Sample(`jobd_items_total{outcome="error"}`); n != 1 {
+		t.Fatalf(`jobd_items_total{outcome="error"} = %v, want 1 (one run)`, n)
+	}
+
+	// The job is terminal, so its event stream replays the log and ends.
+	resp, err = http.Get(d.base + "/v1/jobs/" + v.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if typ, ok := strings.CutPrefix(sc.Text(), "event: "); ok && typ != jobd.EventProgress {
+			events = append(events, typ)
+		}
+	}
+	resp.Body.Close()
+	want := []string{jobd.EventQueued, jobd.EventStarted, jobd.EventItemDone, jobd.EventFailed}
+	if strings.Join(events, ",") != strings.Join(want, ",") {
+		t.Fatalf("events = %v, want %v", events, want)
+	}
+	d.stop(t)
 }
 
 // TestRunnerRejectsBadSpec: unknown fields and broken JSON fail the

@@ -35,13 +35,6 @@ type GatewayOptions struct {
 	// KeyFunc routes specs (see KeyFunc). Nil always uses the raw-bytes
 	// fallback.
 	KeyFunc KeyFunc
-	// HTTP serves proxied request/response exchanges; nil uses a
-	// client with a 30s timeout. SSE streams use a dedicated
-	// timeout-free client regardless.
-	HTTP *http.Client
-	// ScrapeTimeout bounds one backend /metrics scrape during rollup.
-	// Defaults to 3s.
-	ScrapeTimeout time.Duration
 	// Logger receives routing and proxy-failure logs. Nil discards.
 	Logger *slog.Logger
 	// SpanLimit bounds each trace's gateway span buffer. Zero uses
@@ -63,8 +56,8 @@ type Gateway struct {
 	m    *Membership
 	opts GatewayOptions
 	log  *slog.Logger
-	hc   *http.Client
-	sse  *http.Client
+	hc   *http.Client // proxied request/response exchanges and scrapes
+	sse  *http.Client // SSE streams, which outlive any fixed timeout
 
 	// traces holds the gateway's routing spans per trace ID, nil when
 	// GatewayOptions.SpanLimit < 0. See tracestore.go.
@@ -78,23 +71,16 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	if opts.Membership == nil {
 		return nil, fmt.Errorf("cluster: GatewayOptions.Membership is required")
 	}
-	if opts.ScrapeTimeout <= 0 {
-		opts.ScrapeTimeout = 3 * time.Second
-	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(discardHandler{})
-	}
-	hc := opts.HTTP
-	if hc == nil {
-		hc = &http.Client{Timeout: 30 * time.Second}
 	}
 	g := &Gateway{
 		m:    opts.Membership,
 		opts: opts,
 		log:  log,
-		hc:   hc,
-		sse:  &http.Client{}, // SSE streams outlive any fixed timeout
+		hc:   &http.Client{Timeout: 30 * time.Second},
+		sse:  &http.Client{},
 	}
 	g.metrics = newGatewayMetrics(g, time.Now())
 	if opts.SpanLimit >= 0 {
@@ -641,9 +627,12 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = g.metrics.fams.WriteRollup(w, byNode)
 }
 
+// scrapeTimeout bounds one backend /metrics scrape during rollup.
+const scrapeTimeout = 3 * time.Second
+
 // scrapeOne fetches and parses one member's /metrics.
 func (g *Gateway) scrapeOne(peer string) (*obs.PromText, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.opts.ScrapeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), scrapeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/metrics", nil)
 	if err != nil {

@@ -23,8 +23,6 @@ type MemberOptions struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz request. Defaults to 1s.
 	ProbeTimeout time.Duration
-	// HTTP is the probe client; nil uses a private default.
-	HTTP *http.Client
 	// Logger receives up/down transitions. Nil discards.
 	Logger *slog.Logger
 }
@@ -111,10 +109,6 @@ func NewMembership(opts MemberOptions) (*Membership, error) {
 	if log == nil {
 		log = slog.New(discardHandler{})
 	}
-	hc := opts.HTTP
-	if hc == nil {
-		hc = &http.Client{}
-	}
 	var peers []string
 	for _, p := range opts.Peers {
 		n, err := NormalizeURL(p)
@@ -127,7 +121,7 @@ func NewMembership(opts MemberOptions) (*Membership, error) {
 	m := &Membership{
 		opts:  opts,
 		log:   log,
-		hc:    hc,
+		hc:    &http.Client{},
 		peers: peers,
 		state: make(map[string]*nodeState, len(peers)),
 		stop:  make(chan struct{}),

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -33,20 +32,20 @@ type Peering struct {
 	errors   atomic.Uint64
 }
 
+// peerFetchTimeout bounds one peer fetch: a fetch is an optimization,
+// so it must cost bounded time before the node falls back to
+// simulating.
+const peerFetchTimeout = 5 * time.Second
+
 // NewPeering builds a peering client for the node at selfURL (which
 // should appear in the membership's peer list; a typo'd self would
 // make the node fetch from itself over HTTP — the normalized
 // comparison below is what prevents that, so selfURL is normalized
-// with the same rules as the peer list). timeout bounds one fetch; a
-// peer fetch is an optimization, so it must cost bounded time before
-// the node falls back to simulating. Zero means 5s.
-func NewPeering(m *Membership, selfURL string, timeout time.Duration, logger *slog.Logger) (*Peering, error) {
+// with the same rules as the peer list).
+func NewPeering(m *Membership, selfURL string, logger *slog.Logger) (*Peering, error) {
 	self, err := NormalizeURL(selfURL)
 	if err != nil {
 		return nil, err
-	}
-	if timeout <= 0 {
-		timeout = 5 * time.Second
 	}
 	if logger == nil {
 		logger = slog.New(discardHandler{})
@@ -54,7 +53,7 @@ func NewPeering(m *Membership, selfURL string, timeout time.Duration, logger *sl
 	return &Peering{
 		m:    m,
 		self: self,
-		hc:   &http.Client{Timeout: timeout},
+		hc:   &http.Client{Timeout: peerFetchTimeout},
 		log:  logger,
 	}, nil
 }
@@ -72,15 +71,8 @@ func (p *Peering) Fetch(key string) ([]byte, bool) {
 		return nil, false
 	}
 	p.attempts.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), p.hc.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		owner+"/v1/cache/"+url.PathEscape(key), nil)
-	if err != nil {
-		p.errors.Add(1)
-		return nil, false
-	}
-	resp, err := p.hc.Do(req)
+	// The client's timeout covers the whole exchange, body read included.
+	resp, err := p.hc.Get(owner + "/v1/cache/" + url.PathEscape(key))
 	if err != nil {
 		p.errors.Add(1)
 		p.log.Debug("peer fetch failed", "peer", NodeName(owner), "error", err.Error())

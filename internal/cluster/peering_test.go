@@ -63,7 +63,7 @@ func TestPeeringReadThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	peering, err := NewPeering(m, nodeB.srv.URL, 2*time.Second, nil)
+	peering, err := NewPeering(m, nodeB.srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPeeringPeerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	peering, err := NewPeering(m, nodeB.srv.URL, time.Second, nil)
+	peering, err := NewPeering(m, nodeB.srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestPeeringMissOnPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	peering, err := NewPeering(m, nodeB.srv.URL, time.Second, nil)
+	peering, err := NewPeering(m, nodeB.srv.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

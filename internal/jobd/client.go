@@ -93,6 +93,22 @@ func (p *RetryPolicy) delay(attempt int, retryAfter string) time.Duration {
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 
+// retryDelay is the capped exponential backoff schedule: base doubles
+// per attempt already used, clamped to max.
+func retryDelay(base, max time.Duration, attempts int) time.Duration {
+	d := base
+	for i := 1; i < attempts; i++ {
+		d *= 2
+		if d >= max {
+			return max
+		}
+	}
+	if d > max {
+		return max
+	}
+	return d
+}
+
 // retryableStatus reports whether an HTTP status invites a retry. A
 // 500 counts only when the server stamped it with Retry-After (the
 // journal-rejection contract); other 500s are bugs, not backpressure.

@@ -60,11 +60,10 @@ type Event struct {
 // Event types appended over a job's life.
 const (
 	EventQueued    = "queued"    // job admitted to the queue
-	EventStarted   = "started"   // a worker picked the job up; data = {attempt}
+	EventStarted   = "started"   // a worker picked the job up
 	EventItemDone  = "item_done" // one item finished; data = {index, cache_hit, error?}
-	EventRetrying  = "retrying"  // transient failure; data = {attempt, delay_ms, error}
 	EventDone      = "done"      // terminal: all items succeeded
-	EventFailed    = "failed"    // terminal: at least one item failed
+	EventFailed    = "failed"    // terminal: at least one item failed; data = {failed}
 	EventCancelled = "cancelled" // terminal: drain or timeout cancelled the job
 
 	// EventProgress is a synthetic SSE-only event type: live telemetry
@@ -102,10 +101,6 @@ type job struct {
 	err      string
 	items    []Item
 	events   []Event
-	// attempts counts how many times a worker has started the job
-	// (1 for a job that ran once). Transient failures requeue the job
-	// with backoff until Options.MaxAttempts is exhausted.
-	attempts int
 	// recovered marks a job re-enqueued from the journal after a
 	// restart rather than submitted over the API.
 	recovered bool
@@ -125,11 +120,10 @@ type job struct {
 	// so it is read without the server lock; the buffer itself is
 	// internally synchronized. The ActiveSpan handles below ARE guarded
 	// by the server lock (only lifecycle transitions touch them).
-	trace       *obs.SpanBuf
-	root        obs.SpanID      // submit span: parent of the job-level spans
-	queueSpan   *obs.ActiveSpan // open while the job waits for a worker
-	runSpan     *obs.ActiveSpan // open during the current run attempt
-	backoffSpan *obs.ActiveSpan // open while waiting out a retry backoff
+	trace     *obs.SpanBuf
+	root      obs.SpanID      // submit span: parent of the job-level spans
+	queueSpan *obs.ActiveSpan // open while the job waits for a worker
+	runSpan   *obs.ActiveSpan // open while the job runs
 
 	created  time.Time
 	started  time.Time
@@ -147,9 +141,6 @@ type JobView struct {
 	ItemsDone int `json:"items_done"`
 	// CacheHits counts items served from the result cache.
 	CacheHits int `json:"cache_hits"`
-	// Attempts is how many times a worker has started the job; more
-	// than 1 means transient failures were retried.
-	Attempts int `json:"attempts,omitempty"`
 	// Recovered marks a job re-enqueued from the durable journal after
 	// a daemon restart.
 	Recovered bool `json:"recovered,omitempty"`
@@ -180,7 +171,6 @@ func (j *job) view(node string) JobView {
 		Error:     j.err,
 		Items:     append([]Item(nil), j.items...),
 		Created:   j.created,
-		Attempts:  j.attempts,
 		Recovered: j.recovered,
 		Progress:  j.prog.snapshot(time.Now()),
 		Node:      node,

@@ -73,9 +73,6 @@ type RecoveredJob struct {
 	Timeout  time.Duration
 	Specs    []json.RawMessage
 	Created  time.Time
-	// Attempts is how many times a worker had started the job before
-	// the crash, so retry budgets survive restarts.
-	Attempts int
 }
 
 // journalRecord is the wire form of one line. Fields are a union over
@@ -88,18 +85,16 @@ type journalRecord struct {
 	Timeout  string            `json:"timeout,omitempty"`
 	Specs    []json.RawMessage `json:"specs,omitempty"`
 	Created  time.Time         `json:"created,omitempty"`
-	Attempt  int               `json:"attempt,omitempty"`
 	State    State             `json:"state,omitempty"`
 	Error    string            `json:"error,omitempty"`
 }
 
 // Journal record types. Unknown types are skipped on replay, so new
 // ones can be added without breaking older binaries reading the same
-// data dir.
+// data dir, and the started and retrying records that older binaries
+// wrote replay as no-ops.
 const (
 	recAccepted = "accepted" // job admitted; carries the full spec
-	recStarted  = "started"  // a worker picked the job up; carries the attempt number
-	recRetrying = "retrying" // transient failure; job went back to the queue
 	recTerminal = "terminal" // done, failed or cancelled; the job needs no recovery
 )
 
@@ -198,11 +193,6 @@ func (jl *Journal) apply(rec journalRecord) {
 			Timeout:  timeout,
 			Specs:    rec.Specs,
 			Created:  rec.Created,
-			Attempts: rec.Attempt,
-		}
-	case recStarted, recRetrying:
-		if r, ok := jl.live[rec.Job]; ok && rec.Attempt > r.Attempts {
-			r.Attempts = rec.Attempt
 		}
 	case recTerminal:
 		delete(jl.live, rec.Job)
@@ -252,7 +242,7 @@ func (jl *Journal) Stats() JournalStats {
 // Accepted journals a job admission. It must succeed before the
 // server acknowledges the submission: once the client sees 202, the
 // job is on disk.
-func (jl *Journal) Accepted(id string, seq uint64, priority int, timeout time.Duration, specs []json.RawMessage, created time.Time, attempts int) error {
+func (jl *Journal) Accepted(id string, seq uint64, priority int, timeout time.Duration, specs []json.RawMessage, created time.Time) error {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
 	rec := journalRecord{
@@ -262,40 +252,18 @@ func (jl *Journal) Accepted(id string, seq uint64, priority int, timeout time.Du
 		Priority: priority,
 		Specs:    specs,
 		Created:  created,
-		Attempt:  attempts,
 	}
 	if timeout > 0 {
 		rec.Timeout = timeout.String()
 	}
 	jl.live[id] = &RecoveredJob{
 		ID: id, Seq: seq, Priority: priority, Timeout: timeout,
-		Specs: specs, Created: created, Attempts: attempts,
+		Specs: specs, Created: created,
 	}
 	if seq > jl.maxSeq {
 		jl.maxSeq = seq
 	}
 	return jl.appendLocked(rec)
-}
-
-// Started journals a worker picking the job up for its attempt-th run.
-func (jl *Journal) Started(id string, attempt int) error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if r, ok := jl.live[id]; ok && attempt > r.Attempts {
-		r.Attempts = attempt
-	}
-	return jl.appendLocked(journalRecord{Type: recStarted, Job: id, Attempt: attempt})
-}
-
-// Retrying journals a transient failure that sent the job back to the
-// queue.
-func (jl *Journal) Retrying(id string, attempt int, errText string) error {
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if r, ok := jl.live[id]; ok && attempt > r.Attempts {
-		r.Attempts = attempt
-	}
-	return jl.appendLocked(journalRecord{Type: recRetrying, Job: id, Attempt: attempt, Error: errText})
 }
 
 // Terminal journals a job reaching its final state. The job no longer
@@ -353,7 +321,7 @@ func (jl *Journal) compactLocked() error {
 }
 
 // rewrite atomically replaces the journal file with one accepted
-// record per live job (carrying its attempt count), in seq order.
+// record per live job, in seq order.
 func (jl *Journal) rewrite() error {
 	err := atomicio.WriteFile(jl.path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
@@ -365,7 +333,6 @@ func (jl *Journal) rewrite() error {
 				Priority: r.Priority,
 				Specs:    r.Specs,
 				Created:  r.Created,
-				Attempt:  r.Attempts,
 			}
 			if r.Timeout > 0 {
 				rec.Timeout = r.Timeout.String()

@@ -39,13 +39,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir)
 	created := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	if err := jl.Accepted("j000001", 1, 5, 30*time.Second, spec(`{"k":1}`), created, 0); err != nil {
+	if err := jl.Accepted("j000001", 1, 5, 30*time.Second, spec(`{"k":1}`), created); err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.Accepted("j000002", 2, 0, 0, spec(`{"k":2}`), created, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := jl.Started("j000001", 1); err != nil {
+	if err := jl.Accepted("j000002", 2, 0, 0, spec(`{"k":2}`), created); err != nil {
 		t.Fatal(err)
 	}
 	if err := jl.Terminal("j000002", StateDone, ""); err != nil {
@@ -60,7 +57,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	r := rec[0]
 	if r.ID != "j000001" || r.Seq != 1 || r.Priority != 5 || r.Timeout != 30*time.Second ||
-		r.Attempts != 1 || !r.Created.Equal(created) {
+		!r.Created.Equal(created) {
 		t.Fatalf("recovered job = %+v", r)
 	}
 	if string(r.Specs[0]) != `{"k":1}` {
@@ -77,7 +74,7 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestJournalTornFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir)
-	if err := jl.Accepted("j000001", 1, 0, 0, spec(`{"k":1}`), time.Now(), 0); err != nil {
+	if err := jl.Accepted("j000001", 1, 0, 0, spec(`{"k":1}`), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	jl.Close()
@@ -126,7 +123,7 @@ func TestJournalCorruptMiddleRecordFails(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir)
 	for i := 1; i <= 3; i++ {
-		if err := jl.Accepted(fmt.Sprintf("j%06d", i), uint64(i), 0, 0, spec(`{}`), time.Now(), 0); err != nil {
+		if err := jl.Accepted(fmt.Sprintf("j%06d", i), uint64(i), 0, 0, spec(`{}`), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,33 +144,75 @@ func TestJournalCorruptMiddleRecordFails(t *testing.T) {
 	}
 }
 
-// TestJournalUnknownRecordTypeSkipped: future record types (a newer
-// binary's sweep checkpoints, say) must not break older readers.
+// TestJournalUnknownRecordTypeSkipped: record types a reader does not
+// know are skipped, not failed. That covers a newer binary's records
+// (sweep checkpoints, say) and the started and retrying records that
+// binaries with server-side retries wrote, so their journals replay.
+// The rewrite at open drops every skipped record.
 func TestJournalUnknownRecordTypeSkipped(t *testing.T) {
-	dir := t.TempDir()
-	jl := openTestJournal(t, dir)
-	if err := jl.Accepted("j000001", 1, 0, 0, spec(`{"k":1}`), time.Now(), 0); err != nil {
-		t.Fatal(err)
-	}
-	jl.Close()
-
-	path := filepath.Join(dir, journalFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	future := `{"type":"sweep-checkpoint","job":"j000001","point":17}` + "\n" +
-		`{"type":"accepted","job":"j000002","seq":2,"specs":[{"k":2}]}` + "\n"
-	if err := os.WriteFile(path, append(data, future...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	re := openTestJournal(t, dir)
-	rec := re.Recovered()
-	if len(rec) != 2 {
-		t.Fatalf("recovered %d jobs, want 2 (unknown record skipped, later ones still read)", len(rec))
-	}
-	if rec[0].ID != "j000001" || rec[1].ID != "j000002" {
-		t.Fatalf("recovered order = %s, %s", rec[0].ID, rec[1].ID)
+	for _, tc := range []struct {
+		name     string
+		journal  []string
+		wantIDs  []string
+		wantPrio []int
+		wantSeq  uint64
+	}{{
+		name: "future",
+		journal: []string{
+			`{"type":"accepted","job":"j000001","seq":1,"specs":[{"k":1}],"created":"2026-08-08T12:00:00Z"}`,
+			`{"type":"sweep-checkpoint","job":"j000001","point":17}`,
+			`{"type":"accepted","job":"j000002","seq":2,"specs":[{"k":2}]}`,
+		},
+		wantIDs:  []string{"j000001", "j000002"},
+		wantPrio: []int{0, 0},
+		wantSeq:  2,
+	}, {
+		// Lines as the retrying daemon wrote them: a live job compacted
+		// after its first run, started again and sent back to the queue,
+		// and a job that ran to done.
+		name: "retry-records",
+		journal: []string{
+			`{"type":"accepted","job":"j000003","seq":3,"priority":7,"specs":[{"k":3}],"created":"2026-08-08T12:00:00Z","attempt":1}`,
+			`{"type":"accepted","job":"j000004","seq":4,"specs":[{"k":4}],"created":"2026-08-08T12:00:01Z"}`,
+			`{"type":"started","job":"j000003","created":"0001-01-01T00:00:00Z","attempt":2}`,
+			`{"type":"started","job":"j000004","created":"0001-01-01T00:00:00Z","attempt":1}`,
+			`{"type":"terminal","job":"j000004","created":"0001-01-01T00:00:00Z","state":"done"}`,
+			`{"type":"retrying","job":"j000003","created":"0001-01-01T00:00:00Z","attempt":2,"error":"sim: watchdog stall"}`,
+		},
+		wantIDs:  []string{"j000003"},
+		wantPrio: []int{7},
+		wantSeq:  4,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, journalFile)
+			if err := os.WriteFile(path, []byte(strings.Join(tc.journal, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re := openTestJournal(t, dir)
+			rec := re.Recovered()
+			if len(rec) != len(tc.wantIDs) {
+				t.Fatalf("recovered %d jobs, want %d", len(rec), len(tc.wantIDs))
+			}
+			for i, r := range rec {
+				if r.ID != tc.wantIDs[i] || r.Priority != tc.wantPrio[i] {
+					t.Errorf("recovered job %d = %s priority %d, want %s priority %d",
+						i, r.ID, r.Priority, tc.wantIDs[i], tc.wantPrio[i])
+				}
+			}
+			if got := re.MaxSeq(); got != tc.wantSeq {
+				t.Errorf("MaxSeq = %d, want %d", got, tc.wantSeq)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, stale := range []string{"sweep-checkpoint", `"attempt"`, "started", "retrying", "terminal"} {
+				if strings.Contains(string(data), stale) {
+					t.Errorf("rewritten journal still contains %s:\n%s", stale, data)
+				}
+			}
+		})
 	}
 }
 
@@ -187,7 +226,7 @@ func TestJournalCompaction(t *testing.T) {
 
 	for i := 1; i <= 50; i++ {
 		id := fmt.Sprintf("j%06d", i)
-		if err := jl.Accepted(id, uint64(i), 0, 0, spec(`{}`), time.Now(), 0); err != nil {
+		if err := jl.Accepted(id, uint64(i), 0, 0, spec(`{}`), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		if err := jl.Terminal(id, StateDone, ""); err != nil {
@@ -210,7 +249,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 
 	// Appends still work on the reopened handle.
-	if err := jl.Accepted("j000051", 51, 0, 0, spec(`{}`), time.Now(), 0); err != nil {
+	if err := jl.Accepted("j000051", 51, 0, 0, spec(`{}`), time.Now()); err != nil {
 		t.Fatalf("append after compaction: %v", err)
 	}
 }
@@ -294,7 +333,9 @@ func TestServerRecoversJournaledJobs(t *testing.T) {
 		t.Errorf("priority 7 job started %v, after priority 0 job at %v", v1.Started, v0.Started)
 	}
 
-	// New submissions continue the ID sequence instead of reusing it.
+	// New submissions continue the ID sequence instead of reusing it,
+	// and a job run to done journals two records: accepted and terminal.
+	appends := re.Stats().Appends
 	v, err := s2.Submit(SubmitRequest{Spec: json.RawMessage(`{"new":true}`)})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +343,12 @@ func TestServerRecoversJournaledJobs(t *testing.T) {
 	if v.ID != "j000004" {
 		t.Errorf("post-recovery ID = %s, want j000004", v.ID)
 	}
-	waitTerminal(t, s2, v.ID)
+	if v := waitTerminal(t, s2, v.ID); v.State != StateDone {
+		t.Fatalf("new job ended %s (%s)", v.State, v.Error)
+	}
+	if got := re.Stats().Appends - appends; got != 2 {
+		t.Errorf("a job run to done journaled %d records, want 2", got)
+	}
 }
 
 // TestRecoveryThenEvict: recovered jobs run, finish, and then count
@@ -315,7 +361,7 @@ func TestRecoveryThenEvict(t *testing.T) {
 	// them: accepted, never terminal.
 	for i := 1; i <= 5; i++ {
 		if err := jl.Accepted(fmt.Sprintf("j%06d", i), uint64(i), 0, 0,
-			spec(fmt.Sprintf(`{"i":%d}`, i)), time.Now(), 0); err != nil {
+			spec(fmt.Sprintf(`{"i":%d}`, i)), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,9 +24,7 @@ type serverMetrics struct {
 	duration  *obs.Family // jobd_job_duration_seconds{state}
 	httpReqs  *obs.Family // jobd_http_requests_total{route,code}
 	panics    *obs.Metric // jobd_worker_panics_total
-	retries   *obs.Metric // jobd_job_retries_total
 	recovered *obs.Metric // jobd_jobs_recovered_total
-	backoff   *obs.Metric // jobd_jobs_backoff
 
 	stageSeconds *obs.Family // jobd_stage_seconds{stage}
 	queueHigh    *obs.Metric // jobd_queue_depth_highwater
@@ -53,14 +51,10 @@ func newServerMetrics(start time.Time) *serverMetrics {
 		httpReqs: fs.NewCounter("jobd_http_requests_total", "HTTP requests served.", "route", "code"),
 		panics: fs.NewCounter("jobd_worker_panics_total",
 			"Runner panics recovered by the worker pool; each fails its job, never the daemon.").With(),
-		retries: fs.NewCounter("jobd_job_retries_total",
-			"Jobs requeued with backoff after a transient failure.").With(),
 		recovered: fs.NewCounter("jobd_jobs_recovered_total",
 			"Jobs re-enqueued from the durable journal at startup.").With(),
-		backoff: fs.NewGauge("jobd_jobs_backoff",
-			"Jobs waiting out a retry backoff before requeueing.").With(),
 		stageSeconds: fs.NewHistogram("jobd_stage_seconds",
-			"Per-stage request latency, fed by the span tracer (queue wait, execution, journal fsync, cache, sim, backoff).",
+			"Per-stage request latency, fed by the span tracer (queue wait, execution, journal fsync, cache, sim).",
 			obs.DefBuckets, "stage"),
 		queueHigh: fs.NewGauge("jobd_queue_depth_highwater",
 			"Highest queue depth observed since the server started.").With(),

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,52 +14,23 @@ import (
 	"time"
 )
 
-// transientError is the stand-in for a watchdog stall: a typed error a
-// Retryable classifier can pick out with errors.As.
-type transientError struct{ msg string }
-
-func (e *transientError) Error() string { return e.msg }
-
-// flakyRunner fails each spec's first failN calls with a transient
-// error, then succeeds. Specs: {"failN": 2} fails twice, then echoes.
-func flakyRunner(calls *atomic.Int64, perSpec map[string]*atomic.Int64) Runner {
-	return func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
-		calls.Add(1)
-		var s struct {
-			FailN int  `json:"failN"`
-			Panic bool `json:"panic"`
-		}
-		_ = json.Unmarshal(spec, &s)
-		if s.Panic {
-			panic("spec told me to")
-		}
-		key := string(spec)
-		c := perSpec[key]
-		if c == nil {
-			c = &atomic.Int64{}
-			perSpec[key] = c
-		}
-		if n := c.Add(1); int(n) <= s.FailN {
-			return nil, false, &transientError{msg: fmt.Sprintf("transient glitch %d", n)}
-		}
-		return spec, false, nil
+// panicRunner panics on specs with "panic":true and echoes the rest.
+func panicRunner(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
+	var s struct {
+		Panic bool `json:"panic"`
 	}
-}
-
-func retryableTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
+	_ = json.Unmarshal(spec, &s)
+	if s.Panic {
+		panic("spec told me to")
+	}
+	return spec, false, nil
 }
 
 // TestPanicIsolation: a panicking runner fails its own job — with the
 // stack preserved and the metric bumped — and the daemon keeps serving
 // other jobs.
 func TestPanicIsolation(t *testing.T) {
-	var calls atomic.Int64
-	s := newTestServer(t, Options{
-		Runner:  flakyRunner(&calls, map[string]*atomic.Int64{}),
-		Workers: 1,
-	})
+	s := newTestServer(t, Options{Runner: panicRunner, Workers: 1})
 	v, err := s.Submit(SubmitRequest{Spec: json.RawMessage(`{"panic":true}`)})
 	if err != nil {
 		t.Fatal(err)
@@ -89,190 +59,32 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRetryTransientFailure: a job whose failures all classify
-// transient requeues with backoff and succeeds on a later attempt,
-// with the attempt count on the job view and the retrying event in
-// the log.
-func TestRetryTransientFailure(t *testing.T) {
-	var calls atomic.Int64
-	s := newTestServer(t, Options{
-		Runner:         flakyRunner(&calls, map[string]*atomic.Int64{}),
-		Workers:        1,
-		Retryable:      retryableTransient,
-		MaxAttempts:    3,
-		RetryBaseDelay: time.Millisecond,
-		RetryMaxDelay:  5 * time.Millisecond,
-	})
-	v, err := s.Submit(SubmitRequest{Spec: json.RawMessage(`{"failN":2}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitTerminal(t, s, v.ID)
-	if got.State != StateDone {
-		t.Fatalf("flaky job ended %s (%s), want done after retries", got.State, got.Error)
-	}
-	if got.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (two transient failures)", got.Attempts)
-	}
-	if n := s.metrics.retries.Count(); n != 2 {
-		t.Errorf("jobd_job_retries_total = %v, want 2", n)
-	}
-	// The event log tells the story: queued, started, retrying (x2,
-	// with attempt and delay), ..., done.
-	s.mu.Lock()
-	j := s.jobs[v.ID]
-	var retrying []Event
-	for _, ev := range j.events {
-		if ev.Type == EventRetrying {
-			retrying = append(retrying, ev)
-		}
-	}
-	s.mu.Unlock()
-	if len(retrying) != 2 {
-		t.Fatalf("event log has %d retrying events, want 2", len(retrying))
-	}
-	var data struct {
-		Attempt int    `json:"attempt"`
-		DelayMS int64  `json:"delay_ms"`
-		Error   string `json:"error"`
-	}
-	if err := json.Unmarshal(retrying[0].Data, &data); err != nil {
-		t.Fatal(err)
-	}
-	if data.Attempt != 1 || !strings.Contains(data.Error, "transient glitch") {
-		t.Errorf("first retrying event = %+v", data)
-	}
-}
-
-// TestRetryExhaustion: transient failures past MaxAttempts fail the
-// job, and the error says which attempt gave up.
-func TestRetryExhaustion(t *testing.T) {
-	var calls atomic.Int64
-	s := newTestServer(t, Options{
-		Runner:         flakyRunner(&calls, map[string]*atomic.Int64{}),
-		Workers:        1,
-		Retryable:      retryableTransient,
-		MaxAttempts:    2,
-		RetryBaseDelay: time.Millisecond,
-	})
-	v, err := s.Submit(SubmitRequest{Spec: json.RawMessage(`{"failN":99}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitTerminal(t, s, v.ID)
-	if got.State != StateFailed {
-		t.Fatalf("exhausted job ended %s, want failed", got.State)
-	}
-	if got.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", got.Attempts)
-	}
-	if !strings.Contains(got.Error, "attempt 2 of 2") {
-		t.Errorf("error does not name the exhausted budget: %q", got.Error)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("runner ran %d times, want 2", calls.Load())
-	}
-}
-
-// TestNoRetryForPermanentError: when any failed item classifies as
-// permanent, the job fails on the first attempt even with retries
-// configured.
+// TestNoRetryForPermanentError: every failure is final. A job whose
+// item fails runs once and ends failed with the plain item count; its
+// event log never starts it a second time.
 func TestNoRetryForPermanentError(t *testing.T) {
 	var calls atomic.Int64
-	s := newTestServer(t, Options{
-		Runner:         echoRunner(&calls), // "fail":true → plain errors.New
-		Workers:        1,
-		Retryable:      retryableTransient,
-		MaxAttempts:    3,
-		RetryBaseDelay: time.Millisecond,
-	})
+	s := newTestServer(t, Options{Runner: echoRunner(&calls), Workers: 1})
 	v, err := s.Submit(SubmitRequest{Spec: json.RawMessage(`{"fail":true}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := waitTerminal(t, s, v.ID)
-	if got.State != StateFailed {
-		t.Fatalf("permanent-failure job ended %s, want failed", got.State)
+	if got.State != StateFailed || got.Error != "1 of 1 items failed" {
+		t.Fatalf("failed job = %s %q, want failed %q", got.State, got.Error, "1 of 1 items failed")
 	}
-	if got.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (permanent errors must not retry)", got.Attempts)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("runner ran %d times, want 1", n)
 	}
-}
-
-// TestRetrySkipsFinishedItems: on a retry run, items that already
-// succeeded keep their results and do not re-run.
-func TestRetrySkipsFinishedItems(t *testing.T) {
-	var calls atomic.Int64
-	s := newTestServer(t, Options{
-		Runner:         flakyRunner(&calls, map[string]*atomic.Int64{}),
-		Workers:        1,
-		Retryable:      retryableTransient,
-		MaxAttempts:    2,
-		RetryBaseDelay: time.Millisecond,
-	})
-	v, err := s.Submit(SubmitRequest{Specs: []json.RawMessage{
-		json.RawMessage(`{"i":0}`),
-		json.RawMessage(`{"failN":1}`),
-	}})
-	if err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	var types []string
+	for _, ev := range s.jobs[v.ID].events {
+		types = append(types, ev.Type)
 	}
-	got := waitTerminal(t, s, v.ID)
-	if got.State != StateDone {
-		t.Fatalf("job ended %s (%s)", got.State, got.Error)
-	}
-	// Item 0 ran once (attempt 1), item 1 ran twice: 3 runner calls.
-	if calls.Load() != 3 {
-		t.Errorf("runner ran %d times, want 3 (finished item must not re-run)", calls.Load())
-	}
-	if string(got.Items[0].Result) != `{"i":0}` {
-		t.Errorf("finished item lost its result across the retry: %s", got.Items[0].Result)
-	}
-}
-
-// TestDrainCancelsBackoffJobs: jobs waiting out a retry delay are
-// settled (cancelled) by Drain, not leaked as stuck-queued forever.
-func TestDrainCancelsBackoffJobs(t *testing.T) {
-	var calls atomic.Int64
-	s := newTestServer(t, Options{
-		Runner:         flakyRunner(&calls, map[string]*atomic.Int64{}),
-		Workers:        1,
-		Retryable:      retryableTransient,
-		MaxAttempts:    5,
-		RetryBaseDelay: time.Hour, // the timer must never fire on its own
-	})
-	v, err := s.Submit(SubmitRequest{Spec: json.RawMessage(`{"failN":99}`)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the job to enter backoff.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		_, inBackoff := s.backoff[v.ID]
-		s.mu.Unlock()
-		if inBackoff {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never entered backoff")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain did not finish: %v", err)
-	}
-	got, ok := s.Job(v.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	if got.State != StateCancelled {
-		t.Fatalf("backoff job ended %s after drain, want cancelled", got.State)
-	}
-	if g := s.metrics.backoff.Gauge(); g != 0 {
-		t.Errorf("jobd_jobs_backoff = %v after drain, want 0", g)
+	s.mu.Unlock()
+	want := []string{EventQueued, EventStarted, EventItemDone, EventFailed}
+	if strings.Join(types, ",") != strings.Join(want, ",") {
+		t.Errorf("events = %v, want %v", types, want)
 	}
 }
 
@@ -472,9 +284,9 @@ func TestClientNoRetryWithoutPolicy(t *testing.T) {
 	}
 }
 
-// TestClientRetryNonRetryableStatus: a 400 (bad spec) must not retry —
+// TestClientNoRetryForBadRequest: a 400 (bad spec) must not retry —
 // resubmitting a malformed job N times is pure waste.
-func TestClientRetryNonRetryableStatus(t *testing.T) {
+func TestClientNoRetryForBadRequest(t *testing.T) {
 	var tries atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

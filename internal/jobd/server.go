@@ -49,9 +49,6 @@ type Options struct {
 	// DefaultTimeout applies to jobs that do not set their own.
 	// Zero means no default deadline.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps per-job timeouts (and applies when a job asks
-	// for no deadline). Zero means uncapped.
-	MaxTimeout time.Duration
 	// Logger receives structured lifecycle logs (accept, start,
 	// item_done, finish, drain) with job and request IDs. Nil discards.
 	Logger *slog.Logger
@@ -63,28 +60,13 @@ type Options struct {
 	// explicit operator decision (gpuwalkd's -pprof flag).
 	Pprof bool
 
-	// Journal, when set, makes accepted jobs durable: every lifecycle
-	// transition is fsynced to the journal, submissions are rejected if
-	// the journal write fails, and NewServer re-enqueues the journal's
-	// non-terminal jobs — in their original priority and admission
-	// order — before accepting new work. See docs/RELIABILITY.md.
+	// Journal, when set, makes accepted jobs durable: each job's
+	// admission and terminal state are fsynced to the journal,
+	// submissions are rejected if the journal write fails, and NewServer
+	// re-enqueues the journal's non-terminal jobs — in their original
+	// priority and admission order — before accepting new work. See
+	// docs/RELIABILITY.md.
 	Journal *Journal
-
-	// Retryable classifies a failed item's error as transient. When it
-	// is set and every failed item of a run classifies as transient,
-	// the job is requeued with capped exponential backoff instead of
-	// failing, until MaxAttempts runs are used up. Nil disables
-	// retries. Panics surface as *PanicError, so a classifier can (and
-	// usually should) decline them.
-	Retryable func(error) bool
-	// MaxAttempts bounds the total runs of one job (the initial run
-	// plus retries). Defaults to 3 when Retryable is set.
-	MaxAttempts int
-	// RetryBaseDelay is the backoff before the first retry; it doubles
-	// on each subsequent one. Defaults to 250ms.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the backoff. Defaults to 15s.
-	RetryMaxDelay time.Duration
 
 	// NodeName labels this server's jobs (JobView.Node) in a cluster so
 	// gateway clients and tests can see where routing placed a job.
@@ -142,12 +124,6 @@ type Server struct {
 	// drain can abort them.
 	running map[string]context.CancelFunc
 
-	// backoff tracks the requeue timers of jobs waiting out a retry
-	// delay. Presence in the map is the claim protocol between the
-	// timer callback and Drain: whoever deletes the entry owns the
-	// job's next transition.
-	backoff map[string]*time.Timer
-
 	metrics *serverMetrics
 }
 
@@ -174,17 +150,6 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.ProgressInterval <= 0 {
 		opts.ProgressInterval = time.Second
 	}
-	if opts.Retryable != nil {
-		if opts.MaxAttempts <= 0 {
-			opts.MaxAttempts = 3
-		}
-		if opts.RetryBaseDelay <= 0 {
-			opts.RetryBaseDelay = 250 * time.Millisecond
-		}
-		if opts.RetryMaxDelay <= 0 {
-			opts.RetryMaxDelay = 15 * time.Second
-		}
-	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -198,7 +163,6 @@ func NewServer(opts Options) (*Server, error) {
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		running:    make(map[string]context.CancelFunc),
-		backoff:    make(map[string]*time.Timer),
 		metrics:    newServerMetrics(time.Now()),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -241,7 +205,6 @@ func (s *Server) recoverJobs() {
 			state:     StateQueued,
 			items:     make([]Item, len(r.Specs)),
 			created:   r.Created,
-			attempts:  r.Attempts,
 			recovered: true,
 		}
 		for i, sp := range r.Specs {
@@ -253,7 +216,7 @@ func (s *Server) recoverJobs() {
 		j.appendEvent(EventQueued, map[string]any{"items": len(j.items), "recovered": true})
 		s.metrics.recovered.Inc()
 		s.log.Info("job recovered", "job_id", j.id, "items", len(j.items),
-			"priority", j.priority, "attempts", j.attempts)
+			"priority", j.priority)
 	}
 	if ms := jl.MaxSeq(); ms > s.nextSeq {
 		s.nextSeq = ms
@@ -310,9 +273,6 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		}
 		timeout = d
 	}
-	if max := s.opts.MaxTimeout; max > 0 && (timeout == 0 || timeout > max) {
-		timeout = max
-	}
 
 	// The submit span covers admission end to end — validation done,
 	// through queue-full checks and the journal fsync, to the accepted
@@ -356,7 +316,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		// it, the job is not admitted (the burned seq leaves a harmless
 		// gap in the ID space).
 		err := journalSpan(buf, submitSpan.ID(), "accepted", func() error {
-			return jl.Accepted(j.id, j.seq, j.priority, j.timeout, specs, j.created, 0)
+			return jl.Accepted(j.id, j.seq, j.priority, j.timeout, specs, j.created)
 		})
 		if err != nil {
 			s.metrics.rejected.With("journal").Inc()
@@ -425,7 +385,6 @@ func (s *Server) worker() {
 		}
 		j.state = StateRunning
 		j.started = time.Now()
-		j.attempts++
 		var ctx context.Context
 		var cancel context.CancelFunc
 		if j.timeout > 0 {
@@ -436,24 +395,13 @@ func (s *Server) worker() {
 		s.running[j.id] = cancel
 		j.queueSpan.End()
 		j.queueSpan = nil
-		j.runSpan = j.trace.StartSpan(spanJobRun, j.root, obs.U64("attempt", uint64(j.attempts)))
-		j.appendEvent(EventStarted, map[string]any{"attempt": j.attempts})
-		if jl := s.opts.Journal; jl != nil {
-			// A lost started record only costs a retry-budget reset on
-			// recovery; it never loses the job, so log and carry on.
-			err := journalSpan(j.trace, j.runSpan.ID(), "started", func() error {
-				return jl.Started(j.id, j.attempts)
-			})
-			if err != nil {
-				s.log.Error("journal append failed", "job_id", j.id, "record", "started", "error", err.Error())
-			}
-		}
+		j.runSpan = j.trace.StartSpan(spanJobRun, j.root)
+		j.appendEvent(EventStarted, nil)
 		s.metrics.queued.Set(float64(s.queue.Len()))
 		s.metrics.running.Set(float64(len(s.running)))
 		s.mu.Unlock()
 		s.log.Info("job started", "job_id", j.id, "trace_id", j.traceID(),
-			"items", len(j.items), "attempt", j.attempts,
-			"queue_wait_ms", j.started.Sub(j.created).Milliseconds())
+			"items", len(j.items), "queue_wait_ms", j.started.Sub(j.created).Milliseconds())
 
 		s.runJob(ctx, j)
 		cancel()
@@ -480,27 +428,19 @@ func (s *Server) runItem(ctx context.Context, j *job, spec json.RawMessage) (res
 	return s.opts.Runner(withProgress(ctx, j.prog.sink), spec)
 }
 
-// runJob executes every unfinished item of j under ctx and moves j to
-// a terminal state — or back to the queue with backoff, when every
-// failure this run was transient and attempts remain. Items after a
-// context cancellation are left unrun; items finished by a previous
-// attempt keep their results and are skipped.
+// runJob executes every item of j under ctx and moves j to a terminal
+// state. A job runs once: the simulator is deterministic, so a failed
+// item would fail the same way again. Items after a context
+// cancellation are left unrun.
 func (s *Server) runJob(ctx context.Context, j *job) {
-	// allRetryable narrows as failures arrive: the job requeues only if
-	// every failed item this run had a transient error.
-	allRetryable := s.opts.Retryable != nil
+	// Only this goroutine writes the job's items and run span while it
+	// runs, so it reads them without the lock.
+	runParent := j.runSpan.ID()
 	for i := range j.items {
 		if ctx.Err() != nil {
 			break
 		}
-		s.mu.Lock()
-		if j.items[i].Done {
-			s.mu.Unlock()
-			continue
-		}
 		spec := j.items[i].Spec
-		runParent := j.runSpan.ID()
-		s.mu.Unlock()
 
 		j.prog.beginItem(i, time.Now())
 		// The item span is the runner's parent: cache.lookup /
@@ -526,9 +466,6 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		it := &j.items[i]
 		it.Done = true
 		if err != nil {
-			if allRetryable && !s.opts.Retryable(err) {
-				allRetryable = false
-			}
 			it.Error = err.Error()
 			s.metrics.items.With("error").Inc()
 		} else {
@@ -576,23 +513,14 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		}
 	}
 	if failed > 0 {
-		if allRetryable && j.attempts < s.opts.MaxAttempts && !s.draining {
-			j.endRunSpanLocked("retrying")
-			s.retryLocked(j, failed)
-			return
-		}
 		j.state = StateFailed
 		j.err = fmt.Sprintf("%d of %d items failed", failed, len(j.items))
-		if j.attempts > 1 {
-			j.err = fmt.Sprintf("%s (attempt %d of %d)", j.err, j.attempts, s.opts.MaxAttempts)
-		}
 		j.endRunSpanLocked("failed")
-		j.appendEvent(EventFailed, map[string]any{"failed": failed, "attempt": j.attempts})
+		j.appendEvent(EventFailed, map[string]any{"failed": failed})
 		s.journalTerminalLocked(j)
 		s.metrics.finishJob(StateFailed, dur)
 		s.log.Warn("job failed", "job_id", j.id, "trace_id", j.traceID(),
-			"failed_items", failed, "attempt", j.attempts,
-			"duration_ms", dur.Milliseconds())
+			"failed_items", failed, "duration_ms", dur.Milliseconds())
 		return
 	}
 	j.state = StateDone
@@ -604,8 +532,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		"items", len(j.items), "duration_ms", dur.Milliseconds())
 }
 
-// endRunSpanLocked closes the current attempt's job.run span with its
-// outcome. Caller holds the server lock.
+// endRunSpanLocked closes the job.run span with its outcome. Caller
+// holds the server lock.
 func (j *job) endRunSpanLocked(state string) {
 	if j.runSpan == nil {
 		return
@@ -622,80 +550,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// retryLocked sends a transiently-failed job back toward the queue
-// after a capped exponential backoff. Failed items are reset (finished
-// ones keep their results); the attempt counter survives in the job,
-// the journal, the API and the SSE stream. Caller holds the lock and
-// has verified attempts remain.
-func (s *Server) retryLocked(j *job, failed int) {
-	delay := retryDelay(s.opts.RetryBaseDelay, s.opts.RetryMaxDelay, j.attempts)
-	firstErr := ""
-	for i := range j.items {
-		if j.items[i].Error != "" {
-			if firstErr == "" {
-				firstErr = j.items[i].Error
-			}
-			j.items[i] = Item{Spec: j.items[i].Spec}
-		}
-	}
-	j.state = StateQueued
-	j.err = ""
-	j.finished = time.Time{}
-	j.appendEvent(EventRetrying, map[string]any{
-		"attempt":  j.attempts,
-		"delay_ms": delay.Milliseconds(),
-		"failed":   failed,
-		"error":    truncateErr(firstErr),
-	})
-	if jl := s.opts.Journal; jl != nil {
-		err := journalSpan(j.trace, j.root, "retrying", func() error {
-			return jl.Retrying(j.id, j.attempts, truncateErr(firstErr))
-		})
-		if err != nil {
-			s.log.Error("journal append failed", "job_id", j.id, "record", "retrying", "error", err.Error())
-		}
-	}
-	j.backoffSpan = j.trace.StartSpan(spanBackoff, j.root,
-		obs.U64("attempt", uint64(j.attempts)),
-		obs.U64("delay_ms", uint64(delay.Milliseconds())))
-	s.metrics.retries.Inc()
-	s.metrics.backoff.AddGauge(1)
-	s.log.Warn("job retrying", "job_id", j.id, "trace_id", j.traceID(), "attempt", j.attempts,
-		"max_attempts", s.opts.MaxAttempts, "delay_ms", delay.Milliseconds(), "failed_items", failed)
-	s.backoff[j.id] = time.AfterFunc(delay, func() { s.requeueAfterBackoff(j) })
-}
-
-// requeueAfterBackoff is the backoff timer's callback: put the job
-// back in the queue, unless a drain claimed it first (entry gone) or
-// began while the timer was in flight (cancel it here).
-func (s *Server) requeueAfterBackoff(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.backoff[j.id]; !ok {
-		return // drain already settled this job
-	}
-	delete(s.backoff, j.id)
-	s.metrics.backoff.AddGauge(-1)
-	if j.backoffSpan != nil {
-		j.backoffSpan.End()
-		j.backoffSpan = nil
-	}
-	if s.draining {
-		s.cancelPendingLocked(j, "server draining")
-		return
-	}
-	s.queue.push(j)
-	j.queueSpan = j.trace.StartSpan(spanQueueWait, j.root,
-		obs.Str("priority", strconv.Itoa(j.priority)),
-		obs.U64("queue_depth", uint64(s.queue.Len())))
-	s.metrics.noteQueueDepth(s.queue.Len())
-	s.log.Info("job requeued", "job_id", j.id, "attempt", j.attempts)
-	s.cond.Signal()
-}
-
-// cancelPendingLocked moves a queued (or backoff-pending) job to
-// cancelled, with the event, journal record and metrics every terminal
-// transition gets. Caller holds the lock.
+// cancelPendingLocked moves a queued job to cancelled, with the event,
+// journal record and metrics every terminal transition gets. Caller
+// holds the lock.
 func (s *Server) cancelPendingLocked(j *job, reason string) {
 	j.state = StateCancelled
 	j.err = "job cancelled: " + reason
@@ -703,10 +560,6 @@ func (s *Server) cancelPendingLocked(j *job, reason string) {
 	if j.queueSpan != nil {
 		j.queueSpan.End(obs.Str("error", reason))
 		j.queueSpan = nil
-	}
-	if j.backoffSpan != nil {
-		j.backoffSpan.End(obs.Str("error", reason))
-		j.backoffSpan = nil
 	}
 	j.appendEvent(EventCancelled, map[string]any{"reason": reason})
 	s.journalTerminalLocked(j)
@@ -731,24 +584,8 @@ func (s *Server) journalTerminalLocked(j *job) {
 	}
 }
 
-// retryDelay is the capped exponential backoff schedule: base doubles
-// per attempt already used, clamped to max.
-func retryDelay(base, max time.Duration, attempts int) time.Duration {
-	d := base
-	for i := 1; i < attempts; i++ {
-		d *= 2
-		if d >= max {
-			return max
-		}
-	}
-	if d > max {
-		return max
-	}
-	return d
-}
-
-// truncateErr bounds error text carried in events and journal records:
-// a watchdog stall dump can run to kilobytes, and the first lines are
+// truncateErr bounds error text carried in span attributes: a
+// watchdog stall dump can run to kilobytes, and the first lines are
 // the informative ones.
 func truncateErr(s string) string {
 	const max = 500
@@ -801,24 +638,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.log.Info("drain started", "queued", s.queue.Len(),
-			"running", len(s.running), "backoff", len(s.backoff))
+		s.log.Info("drain started", "queued", s.queue.Len(), "running", len(s.running))
 		for {
 			j := s.queue.pop()
 			if j == nil {
 				break
 			}
 			s.cancelPendingLocked(j, "server draining")
-		}
-		// Jobs waiting out a retry backoff are queued in spirit: settle
-		// them too. Stopping the timer claims the job; a timer that
-		// already fired is blocked on our lock and will see draining.
-		for id, timer := range s.backoff {
-			if timer.Stop() {
-				delete(s.backoff, id)
-				s.metrics.backoff.AddGauge(-1)
-				s.cancelPendingLocked(s.jobs[id], "server draining")
-			}
 		}
 		s.metrics.queued.Set(0)
 		s.cond.Broadcast()

@@ -2,13 +2,13 @@ package jobd
 
 // Request tracing for the job service: every job carries a bounded
 // obs.SpanBuf recording the wall-clock stages it passes through —
-// submit (HTTP handling + journal fsync), queue wait, each run
-// attempt, per-item execution (with cache/sim child spans hung off
-// the context by the runner), retry backoff intervals — all under one
-// W3C trace ID continued from the caller's traceparent header. The
-// completed timeline is served by GET /v1/jobs/{id}/trace as Chrome
-// trace_event JSON (or raw spans with ?format=spans, which the
-// cluster gateway merges with its own routing spans).
+// submit (HTTP handling + journal fsync), queue wait, the run,
+// per-item execution (with cache/sim child spans hung off the context
+// by the runner) — all under one W3C trace ID continued from the
+// caller's traceparent header. The completed timeline is served by
+// GET /v1/jobs/{id}/trace as Chrome trace_event JSON (or raw spans
+// with ?format=spans, which the cluster gateway merges with its own
+// routing spans).
 //
 // Tracing is on by default and disabled with Options.SpanLimit < 0;
 // disabled servers never allocate a buffer, and every span call site
@@ -31,7 +31,6 @@ const (
 	spanJobRun    = "job.run"
 	spanItem      = "item"
 	spanJournal   = "journal.append"
-	spanBackoff   = "retry.backoff"
 )
 
 // stageForSpan maps span names onto the bounded stage label of the
@@ -47,8 +46,6 @@ func stageForSpan(name string) string {
 		return "journal"
 	case spanSubmit:
 		return "submit"
-	case spanBackoff:
-		return "backoff"
 	case "cache.lookup", "cache.put":
 		return "cache"
 	case "cache.peer_fetch":
