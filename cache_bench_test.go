@@ -46,3 +46,16 @@ func BenchmarkRunCachedWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConfigHash measures the content address of one config, which
+// the gateway computes to route a submission and the backend again to
+// look up its result.
+func BenchmarkConfigHash(b *testing.B) {
+	cfg := benchBaseConfig("MVT", gpuwalk.FCFS)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := gpuwalk.ConfigHash(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -260,10 +260,26 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("second job = %s with %d cache hits (%s), want done with 2",
 			secondDone.State, secondDone.CacheHits, secondDone.Error)
 	}
-	for i := range firstDone.Items {
-		a, b := compactJSON(t, firstDone.Items[i].Result), compactJSON(t, secondDone.Items[i].Result)
-		if a != b {
-			t.Fatalf("item %d: cached result differs from fresh result", i)
+	// A hit goes out as the object the cache stored, byte for byte, and
+	// so does the fresh result it was stored from.
+	for i, item := range secondDone.Items {
+		cfg := gpuwalk.DefaultConfig()
+		if err := json.Unmarshal(item.Spec, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		key, err := gpuwalk.ConfigHash(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := os.ReadFile(filepath.Join(cacheDir, "objects", key[:2], key+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(item.Result, stored) {
+			t.Fatalf("item %d: served hit is not the stored object\nserved: %.200s\nstored: %.200s", i, item.Result, stored)
+		}
+		if !bytes.Equal(firstDone.Items[i].Result, stored) {
+			t.Fatalf("item %d: fresh result differs from the stored object", i)
 		}
 	}
 
@@ -325,7 +341,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := compactJSON(t, firstDone.Items[0].Result); string(got) != want {
+	if !bytes.Equal(got, firstDone.Items[0].Result) {
 		t.Fatal("reopened cache returned a different result than the server did")
 	}
 }
@@ -437,13 +453,4 @@ func TestPeersRequireSelf(t *testing.T) {
 			t.Fatalf("run %v: stderr %q does not explain the refusal", args, stderr.String())
 		}
 	}
-}
-
-func compactJSON(t *testing.T, raw json.RawMessage) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
-		t.Fatalf("compacting %.60s...: %v", raw, err)
-	}
-	return buf.String()
 }

@@ -127,6 +127,21 @@ func TestConfigHashGolden(t *testing.T) {
 	}
 }
 
+// TestConfigHashAllocs bounds the allocations of one ConfigHash call:
+// the gateway and the backend hash every submitted spec, so on an
+// all-hit workload the hash is a large share of a job's cost.
+func TestConfigHashAllocs(t *testing.T) {
+	cfg := gpuwalk.DefaultConfig()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := gpuwalk.ConfigHash(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("ConfigHash allocates %.0f times per call, want <= 40", allocs)
+	}
+}
+
 func TestConfigHashRejectsCustomScheduler(t *testing.T) {
 	cfg := gpuwalk.DefaultConfig()
 	cfg.CustomScheduler = sentinelScheduler{}

@@ -123,12 +123,17 @@ func TestSuitePersist(t *testing.T) {
 }
 
 // TestSuitePersistKeyChangesWithModel: a persist key must change when
-// any of the suite identity inputs change.
+// any of the suite identity inputs change. The first key is pinned, so
+// a change to how keys are canonicalized cannot silently orphan
+// paperfigs -resume caches; a gpu.ModelVersion bump re-pins it.
 func TestSuitePersistKeyChangesWithModel(t *testing.T) {
 	s := microSuite()
 	k1, err := s.persistKey("MVT", core.KindFCFS, "")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := "2e053d5f263a8778a41d7c99436d581e91bc8c10b0fead21cbf30f59cfed06e5"; k1 != want {
+		t.Fatalf("persist key = %s, want %s", k1, want)
 	}
 	k2, err := s.persistKey("MVT", core.KindSIMTAware, "")
 	if err != nil {
