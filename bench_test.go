@@ -322,27 +322,6 @@ func BenchmarkDiscussionLargePages(b *testing.B) {
 	b.ReportMetric(experiments.GeoMean(sp), "2M-speedup")
 }
 
-// BenchmarkExtensionFairness runs the CU-fair QoS comparison.
-func BenchmarkExtensionFairness(b *testing.B) {
-	var rows []experiments.FairnessRow
-	for i := 0; i < b.N; i++ {
-		s := newBenchSuite()
-		var err error
-		rows, err = s.Fairness()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var sp []float64
-	jain := 0.0
-	for _, r := range rows {
-		sp = append(sp, r.SpeedupCUFair)
-		jain += r.JainCUFair
-	}
-	b.ReportMetric(experiments.GeoMean(sp), "cufair-speedup")
-	b.ReportMetric(jain/float64(len(rows)), "cufair-jain")
-}
-
 // BenchmarkExtensionMultiTenant runs the MASK-style co-run comparison.
 func BenchmarkExtensionMultiTenant(b *testing.B) {
 	var rows []experiments.MultiTenantRow

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gpuwalkdiff -workload MVT -a fcfs -b simt-aware
-//	gpuwalkdiff -workload GEV -a simt-aware -b cu-fair -walkers 16
+//	gpuwalkdiff -workload GEV -a sjf -b simt-aware -walkers 16
 package main
 
 import (

@@ -20,7 +20,7 @@ import (
 func main() {
 	var (
 		wl       = flag.String("workload", "MVT", "benchmark abbreviation (see -list)")
-		sched    = flag.String("sched", "fcfs", "scheduler: fcfs, random, sjf, batch, simt-aware, cu-fair")
+		sched    = flag.String("sched", "fcfs", "scheduler: fcfs, random, sjf, batch, simt-aware")
 		list     = flag.Bool("list", false, "list workloads and schedulers, then exit")
 		scale    = flag.Float64("scale", 0.125, "workload footprint scale vs Table II")
 		wfs      = flag.Int("wavefronts", 0, "wavefronts per CU (0 = calibrated default)")

@@ -40,7 +40,6 @@ func run() int {
 		fig        = flag.String("fig", "", "figure to regenerate: 2,3,5,6,8,9,10,11,12,13,14 (comma-separated)")
 		table      = flag.String("table", "", "table to regenerate: 1,2 (comma-separated)")
 		discussion = flag.Bool("discussion", false, "run the Section VI large-page comparison")
-		fairness   = flag.Bool("fairness", false, "run the CU-fair QoS extension comparison")
 		tenants    = flag.String("multitenant", "", "co-run two apps, e.g. MVT,KMN (aggressor,victim)")
 		bars       = flag.Bool("bars", false, "also render bar charts for the normalized figures")
 		csvdir     = flag.String("csvdir", "", "also write each figure's data as CSV into this directory")
@@ -56,7 +55,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	if !*all && *fig == "" && *table == "" && !*discussion && !*fairness && *tenants == "" {
+	if !*all && *fig == "" && *table == "" && !*discussion && *tenants == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -143,13 +142,6 @@ func run() int {
 			fatalf("large-page discussion: %v", err)
 		}
 		experiments.PrintLargePages(os.Stdout, rows)
-	}
-	if *fairness || *all {
-		rows, err := suite.Fairness()
-		if err != nil {
-			fatalf("fairness comparison: %v", err)
-		}
-		experiments.PrintFairness(os.Stdout, rows)
 	}
 	pair := *tenants
 	if *all && pair == "" {

@@ -2,7 +2,9 @@
 // "victim" (K-Means) on the same GPU — a MASK-style multi-application
 // scenario — and show how each page-walk scheduler shares the IOMMU
 // between them. Under FCFS, the victim's handful of walks queue behind
-// the aggressor's storms; SJF-based schedulers restore it.
+// the aggressor's storms. SIMT-aware's shortest-job-first rule serves
+// them sooner, but only trims the victim's slowdown (12.34x to 10.56x
+// at the default configuration); it does not restore it.
 package main
 
 import (
@@ -39,7 +41,7 @@ func main() {
 	fmt.Printf("KMN alone finishes at cycle %d\n\n", soloRes.Cycles)
 
 	fmt.Printf("%-12s %16s %16s %10s\n", "scheduler", "MVT finish", "KMN finish", "KMN slowdown")
-	for _, kind := range []gpuwalk.SchedulerKind{gpuwalk.FCFS, gpuwalk.SIMTAware, gpuwalk.CUFair} {
+	for _, kind := range []gpuwalk.SchedulerKind{gpuwalk.FCFS, gpuwalk.SIMTAware} {
 		c := cfg
 		c.Scheduler = kind
 		res, err := gpuwalk.RunTrace(c, merged)

@@ -98,16 +98,15 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 // to sample a run; write the result with Metrics.WriteCSVFile.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// Built-in scheduling policies. CUFair is this repo's follow-on
-// extension (cross-CU QoS on top of batching + SJF); the rest are the
-// paper's policies.
+// Built-in scheduling policies: the paper's FCFS baseline, random
+// strawman, SJF-only and batching-only ablations, and the full
+// SIMT-aware proposal.
 const (
 	FCFS      = core.KindFCFS
 	Random    = core.KindRandom
 	SJFOnly   = core.KindSJF
 	BatchOnly = core.KindBatch
 	SIMTAware = core.KindSIMTAware
-	CUFair    = core.KindCUFair
 )
 
 // SchedulerKinds lists the built-in policies.

@@ -1,6 +1,7 @@
 package gpuwalk_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,11 +58,16 @@ func TestUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestUnknownScheduler also covers the deleted CU-fair policy: a spec
+// that still names it must fail, not fall back to another policy.
 func TestUnknownScheduler(t *testing.T) {
-	cfg := microConfig()
-	cfg.Scheduler = "bogus"
-	if _, err := gpuwalk.Run(cfg); err == nil {
-		t.Error("unknown scheduler accepted")
+	for _, kind := range []gpuwalk.SchedulerKind{"bogus", "cu-fair"} {
+		cfg := microConfig()
+		cfg.Scheduler = kind
+		want := fmt.Sprintf("core: unknown scheduler kind %q", kind)
+		if _, err := gpuwalk.Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Scheduler %q: err = %v, want %s", kind, err, want)
+		}
 	}
 }
 
@@ -150,8 +156,7 @@ func TestWorkloadRegistry(t *testing.T) {
 }
 
 func TestSchedulerKindsList(t *testing.T) {
-	kinds := gpuwalk.SchedulerKinds()
-	if len(kinds) != 6 {
-		t.Errorf("SchedulerKinds = %v", kinds)
+	if got, want := fmt.Sprint(gpuwalk.SchedulerKinds()), "[fcfs random sjf batch simt-aware]"; got != want {
+		t.Errorf("SchedulerKinds = %s, want %s", got, want)
 	}
 }

@@ -91,7 +91,6 @@ func (l *reqList) remove(r *Request) {
 // (via Request.gnext) plus the instruction's running score.
 type instrGroup struct {
 	instr InstrID
-	cu    int // issuing CU; constant per dynamic instruction
 	head  *Request
 	tail  *Request
 	count int
@@ -303,7 +302,7 @@ func (s *IndexedSIMT) Admit(r *Request) {
 	g := s.groups[r.Instr]
 	fresh := g == nil
 	if fresh {
-		g = &instrGroup{instr: r.Instr, cu: r.CU, hpos: -1}
+		g = &instrGroup{instr: r.Instr, hpos: -1}
 		s.groups[r.Instr] = g
 	}
 	g.score += r.Est

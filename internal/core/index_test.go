@@ -48,14 +48,10 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) m
 	mk := func() (a, b *Request) {
 		seq++
 		// A sliding window of instruction IDs so groups overlap in the
-		// buffer; a handful of CUs for the fairness policy. As in the
-		// simulator, all requests of one instruction share its issuing
-		// CU.
-		instr := InstrID(seq / 6)
+		// buffer.
 		r := Request{
 			VPN:   rng.Uint64() % 64, // collisions on purpose
-			Instr: instr,
-			CU:    int(uint64(instr) * 0x9e3779b9 % 4),
+			Instr: InstrID(seq / 6),
 			Seq:   seq,
 			Est:   1 + int(rng.Uint64n(4)),
 		}
@@ -86,8 +82,8 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) m
 		}
 		pick(fmt.Sprintf("step %d", i))
 	}
-	// Drain completely: tail-end behaviour (groups emptying, CUs
-	// leaving the round-robin) must match too.
+	// Drain completely: tail-end behaviour (groups emptying) must match
+	// too.
 	for ref.PendingLen() > 0 {
 		pick("drain")
 	}
@@ -98,19 +94,13 @@ func testDifferentialStream(t *testing.T, kind Kind, opt Options, seed uint64) m
 }
 
 // TestDifferentialStats checks that the differential streams reach
-// every rule of the multi-rule policies, so the per-pick LastDecision
-// comparison covers aging, batching and SJF or fairness alike.
+// every rule of SIMT-aware, so the per-pick LastDecision comparison
+// covers aging, batching and SJF alike.
 func TestDifferentialStats(t *testing.T) {
-	want := map[Kind][]Decision{
-		KindSIMTAware: {DecisionAging, DecisionBatch, DecisionSJF},
-		KindCUFair:    {DecisionAging, DecisionBatch, DecisionFair},
-	}
-	for kind, decisions := range want {
-		rules := testDifferentialStream(t, kind, Options{AgingThreshold: 8}, 99)
-		for _, d := range decisions {
-			if rules[d] == 0 {
-				t.Errorf("%s: the stream never picked by rule %s (picks by rule: %v)", kind, d, rules)
-			}
+	rules := testDifferentialStream(t, KindSIMTAware, Options{AgingThreshold: 8}, 99)
+	for _, d := range []Decision{DecisionAging, DecisionBatch, DecisionSJF} {
+		if rules[d] == 0 {
+			t.Errorf("the stream never picked by rule %s (picks by rule: %v)", d, rules)
 		}
 	}
 }
@@ -177,19 +167,6 @@ func TestCommitDecrementsSurvivorScore(t *testing.T) {
 	}
 }
 
-// TestCUFairCommitDecrementsSurvivorScore covers the same bug in the
-// fairness extension.
-func TestCUFairCommitDecrementsSurvivorScore(t *testing.T) {
-	s := &CUFair{AgingThreshold: 1 << 30}
-	pending := mkCUReq(s, [3]int{1, 0, 3}, [3]int{1, 0, 2})
-	idx := s.Select(pending)
-	chosen := pending[idx]
-	survivor := pending[1-idx]
-	if want := 5 - chosen.Est; survivor.Score != want {
-		t.Errorf("survivor score = %d, want %d", survivor.Score, want)
-	}
-}
-
 // recordingPolicy is a slice policy that records what OnArrival sees
 // and selects a fixed position.
 type recordingPolicy struct {
@@ -248,37 +225,34 @@ func TestAdapt(t *testing.T) {
 
 // BenchmarkSchedulerSelect measures steady-state scheduling throughput
 // (one pick plus one arrival per iteration, buffer occupancy held at
-// the target size) for the indexed schedulers against their linear
-// specifications. Requests arrive in same-instruction runs of 8,
+// the target size) for the indexed SIMT-aware scheduler against its
+// linear specification. Requests arrive in same-instruction runs of 8,
 // matching the coalescer's bursty miss pattern.
 func BenchmarkSchedulerSelect(b *testing.B) {
-	for _, kind := range []Kind{KindSIMTAware, KindCUFair} {
-		for _, entries := range []int{256, 1024, 4096} {
-			for _, mode := range []struct {
-				name  string
-				build func(Kind, Options) (IndexedScheduler, error)
-			}{{"reference", newLinear}, {"indexed", New}} {
-				b.Run(fmt.Sprintf("%s/%s/buf-%d", kind, mode.name, entries), func(b *testing.B) {
-					s, err := mode.build(kind, Options{Seed: 1, AgingThreshold: 1 << 20})
-					if err != nil {
-						b.Fatal(err)
-					}
-					seq := uint64(0)
-					admit := func() {
-						seq++
-						instr := InstrID(seq / 8)
-						s.Admit(&Request{Instr: instr, CU: int(uint64(instr) % 8), Seq: seq, Est: 1 + int(seq%4)})
-					}
-					for i := 0; i < entries; i++ {
-						admit()
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						s.Pick()
-						admit()
-					}
-				})
-			}
+	for _, entries := range []int{256, 1024, 4096} {
+		for _, mode := range []struct {
+			name  string
+			build func(Kind, Options) (IndexedScheduler, error)
+		}{{"reference", newLinear}, {"indexed", New}} {
+			b.Run(fmt.Sprintf("%s/%s/buf-%d", KindSIMTAware, mode.name, entries), func(b *testing.B) {
+				s, err := mode.build(KindSIMTAware, Options{Seed: 1, AgingThreshold: 1 << 20})
+				if err != nil {
+					b.Fatal(err)
+				}
+				seq := uint64(0)
+				admit := func() {
+					seq++
+					s.Admit(&Request{Instr: InstrID(seq / 8), Seq: seq, Est: 1 + int(seq%4)})
+				}
+				for i := 0; i < entries; i++ {
+					admit()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Pick()
+					admit()
+				}
+			})
 		}
 	}
 }

@@ -32,8 +32,6 @@ func newLinear(kind Kind, opt Options) (IndexedScheduler, error) {
 		s = &SIMTAware{Batching: true, AgingThreshold: aging, name: string(KindBatch)}
 	case KindSIMTAware:
 		s = &SIMTAware{SJF: true, Batching: true, AgingThreshold: aging, name: string(KindSIMTAware)}
-	case KindCUFair:
-		s = &CUFair{AgingThreshold: aging}
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler kind %q", kind)
 	}
@@ -210,132 +208,6 @@ func (s *SIMTAware) commit(pending []*Request, idx int) int {
 	chosen := pending[idx]
 	s.lastInstr = chosen.Instr
 	s.haveLast = true
-	s.passed.commit(pending, chosen)
-	for _, p := range pending {
-		if p.Instr == chosen.Instr && p != chosen {
-			p.Score -= chosen.Est
-		}
-	}
-	return idx
-}
-
-// CUFair is the linear specification of IndexedCUFair: the same rules
-// (see IndexedCUFair), found by scanning the pending slice.
-type CUFair struct {
-	AgingThreshold uint64
-
-	lastInstr    InstrID
-	haveLast     bool
-	lastCU       int
-	served       bool // lastCU is only meaningful after the first pick
-	lastDecision Decision
-	passed       passedCounts
-}
-
-// Name implements Scheduler.
-func (s *CUFair) Name() string { return string(KindCUFair) }
-
-// OnArrival implements Scheduler with the same instruction-score
-// maintenance as SIMT-aware (action 1-b of Figure 7).
-func (s *CUFair) OnArrival(r *Request, pending []*Request) {
-	prev := 0
-	for _, p := range pending {
-		if p != r && p.Instr == r.Instr {
-			prev = p.Score
-			break
-		}
-	}
-	score := prev + r.Est
-	for _, p := range pending {
-		if p.Instr == r.Instr {
-			p.Score = score
-		}
-	}
-}
-
-// Select implements Scheduler.
-func (s *CUFair) Select(pending []*Request) int {
-	// 1. Starvation avoidance.
-	if s.AgingThreshold > 0 {
-		best := -1
-		for i, p := range pending {
-			if s.passed[p] >= s.AgingThreshold && (best == -1 || p.Seq < pending[best].Seq) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			s.lastDecision = DecisionAging
-			return s.commit(pending, best)
-		}
-	}
-
-	// 2. Batch integrity.
-	if s.haveLast {
-		best := -1
-		for i, p := range pending {
-			if p.Instr == s.lastInstr && (best == -1 || p.Seq < pending[best].Seq) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			s.lastDecision = DecisionBatch
-			return s.commit(pending, best)
-		}
-	}
-
-	// 3. Round-robin across CUs: the CU with the smallest index strictly
-	// greater than lastCU that has pending work, wrapping around.
-	cu := s.nextCU(pending)
-	best := -1
-	for i, p := range pending {
-		if p.CU != cu {
-			continue
-		}
-		if best == -1 {
-			best = i
-			continue
-		}
-		b := pending[best]
-		if p.Score < b.Score || (p.Score == b.Score && p.Seq < b.Seq) {
-			best = i
-		}
-	}
-	s.lastDecision = DecisionFair
-	return s.commit(pending, best)
-}
-
-// LastDecision implements DecisionReporter.
-func (s *CUFair) LastDecision() Decision { return s.lastDecision }
-
-// nextCU picks the round-robin successor of lastCU among CUs that have
-// pending requests.
-func (s *CUFair) nextCU(pending []*Request) int {
-	last := s.lastCU
-	if !s.served {
-		last = -1
-	}
-	bestWrap, bestAbove := -1, -1
-	for _, p := range pending {
-		if p.CU > last {
-			if bestAbove == -1 || p.CU < bestAbove {
-				bestAbove = p.CU
-			}
-		} else if bestWrap == -1 || p.CU < bestWrap {
-			bestWrap = p.CU
-		}
-	}
-	if bestAbove >= 0 {
-		return bestAbove
-	}
-	return bestWrap
-}
-
-func (s *CUFair) commit(pending []*Request, idx int) int {
-	chosen := pending[idx]
-	s.lastInstr = chosen.Instr
-	s.haveLast = true
-	s.lastCU = chosen.CU
-	s.served = true
 	s.passed.commit(pending, chosen)
 	for _, p := range pending {
 		if p.Instr == chosen.Instr && p != chosen {

@@ -73,7 +73,6 @@ const (
 	DecisionSJF             // lowest-score instruction
 	DecisionBatch           // continue the last-scheduled instruction
 	DecisionAging           // starvation avoidance fired
-	DecisionFair            // cross-CU round-robin (cu-fair)
 )
 
 // String implements fmt.Stringer.
@@ -89,8 +88,6 @@ func (d Decision) String() string {
 		return "batch"
 	case DecisionAging:
 		return "aging"
-	case DecisionFair:
-		return "fair"
 	}
 	return "none"
 }
@@ -164,13 +161,11 @@ const (
 	KindSJF       Kind = "sjf"        // shortest-job-first only (ablation)
 	KindBatch     Kind = "batch"      // same-instruction batching only (ablation)
 	KindSIMTAware Kind = "simt-aware" // full proposal: SJF + batching + aging
-	KindCUFair    Kind = "cu-fair"    // extension: round-robin across CUs (see IndexedCUFair)
 )
 
-// Kinds lists all built-in policies, including the CU-fair QoS
-// extension.
+// Kinds lists all built-in policies.
 func Kinds() []Kind {
-	return []Kind{KindFCFS, KindRandom, KindSJF, KindBatch, KindSIMTAware, KindCUFair}
+	return []Kind{KindFCFS, KindRandom, KindSJF, KindBatch, KindSIMTAware}
 }
 
 // Options configures scheduler construction.
@@ -205,8 +200,6 @@ func New(kind Kind, opt Options) (IndexedScheduler, error) {
 		return &IndexedSIMT{Batching: true, AgingThreshold: aging, name: string(KindBatch)}, nil
 	case KindSIMTAware:
 		return &IndexedSIMT{SJF: true, Batching: true, AgingThreshold: aging, name: string(KindSIMTAware)}, nil
-	case KindCUFair:
-		return &IndexedCUFair{AgingThreshold: aging}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler kind %q", kind)
 	}

@@ -58,7 +58,7 @@ func (s *Suite) MultiTenant(aggressor, victim string) ([]MultiTenantRow, error) 
 		return nil, err
 	}
 	var rows []MultiTenantRow
-	for _, kind := range []core.Kind{core.KindFCFS, core.KindSIMTAware, core.KindCUFair} {
+	for _, kind := range []core.Kind{core.KindFCFS, core.KindSIMTAware} {
 		res := fcfsCo
 		if kind != core.KindFCFS {
 			res, err = runCo(kind)

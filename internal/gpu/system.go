@@ -315,18 +315,6 @@ func (s *System) registerMetrics(m *obs.Registry) {
 	}
 }
 
-// scheduleSample arms the next periodic metrics sample. The sampler is
-// read-only — it never perturbs the simulation — and stops rearming
-// once it is the only event left, so it cannot keep the engine alive.
-func (s *System) scheduleSample() {
-	s.eng.After(s.metEpoch, func() {
-		s.met.Sample(uint64(s.eng.Now()))
-		if s.eng.Pending() > 0 {
-			s.scheduleSample()
-		}
-	})
-}
-
 // noteInstrDone records one completed instruction for app accounting.
 func (s *System) noteInstrDone(app int) {
 	s.instrsDone++
@@ -401,8 +389,10 @@ func (s *System) RunContext(ctx context.Context) (Result, error) {
 		c.start()
 	}
 	if s.met != nil {
+		// Periodic samples are daemon events: they never keep a drained
+		// run alive or stretch Cycles to the next epoch boundary.
 		s.met.Sample(0)
-		s.scheduleSample()
+		sim.StartProgressPublisher(s.eng, s.metEpoch, func() { s.met.Sample(uint64(s.eng.Now())) })
 	}
 	if s.progFn != nil {
 		s.publishProgress() // a zero-cycle baseline carrying InstrsTotal

@@ -32,17 +32,15 @@ func TestStarvationFreedomBound(t *testing.T) {
 	)
 	bound := uint64(aging + buffer + 1)
 
-	for _, kind := range []core.Kind{core.KindSIMTAware, core.KindCUFair} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", kind, seed), func(t *testing.T) {
-				sched, err := core.New(kind, core.Options{AgingThreshold: aging, Seed: seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr := runRandomStream(t, sched, seed, buffer, nReqs, nPages, nInstrs)
-				checkDispatchBound(t, tr, bound)
-			})
-		}
+	for seed := uint64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("%s/seed%d", core.KindSIMTAware, seed), func(t *testing.T) {
+			sched, err := core.New(core.KindSIMTAware, core.Options{AgingThreshold: aging, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := runRandomStream(t, sched, seed, buffer, nReqs, nPages, nInstrs)
+			checkDispatchBound(t, tr, bound)
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package gpuwalk_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -71,6 +72,53 @@ func TestTraceDeterminism(t *testing.T) {
 				t.Error("empty metrics CSV")
 			}
 		})
+	}
+}
+
+// TestObsLeavesResultUnchanged runs obsConfig under every policy on
+// MVT, XSB and SSP, once bare and once with a tracer, a metrics
+// registry and a progress hook attached, and requires byte-identical
+// Result JSON. Observers only read model state, and their periodic
+// samples are daemon events, so a drained run ends on its last real
+// event rather than on the next sample boundary.
+func TestObsLeavesResultUnchanged(t *testing.T) {
+	run := func(t *testing.T, cfg gpuwalk.Config) []byte {
+		t.Helper()
+		res, err := gpuwalk.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+	for _, wl := range []string{"MVT", "XSB", "SSP"} {
+		for _, sched := range gpuwalk.SchedulerKinds() {
+			t.Run(wl+"/"+string(sched), func(t *testing.T) {
+				cfg := obsConfig(sched)
+				cfg.Workload = wl
+				bare := run(t, cfg)
+
+				met := gpuwalk.NewMetrics()
+				published := 0
+				cfg.Obs = gpuwalk.ObsConfig{
+					Tracer:        gpuwalk.NewTracer(),
+					Metrics:       met,
+					MetricsEpoch:  500,
+					Progress:      func(gpuwalk.Progress) { published++ },
+					ProgressEvery: 300,
+				}
+				if observed := run(t, cfg); !bytes.Equal(observed, bare) {
+					t.Errorf("Result JSON with observers attached differs from the bare run:\nbare:     %.200s\nobserved: %.200s", bare, observed)
+				}
+				// A baseline, a final row and at least one periodic one.
+				if met.Rows() < 3 || published < 3 {
+					t.Errorf("observers barely ran: %d metric rows, %d progress snapshots", met.Rows(), published)
+				}
+			})
+		}
 	}
 }
 

@@ -49,7 +49,7 @@ func scheduleCases() []scheduleCase {
 			})
 		}
 	}
-	for _, sk := range []gpuwalk.SchedulerKind{gpuwalk.FCFS, gpuwalk.SIMTAware, gpuwalk.CUFair} {
+	for _, sk := range []gpuwalk.SchedulerKind{gpuwalk.FCFS, gpuwalk.SIMTAware} {
 		add("merge/SSP/"+string(sk), func(c *gpuwalk.Config) {
 			c.Workload = "SSP"
 			c.Scheduler = sk
