@@ -8,22 +8,40 @@
 //
 // # Queue internals
 //
-// The event queue is a flat four-ary min-heap specialized to the event
-// struct. It stores events inline in one slice, sifts with a hole (one
-// write per level instead of a three-write swap), and the four-ary
-// fanout halves the tree depth that pop-side sift-down traverses, at
-// the cost of up to four comparisons per level — a good trade because
-// the comparisons stay within one or two cache lines. A container/heap
-// queue, whose Push(any)/Pop() any boxes every event, lives on in
-// order_test.go as the executable specification: the ordering property
-// test and FuzzEngineOrder require both to dispatch in identical
-// (cycle, seq) order.
+// The event queue has two levels. A timing wheel (Varghese and Lauck,
+// "Hashed and Hierarchical Timing Wheels", SOSP 1987) holds every event
+// due in the window [Now, Now+wheelSize): one FIFO list per cycle, so
+// both scheduling onto a cycle and dispatching from it are O(1) however
+// many events share it. The simulator's load is exactly that: bursts of
+// events on the same few cycles, with thousands queued at once while
+// DRAM is busy. All lists link through one node slab with a free list,
+// so memory follows the events in flight rather than each slot's
+// largest burst, and a four-word occupancy bitmap finds the next
+// non-empty slot.
+//
+// Events due beyond the window (watchdog and sampler daemons and a few
+// long delays, under 0.2% of pushes in the benchmark sweeps) wait in a
+// flat four-ary min-heap ordered by (cycle, seq). Whenever the clock
+// advances, the far events the window now reaches move into their slots
+// in heap order, before any callback of the new cycle runs. Every later
+// push to such a cycle lands in the wheel behind them, so each list
+// stays in seq order and dispatch order is exactly (cycle, seq). The
+// window test is c-Now < wheelSize, which cannot wrap at the top of the
+// Cycle range the way a window end of Now+wheelSize would.
+//
+// A container/heap queue, whose Push(any)/Pop() any boxes every event,
+// lives on in order_test.go as the executable specification: the
+// ordering property test and FuzzEngineOrder require both to dispatch
+// in identical (cycle, seq) order, with delays that cross the window
+// edge.
 package sim
+
+import "math/bits"
 
 // Cycle is a point in simulated time, measured in GPU core cycles.
 type Cycle uint64
 
-// event is a single scheduled callback.
+// event is a single scheduled callback in the far heap.
 type event struct {
 	at  Cycle
 	seq uint64 // tie-breaker: FIFO among events on the same cycle
@@ -34,7 +52,7 @@ type event struct {
 	daemon bool
 }
 
-// before is the queue ordering: (cycle, insertion seq).
+// before is the far heap's ordering: (cycle, insertion seq).
 func (a event) before(b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -42,17 +60,49 @@ func (a event) before(b event) bool {
 	return a.seq < b.seq
 }
 
-// heapArity is the fanout of the flat heap. Four keeps sift-down depth
+// heapArity is the fanout of the far heap. Four keeps sift-down depth
 // at half a binary heap's while a node's children still span at most
 // two cache lines (an event is 32 bytes).
 const heapArity = 4
 
+// wheelSize is the number of cycles the timing wheel covers. It is a
+// power of two so a cycle's slot is its low bits, and 256 cycles cover
+// all but under 0.2% of the delays the models schedule in the benchmark
+// sweeps, so the far heap stays small. The occupancy bitmap has
+// wheelSize/64 words.
+const (
+	wheelSize  = 256
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// node is one wheel event in the slab. A wheel event needs no cycle or
+// seq: its slot and the window fix the cycle, and its list position
+// fixes the order among that cycle's events.
+type node struct {
+	fn     func()
+	next   uint32 // next node on the slot's list or the free list; 0 ends it
+	daemon bool
+}
+
 // Engine is a discrete-event simulator clock and event queue.
 // The zero value is ready to use.
 type Engine struct {
-	now    Cycle
-	seq    uint64
-	events []event // flat four-ary min-heap, minimum at events[0]
+	now Cycle
+	seq uint64
+	// The wheel: slot c&wheelMask lists the events due at cycle c, for
+	// each c in [now, now+wheelSize). head and tail index nodes; node 0
+	// is a sentinel so that index 0 means "none" and the zero Engine
+	// needs no set-up. A slot is empty iff its occ bit is clear, and
+	// tail[s] is meaningful only while it is set.
+	nodes      []node
+	free       uint32 // head of the free-node list
+	head, tail [wheelSize]uint32
+	occ        [wheelWords]uint64
+	wheelLen   int
+	// far holds the events due at or after now+wheelSize: a flat
+	// four-ary min-heap, minimum at far[0].
+	far []event
 	// dispatched counts events executed since construction; useful for
 	// progress reporting and runaway detection in tests.
 	dispatched uint64
@@ -65,12 +115,88 @@ type Engine struct {
 // NewEngine returns an engine with clock at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
-// push inserts ev into the queue.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
+// schedule queues fn at cycle c (c >= now) under the next seq.
+func (e *Engine) schedule(c Cycle, fn func(), daemon bool) {
+	e.seq++
+	if c-e.now < wheelSize {
+		e.link(c, fn, daemon)
+		return
+	}
+	e.pushFar(event{at: c, seq: e.seq, fn: fn, daemon: daemon})
+}
+
+// link appends an event due at cycle c, which must lie in the window, to
+// its slot's list, taking a node from the free list. The slab grows only
+// when the free list is empty, so it never holds more nodes than the
+// most wheel events ever queued at once.
+func (e *Engine) link(c Cycle, fn func(), daemon bool) {
+	if e.free == 0 {
+		e.grow()
+	}
+	i := e.free
+	n := &e.nodes[i]
+	e.free = n.next
+	*n = node{fn: fn, daemon: daemon}
+	s := uint(c) & wheelMask
+	if bit := uint64(1) << (s & 63); e.occ[s>>6]&bit == 0 {
+		e.occ[s>>6] |= bit
+		e.head[s] = i
+	} else {
+		e.nodes[e.tail[s]].next = i
+	}
+	e.tail[s] = i
+	e.wheelLen++
+}
+
+// grow appends one node to the slab and puts it on the free list.
+func (e *Engine) grow() {
+	if len(e.nodes) == 0 {
+		e.nodes = append(e.nodes, node{}) // the sentinel
+	}
+	e.free = uint32(len(e.nodes))
+	e.nodes = append(e.nodes, node{})
+}
+
+// nextDist returns how many cycles past now the first non-empty slot
+// lies. The wheel must not be empty.
+func (e *Engine) nextDist() Cycle {
+	p := uint(e.now) & wheelMask
+	w := p >> 6
+	if b := e.occ[w] >> (p & 63); b != 0 {
+		return Cycle(bits.TrailingZeros64(b))
+	}
+	// The rest of word w is empty; scan the following words, wrapping
+	// round to word w, whose bits below p are the wheel's last slots.
+	d := 64 - p&63
+	for k := uint(1); k <= wheelWords; k++ {
+		if b := e.occ[(w+k)%wheelWords]; b != 0 {
+			return Cycle(d + uint(bits.TrailingZeros64(b)))
+		}
+		d += 64
+	}
+	panic("sim: empty timing wheel")
+}
+
+// advance moves the clock to the next cycle with a queued event and
+// brings the far events the window now reaches into their slots.
+func (e *Engine) advance() {
+	if e.wheelLen == 0 {
+		e.now = e.far[0].at
+	} else {
+		e.now += e.nextDist()
+	}
+	for len(e.far) > 0 && e.far[0].at-e.now < wheelSize {
+		ev := e.popFar()
+		e.link(ev.at, ev.fn, ev.daemon)
+	}
+}
+
+// pushFar inserts ev into the far heap.
+func (e *Engine) pushFar(ev event) {
+	e.far = append(e.far, ev)
 	// Sift up with a hole: shift parents down until ev's slot is found,
 	// writing ev once instead of swapping at every level.
-	h := e.events
+	h := e.far
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / heapArity
@@ -83,17 +209,17 @@ func (e *Engine) push(ev event) {
 	h[i] = ev
 }
 
-// pop removes and returns the minimum event.
-func (e *Engine) pop() event {
-	h := e.events
+// popFar removes and returns the far heap's minimum event.
+func (e *Engine) popFar() event {
+	h := e.far
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // release fn for GC
-	e.events = h[:n]
+	e.far = h[:n]
 	if n > 0 {
 		// Sift last down from the root with a hole.
-		h = e.events
+		h = e.far
 		i := 0
 		for {
 			c := i*heapArity + 1
@@ -137,7 +263,7 @@ func (e *Engine) Sequence() uint64 { return e.seq }
 // Pending returns the number of queued events that keep the simulation
 // alive. Daemon events are excluded: a model is drained when Pending
 // reaches zero even if a watchdog check is still armed.
-func (e *Engine) Pending() int { return len(e.events) - e.daemons }
+func (e *Engine) Pending() int { return e.wheelLen + len(e.far) - e.daemons }
 
 // At schedules fn to run at absolute cycle c. Scheduling in the past
 // (c < Now) panics: it always indicates a model bug, and silently
@@ -146,8 +272,7 @@ func (e *Engine) At(c Cycle, fn func()) {
 	if c < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	e.seq++
-	e.push(event{at: c, seq: e.seq, fn: fn})
+	e.schedule(c, fn, false)
 }
 
 // After schedules fn to run d cycles from now. After(0, fn) runs fn later
@@ -174,8 +299,7 @@ func (e *Engine) AfterDaemon(d uint64, fn func()) {
 	if c < e.now {
 		panic("sim: daemon event cycle overflow")
 	}
-	e.seq++
-	e.push(event{at: c, seq: e.seq, fn: fn, daemon: true})
+	e.schedule(c, fn, true)
 	e.daemons++
 }
 
@@ -194,16 +318,29 @@ func (e *Engine) Aborted() bool { return e.aborted }
 // remain the simulation is over: Step reports false without running
 // them.
 func (e *Engine) Step() bool {
-	if e.aborted || len(e.events) == e.daemons {
+	if e.aborted || e.wheelLen+len(e.far) == e.daemons {
 		return false
 	}
-	ev := e.pop()
-	if ev.daemon {
+	s := uint(e.now) & wheelMask
+	if e.occ[s>>6]&(1<<(s&63)) == 0 {
+		e.advance()
+		s = uint(e.now) & wheelMask
+	}
+	i := e.head[s]
+	n := &e.nodes[i]
+	fn := n.fn
+	if n.daemon {
 		e.daemons--
 	}
-	e.now = ev.at
+	e.head[s] = n.next
+	if n.next == 0 {
+		e.occ[s>>6] &^= 1 << (s & 63)
+	}
+	n.fn, n.next = nil, e.free // release fn for GC
+	e.free = i
+	e.wheelLen--
 	e.dispatched++
-	ev.fn()
+	fn()
 	return true
 }
 

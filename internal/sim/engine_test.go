@@ -339,3 +339,65 @@ func TestEngineDaemonEvents(t *testing.T) {
 		t.Errorf("Pending() = %d after drain, want 0", e.Pending())
 	}
 }
+
+// TestEngineTopOfCycleRange schedules onto the last two cycles the Cycle
+// type holds. A window end computed as now+wheelSize wraps there and
+// would strand both events in the far heap, so the wheel must treat its
+// window as reaching the top of the range.
+func TestEngineTopOfCycleRange(t *testing.T) {
+	e := NewEngine()
+	top := ^Cycle(0)
+	var got []string
+	e.At(top-1, func() {
+		got = append(got, "a")
+		e.After(0, func() { got = append(got, "c") })
+	})
+	e.At(top, func() { got = append(got, "b") })
+	if final := e.Run(); final != top {
+		t.Errorf("final cycle = %d, want %d", final, top)
+	}
+	if got, want := fmt.Sprint(got), "[a c b]"; got != want {
+		t.Errorf("dispatch order %s, want %s", got, want)
+	}
+	if e.Pending() != 0 || e.Dispatched() != 3 {
+		t.Errorf("Pending = %d, Dispatched = %d; want 0 and 3", e.Pending(), e.Dispatched())
+	}
+}
+
+// TestEngineStormAllocs drives the load the timing wheel is shaped for:
+// a burst of events that keeps re-arming onto one future cycle, as
+// DRAM's stale channel ticks do. Once the burst is queued, dispatching
+// allocates nothing, and the node slab holds no more nodes than the most
+// events ever queued at once (plus its sentinel).
+func TestEngineStormAllocs(t *testing.T) {
+	const burst, cycles = 2000, 10000
+	e := NewEngine()
+	peak := 0
+	var rearm func()
+	rearm = func() {
+		e.After(1, rearm)
+		if q := e.Pending(); q > peak {
+			peak = q
+		}
+	}
+	for i := 0; i < burst; i++ {
+		e.At(1, rearm)
+	}
+	peak = e.Pending()
+	// AllocsPerRun adds one warm-up run, so this dispatches exactly
+	// cycles cycles of the burst.
+	allocs := testing.AllocsPerRun(cycles-1, func() {
+		if n := e.RunFor(burst); n != burst {
+			t.Fatalf("RunFor dispatched %d events, want %d", n, burst)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per %d-event cycle, want 0", allocs, burst)
+	}
+	if e.Now() != cycles || e.Pending() != burst {
+		t.Errorf("Now = %d, Pending = %d; want %d and %d", e.Now(), e.Pending(), cycles, burst)
+	}
+	if n := len(e.nodes) - 1; n > peak {
+		t.Errorf("node slab grew to %d nodes for a peak of %d queued events", n, peak)
+	}
+}

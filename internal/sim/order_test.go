@@ -7,13 +7,17 @@ import (
 	"testing"
 )
 
-// This file is the ordering-equivalence property test for the flat
-// four-ary event queue: an Engine and a refEngine (the executable
-// specification below, a container/heap binary heap) are driven through
-// the same randomized program of At/After/AfterDaemon/Abort operations
-// — including callbacks that schedule more events and partial RunFor
-// stepping — and must dispatch the exact same (id, cycle, dispatch
-// index) sequence and end in the same clock/pending/dispatched state.
+// This file is the ordering-equivalence property test for the two-level
+// event queue (timing wheel plus far heap): an Engine and a refEngine
+// (the executable specification below, a container/heap binary heap)
+// are driven through the same randomized program of
+// At/After/AfterDaemon/Abort operations — including callbacks that
+// schedule more events and partial RunFor stepping — and must dispatch
+// the exact same (id, cycle, dispatch index) sequence and end in the
+// same clock/pending/dispatched state. A share of the delays crosses the
+// wheel's window, so the far heap, the migration of far events into the
+// wheel as the window reaches them, and the clock's jump over an empty
+// wheel are all held to the specification.
 //
 // Callbacks take their follow-up decisions from a per-event plan
 // generated up front from the seed, never from a shared RNG at run
@@ -191,9 +195,24 @@ func runScript(eng scriptEngine, script []scriptOp, plans []eventPlan) (*engineL
 	return log, eng.Now(), eng.Pending(), eng.Dispatched()
 }
 
-// genProgram builds a random script + plan table from rng. Delays are
-// drawn from a tiny range so same-cycle ties — the case the FIFO seq
-// tie-break exists for — are the common case, not the rare one.
+// farDelays cross the wheel's window edge: the last delay inside it, the
+// first two beyond it, a whole window beyond, and one long enough that
+// the wheel drains and the clock jumps to the far heap's minimum.
+var farDelays = [...]uint64{wheelSize - 1, wheelSize, wheelSize + 1, 2 * wheelSize, 20000}
+
+// genDelay draws a delay below small, or one of farDelays one time in
+// eight.
+func genDelay(rng *rand.Rand, small int) uint64 {
+	if rng.Intn(8) == 0 {
+		return farDelays[rng.Intn(len(farDelays))]
+	}
+	return uint64(rng.Intn(small))
+}
+
+// genProgram builds a random script + plan table from rng. Most delays
+// are drawn from a tiny range so same-cycle ties — the case the FIFO seq
+// tie-break exists for — are the common case, not the rare one; the
+// rest are farDelays.
 func genProgram(rng *rand.Rand) ([]scriptOp, []eventPlan) {
 	nextID := 0
 	var plans []eventPlan
@@ -206,7 +225,7 @@ func genProgram(rng *rand.Rand) ([]scriptOp, []eventPlan) {
 		if depth < 3 {
 			for s := rng.Intn(3); s > 0; s-- {
 				plans[ix].spawns = append(plans[ix].spawns, spawnPlan{
-					delay:  uint64(rng.Intn(5)),
+					delay:  genDelay(rng, 5),
 					daemon: rng.Intn(8) == 0,
 					planIx: genPlan(depth + 1),
 				})
@@ -220,7 +239,7 @@ func genProgram(rng *rand.Rand) ([]scriptOp, []eventPlan) {
 		op := scriptOp{kind: opKind(rng.Intn(int(nOps)))}
 		switch op.kind {
 		case opAt, opAfter, opAfterDaemon:
-			op.delay = uint64(rng.Intn(8))
+			op.delay = genDelay(rng, 8)
 			op.plan = plans[genPlan(0)]
 		case opRunFor:
 			op.n = uint64(rng.Intn(10))
@@ -231,7 +250,7 @@ func genProgram(rng *rand.Rand) ([]scriptOp, []eventPlan) {
 }
 
 // TestEngineOrderProperty is the property test: across many seeds, the
-// flat queue and the container/heap reference dispatch identically.
+// two-level queue and the container/heap reference dispatch identically.
 func TestEngineOrderProperty(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		script, plans := genProgram(rand.New(rand.NewSource(seed)))
@@ -254,12 +273,31 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 }
 
+// fuzzDelay decodes a delay from one byte: its low four bits are the
+// delay itself, except that the top len(farDelays) values stand for
+// farDelays.
+func fuzzDelay(b byte) uint64 {
+	d := uint64(b % 16)
+	if k := int(d) - (16 - len(farDelays)); k >= 0 {
+		return farDelays[k]
+	}
+	return d
+}
+
 // FuzzEngineOrder feeds the same differential check from fuzzed bytes:
 // each byte pair is decoded into one operation, so the fuzzer explores
 // op interleavings the random generator's distribution may never hit.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 40, 5, 60, 7})
 	f.Add([]byte{12, 12, 12, 12})
+	// Far events first, then same-cycle pushes as the window reaches
+	// them: At(now+W) and After(W+1) go to the far heap, RunFor steps
+	// the clock one cycle, and At(now+W-1) lands on the first one's
+	// cycle, behind it in seq.
+	f.Add([]byte{0, 12, 1, 13, 1, 1, 3, 1, 0, 11, 2, 14, 3, 7})
+	// Only far events: the wheel is empty whenever the clock advances,
+	// so every advance jumps to the far heap's minimum.
+	f.Add([]byte{1, 15, 2, 15, 0, 14, 1, 15, 3, 2, 0, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
@@ -270,7 +308,7 @@ func FuzzEngineOrder(f *testing.F) {
 			op := scriptOp{kind: opKind(data[i] % uint8(nOps))}
 			switch op.kind {
 			case opAt, opAfter, opAfterDaemon:
-				op.delay = uint64(data[i+1] % 16)
+				op.delay = fuzzDelay(data[i+1])
 				ix := len(plans)
 				plans = append(plans, eventPlan{id: ix, abort: data[i+1]%64 == 63})
 				op.plan = plans[ix]

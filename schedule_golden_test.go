@@ -124,9 +124,10 @@ func scheduleDigest(t *testing.T, cfg gpuwalk.Config) string {
 // side is recorded: the digests were taken while the linear reference
 // schedulers and the container/heap event queue still ran in production
 // and produced the same streams as the indexed schedulers on the flat
-// queue. Those references now live only in the tests of internal/core
-// (TestDifferentialIndexedVsReference) and internal/sim
-// (TestEngineOrderProperty). A deliberate model change (a
+// four-ary heap queue, which the timing-wheel queue has since replaced
+// without moving a digest. Those references now live only in the tests
+// of internal/core (TestDifferentialIndexedVsReference) and
+// internal/sim (TestEngineOrderProperty). A deliberate model change (a
 // gpu.ModelVersion bump) regenerates the digests with
 // `go test -run TestSystemDifferential -update .`.
 
@@ -147,8 +148,9 @@ func TestSystemDifferentialMergeOverflow(t *testing.T) {
 }
 
 // TestSystemDifferentialFlatVsReferenceEngine runs the four paper
-// workloads on the flat four-ary event queue and requires the dispatch
-// stream and Result of the container/heap reference queue.
+// workloads on the engine's two-level event queue (timing wheel plus
+// far heap) and requires the dispatch stream and Result of the
+// container/heap reference queue.
 func TestSystemDifferentialFlatVsReferenceEngine(t *testing.T) {
 	checkScheduleDigests(t, "engine/")
 }
