@@ -124,6 +124,14 @@ type channel struct {
 	tickAt    sim.Cycle // cycle of the pending tick event, valid if tickSet
 	tickSet   bool
 	tickFn    func() // bound runTick, so scheduling a tick allocates nothing
+
+	// startAt is the earliest cycle at which any window request could
+	// start (the window's minimum of max(bank.readyAt, busFreeAt)), or 0
+	// when unknown. tick stores it after its issue loop and access
+	// resets it. The window, the banks and the bus change only in
+	// access and in issue, which runs only inside that loop, so a
+	// nonzero startAt is exact.
+	startAt sim.Cycle
 }
 
 // Memory is the full DRAM system.
@@ -258,6 +266,7 @@ func (m *Memory) access(addr uint64, write, prio bool, done func()) bool {
 	if m.tr != nil {
 		m.traceQueue(c)
 	}
+	c.startAt = 0
 	c.scheduleTick(m.eng.Now())
 	return true
 }
@@ -274,8 +283,9 @@ func (c *channel) scheduleTick(at sim.Cycle) {
 }
 
 // runTick is the scheduled tick callback. Only the most recently
-// scheduled tick is live; stale ones (tickAt moved) fall through to
-// tick anyway, which is safe because tick re-checks readiness.
+// scheduled tick is live; a stale one (tickAt moved) still runs tick,
+// which costs O(1) when nothing can start yet but re-arms all the same,
+// so duplicate ticks never collapse while the queue is non-empty.
 func (c *channel) runTick() {
 	c.tickSet = false
 	c.tick()
@@ -285,6 +295,12 @@ func (c *channel) runTick() {
 // earliest future readiness.
 func (c *channel) tick() {
 	now := c.mem.eng.Now()
+	if c.startAt > now {
+		// pick would fail: it is the same readiness test, on the same
+		// state the rescan that stored startAt saw.
+		c.scheduleTick(c.startAt)
+		return
+	}
 	for {
 		idx, ok := c.pick(now)
 		if !ok {
@@ -293,9 +309,11 @@ func (c *channel) tick() {
 		c.issue(idx, now)
 	}
 	if len(c.queue) == 0 {
+		c.startAt = 0
 		return
 	}
-	// Earliest cycle at which any window request could start.
+	// Earliest cycle at which any window request could start; pick has
+	// failed, so it lies after now.
 	next := sim.Cycle(^uint64(0))
 	for i := 0; i < c.window(); i++ {
 		t := c.banks[c.queue[i].bank].readyAt
@@ -306,9 +324,7 @@ func (c *channel) tick() {
 			next = t
 		}
 	}
-	if next <= now {
-		next = now + 1
-	}
+	c.startAt = next
 	c.scheduleTick(next)
 }
 
