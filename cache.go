@@ -22,9 +22,8 @@ import (
 // never re-encoded, any change to Result's JSON shape must bump
 // gpu.ModelVersion (SimVersion), which is part of every key.
 //
-// cmd/gpuwalkd serves jobs through one, cmd/paperfigs reuses one across
-// sweeps (-resume / -cache), and examples/sensitivity shows the client
-// pattern. See docs/SERVER.md for the on-disk layout.
+// cmd/gpuwalkd serves jobs through one, and examples/sensitivity shows
+// the client pattern. See docs/SERVER.md for the on-disk layout.
 type ResultCache = simcache.Cache
 
 // ResultCacheStats counts cache activity (hits, misses, puts,

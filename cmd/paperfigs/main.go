@@ -7,35 +7,20 @@
 //	paperfigs -all                # every table and figure
 //	paperfigs -fig 8              # one figure
 //	paperfigs -table 2            # one table
-//	paperfigs -fig 8 -scale 1.0   # full Table II footprints (slow)
+//	paperfigs -fig 8 -scale 1.0   # full Table II footprints (about 7 s on 2 vCPUs)
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"gpuwalk/internal/experiments"
-	"gpuwalk/internal/simcache"
 	"gpuwalk/internal/workload"
 )
 
-// defaultCacheDir is where -resume keeps results between invocations.
-const defaultCacheDir = ".paperfigs-cache"
-
 func main() {
-	os.Exit(run())
-}
-
-// run is main's body; returning (rather than os.Exit) lets the
-// deferred cache close and hit/miss summary fire on an interrupted
-// sweep, whose partial results are the whole point of -resume.
-func run() int {
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 2,3,5,6,8,9,10,11,12,13,14 (comma-separated)")
 		table      = flag.String("table", "", "table to regenerate: 1,2 (comma-separated)")
@@ -50,8 +35,6 @@ func run() int {
 		seed       = flag.Uint64("seed", 1, "deterministic seed")
 		jobs       = flag.Int("j", 0, "parallel simulations (0 = GOMAXPROCS); results are unaffected")
 		seeds      = flag.Int("seeds", 1, "aggregate figures 8-12 over this many seeds (geomean + spread)")
-		cacheDir   = flag.String("cache", "", "persist results in this directory and reuse them across runs")
-		resume     = flag.Bool("resume", false, "shorthand for -cache "+defaultCacheDir+": resume an interrupted sweep")
 	)
 	flag.Parse()
 
@@ -60,35 +43,12 @@ func run() int {
 		os.Exit(2)
 	}
 
-	// Ctrl-C / SIGTERM cancels the sweep; with a cache attached, runs
-	// already completed are on disk and a rerun resumes after them.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	suite := experiments.NewSuite(workload.GenConfig{
 		Scale:              *scale,
 		WavefrontsPerCU:    *wfs,
 		InstrsPerWavefront: *instrs,
 		Seed:               *seed,
 	}, *seed)
-
-	dir := *cacheDir
-	if dir == "" && *resume {
-		dir = defaultCacheDir
-	}
-	if dir != "" {
-		cache, err := simcache.Open(dir, simcache.Options{})
-		if err != nil {
-			fatalf("opening cache: %v", err)
-		}
-		defer cache.Close()
-		suite.SetPersist(cache)
-		defer func() {
-			st := cache.Stats()
-			fmt.Fprintf(os.Stderr, "paperfigs: cache %s: %d hits, %d misses, %d new results stored\n",
-				dir, st.Hits, st.Misses, st.Puts)
-		}()
-	}
 
 	tables := pick(*table, *all, []string{"1", "2"})
 	figs := pick(*fig, *all, []string{"2", "3", "5", "6", "8", "9", "10", "11", "12", "13", "14"})
@@ -105,11 +65,7 @@ func run() int {
 				break
 			}
 		}
-		if err := suite.Prewarm(ctx, *jobs, specs); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "paperfigs: interrupted; completed runs are in the cache, rerun to resume")
-				return 130
-			}
+		if err := suite.Prewarm(*jobs, specs); err != nil {
 			fatalf("prewarm: %v", err)
 		}
 	}
@@ -158,7 +114,6 @@ func run() int {
 		}
 		experiments.PrintMultiTenant(os.Stdout, parts[0], parts[1], rows)
 	}
-	return 0
 }
 
 // runFigMultiSeed handles the ratio figures under -seeds N; it reports

@@ -40,15 +40,24 @@ func TestConfigRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLoadConfigRejectsUnknownFields also covers fields that were
+// deleted from Config: a file that still sets one must fail, not run
+// without it.
 func TestLoadConfigRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"NotAField": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gpuwalk.LoadConfig(path); err == nil {
-		t.Error("unknown field accepted")
-	} else if !strings.Contains(err.Error(), "NotAField") {
-		t.Errorf("error does not name the field: %v", err)
+	for field, doc := range map[string]string{
+		"NotAField":          `{"NotAField": 1}`,
+		"WalkerLatencyModel": `{"IOMMU":{"WalkerLatencyModel":true}}`,
+		"WalkerFixedLat":     `{"IOMMU":{"WalkerFixedLat":180}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gpuwalk.LoadConfig(path); err == nil {
+			t.Errorf("%s: unknown field accepted", doc)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: error does not name the field: %v", doc, err)
+		}
 	}
 }
 

@@ -117,9 +117,9 @@ func TestConfigHashGolden(t *testing.T) {
 		cfg  gpuwalk.Config
 		want string
 	}{
-		{"default", gpuwalk.DefaultConfig(), "833475cef59911f475260100965c9135bab627645b55878b2ac6d56c00e222da"},
-		{"simt-aware", simt, "cefff439204b326f6e3598017c11607693c1e352a0f7cc2b24bcf4eaed9ab163"},
-		{"random/GEV", random, "a4002538494e2b674bd931ca23b43bb804e8a888c21c5a143ddcde8891603e0b"},
+		{"default", gpuwalk.DefaultConfig(), "b7850ee27a8fff5d8fa36868316652aff644341ebba647a5f81599302671ea10"},
+		{"simt-aware", simt, "a8998df1c816bc9287afdcb5dafeb5a44eb8738af4ba5a54ecac489eb02ed879"},
+		{"random/GEV", random, "9d8a38449345e8618eaf25d8559e825732f82f37e43cf8c24125e65e42cfada8"},
 	} {
 		if got := mustHash(t, tc.cfg); got != tc.want {
 			t.Errorf("%s: ConfigHash = %s, want %s", tc.name, got, tc.want)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"os"
 	"strings"
@@ -246,7 +245,7 @@ func TestPrewarmParallel(t *testing.T) {
 	if len(specs) != 12*2+4 {
 		t.Fatalf("BaselineSpecs = %d entries", len(specs))
 	}
-	if err := s.Prewarm(context.Background(), 4, specs[:8]); err != nil {
+	if err := s.Prewarm(4, specs[:8]); err != nil {
 		t.Fatal(err)
 	}
 	// The cache holds exactly the prewarmed runs, and reusing them gives

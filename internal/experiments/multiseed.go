@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"runtime"
 	"sync"
 
 	"gpuwalk/internal/workload"
@@ -20,12 +21,13 @@ type AggRow struct {
 
 // MultiSeedRatio evaluates one of the ratio figures (Fig8..Fig12, as a
 // method expression like (*Suite).Fig8) across the given seeds, running
-// the per-seed suites concurrently, and aggregates per workload.
+// up to workers per-seed suites at once (0 = GOMAXPROCS), and
+// aggregates per workload.
 func MultiSeedRatio(gen workload.GenConfig, seeds []uint64,
 	fig func(*Suite) ([]RatioRow, error), workers int) ([]AggRow, error) {
 
 	if workers <= 0 {
-		workers = len(seeds)
+		workers = runtime.GOMAXPROCS(0)
 	}
 	perSeed := make([][]RatioRow, len(seeds))
 	errors := make([]error, len(seeds))

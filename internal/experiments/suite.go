@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -17,7 +16,6 @@ import (
 
 	"gpuwalk/internal/core"
 	"gpuwalk/internal/gpu"
-	"gpuwalk/internal/simcache"
 	"gpuwalk/internal/workload"
 )
 
@@ -25,11 +23,6 @@ import (
 // Run and the FigN methods are safe for concurrent use; Prewarm runs a
 // batch of configurations on a worker pool so subsequent figure methods
 // hit the cache.
-//
-// With SetPersist, the in-memory run cache gains a durable second
-// level: misses fall through to a content-addressed store on disk and
-// completed runs are written back, so an interrupted sweep resumes
-// where it stopped and a repeated sweep returns near-instantly.
 type Suite struct {
 	// Gen controls trace generation for every run in the suite.
 	Gen workload.GenConfig
@@ -39,8 +32,6 @@ type Suite struct {
 	mu     sync.Mutex
 	traces map[string]*workload.Trace
 	runs   map[runKey]gpu.Result
-
-	persist *simcache.Cache
 }
 
 type runKey struct {
@@ -85,68 +76,16 @@ func (s *Suite) baseParams(kind core.Kind) gpu.Params {
 	return p
 }
 
-// SetPersist attaches a persistent result store as the second cache
-// level behind the in-memory run map. Keys fold in the suite's trace
-// generation config, seed, the (workload, scheduler, variant) triple
-// and the simulator's ModelVersion — variant strings must therefore
-// uniquely tag their parameter mutation, which Run already requires.
-func (s *Suite) SetPersist(c *simcache.Cache) {
-	s.mu.Lock()
-	s.persist = c
-	s.mu.Unlock()
-}
-
-// PersistStats returns the persistent store's activity counters (zero
-// Stats when no store is attached).
-func (s *Suite) PersistStats() simcache.Stats {
-	s.mu.Lock()
-	c := s.persist
-	s.mu.Unlock()
-	if c == nil {
-		return simcache.Stats{}
-	}
-	return c.Stats()
-}
-
-// persistKey derives the content address of one suite run.
-func (s *Suite) persistKey(wl string, kind core.Kind, variant string) (string, error) {
-	return simcache.Key("suite-run", gpu.ModelVersion, s.Gen, s.Seed, wl, string(kind), variant)
-}
-
 // Run simulates workload wl under scheduler kind, with mutate applied to
 // the baseline parameters. variant must uniquely tag the mutation ("" for
 // the baseline) — it is the cache key.
 func (s *Suite) Run(wl string, kind core.Kind, variant string, mutate func(*gpu.Params)) (gpu.Result, error) {
-	return s.RunContext(context.Background(), wl, kind, variant, mutate)
-}
-
-// RunContext is Run with cancellation: a cancelled ctx aborts an
-// in-flight simulation promptly and returns ctx's error. Cached
-// results (memory or persistent) are returned regardless of ctx.
-func (s *Suite) RunContext(ctx context.Context, wl string, kind core.Kind, variant string, mutate func(*gpu.Params)) (gpu.Result, error) {
 	key := runKey{workload: wl, sched: kind, variant: variant}
 	s.mu.Lock()
 	r, ok := s.runs[key]
-	persist := s.persist
 	s.mu.Unlock()
 	if ok {
 		return r, nil
-	}
-	var pkey string
-	if persist != nil {
-		var err error
-		if pkey, err = s.persistKey(wl, kind, variant); err != nil {
-			return gpu.Result{}, err
-		}
-		var cached gpu.Result
-		if hit, err := persist.GetJSON(pkey, &cached); err != nil {
-			return gpu.Result{}, err
-		} else if hit {
-			s.mu.Lock()
-			s.runs[key] = cached
-			s.mu.Unlock()
-			return cached, nil
-		}
 	}
 	tr, err := s.trace(wl)
 	if err != nil {
@@ -160,14 +99,9 @@ func (s *Suite) RunContext(ctx context.Context, wl string, kind core.Kind, varia
 	if err != nil {
 		return gpu.Result{}, err
 	}
-	r, err = sys.RunContext(ctx)
+	r, err = sys.Run()
 	if err != nil {
 		return gpu.Result{}, fmt.Errorf("%s/%s%s: %w", wl, kind, variant, err)
-	}
-	if persist != nil {
-		if _, err := persist.PutJSON(pkey, r); err != nil {
-			return gpu.Result{}, fmt.Errorf("%s/%s%s: persisting result: %w", wl, kind, variant, err)
-		}
 	}
 	s.mu.Lock()
 	s.runs[key] = r
@@ -214,13 +148,9 @@ func SensitivitySpecs() []RunSpec {
 
 // Prewarm executes specs on a pool of workers wide (0 = GOMAXPROCS) and
 // populates the cache. Individual simulations stay single-threaded and
-// deterministic; only independent runs execute concurrently.
-//
-// Cancelling ctx stops the sweep: no further specs are launched,
-// in-flight simulations abort promptly, every worker goroutine exits,
-// and Prewarm returns ctx's error. Otherwise the first simulation
-// error (if any) is returned after all workers finish.
-func (s *Suite) Prewarm(ctx context.Context, workers int, specs []RunSpec) error {
+// deterministic; only independent runs execute concurrently. The first
+// simulation error (if any) is returned after all workers finish.
+func (s *Suite) Prewarm(workers int, specs []RunSpec) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -233,30 +163,19 @@ func (s *Suite) Prewarm(ctx context.Context, workers int, specs []RunSpec) error
 			defer wg.Done()
 			var first error
 			for spec := range work {
-				if ctx.Err() != nil {
-					continue // drain without running; producer is closing
-				}
-				if _, err := s.RunContext(ctx, spec.Workload, spec.Sched, spec.Variant, spec.Mutate); err != nil && first == nil {
+				if _, err := s.Run(spec.Workload, spec.Sched, spec.Variant, spec.Mutate); err != nil && first == nil {
 					first = err
 				}
 			}
 			errs <- first
 		}()
 	}
-feed:
 	for _, spec := range specs {
-		select {
-		case work <- spec:
-		case <-ctx.Done():
-			break feed
-		}
+		work <- spec
 	}
 	close(work)
 	wg.Wait()
 	close(errs)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	for err := range errs {
 		if err != nil {
 			return err

@@ -63,17 +63,6 @@ type Config struct {
 	// memory controller rejected (full queue).
 	RetryDelay uint64
 
-	// WalkerLatencyModel selects the fast approximate walker tier: each
-	// PTE read completes after a fixed WalkerFixedLat cycles instead of
-	// going through the contended DRAM model. Everything else — PWC,
-	// TLBs, walker occupancy, scheduling, fault handling — is unchanged,
-	// so relative scheduling effects survive while sweeps run 10-100x
-	// cheaper. Off by default: the full model stays the reference.
-	WalkerLatencyModel bool
-	// WalkerFixedLat is the per-PTE-read latency of the latency-model
-	// tier, in cycles (0 = DefaultWalkerFixedLat).
-	WalkerFixedLat uint64
-
 	// RecordSchedule keeps a log of (walker, start, end, instruction)
 	// for every serviced walk, capped at RecordLimit entries. Used by
 	// the Figure 4 timeline demo and debugging; off by default.
@@ -93,15 +82,6 @@ type Config struct {
 	// Inert until a handler or injector is attached via SetFaultModel.
 	Faults FaultConfig
 }
-
-// DefaultWalkerFixedLat is the latency-model tier's default per-PTE-read
-// latency. An uncontended DRAM row miss in the baseline configuration
-// costs 86 cycles (TCtrl 20 + TRCD 28 + TCAS 28 + TBurst 10); the
-// default adds a calibrated allowance for queueing, chosen by sweeping
-// the value against the full model on the four paper workloads
-// (TestLatencyTierValidation) — 180 minimized the worst-case cycle and
-// walk-latency error there.
-const DefaultWalkerFixedLat = 180
 
 // DefaultConfig returns the Table I baseline IOMMU.
 func DefaultConfig() Config {
@@ -269,10 +249,8 @@ type IOMMU struct {
 
 	// walkPool recycles walkState objects (with their pre-bound
 	// callback closures and PTE-address buffers) so steady-state walks
-	// allocate nothing; fixedLat is the resolved latency-model tier
-	// per-read latency.
+	// allocate nothing.
 	walkPool []*walkState
-	fixedLat uint64
 
 	busyInt sim.Integrator // busy walkers over time
 
@@ -339,10 +317,6 @@ func New(eng *sim.Engine, cfg Config, sched core.IndexedScheduler, pt *mmu.PageT
 		instrs:       make(map[core.InstrID]*instrInfo),
 		walkStart:    make(map[*core.Request]walkSlot),
 		faultSince:   make(map[*core.Request]sim.Cycle),
-	}
-	io.fixedLat = cfg.WalkerFixedLat
-	if io.fixedLat == 0 {
-		io.fixedLat = DefaultWalkerFixedLat
 	}
 	io.trackWalkers = cfg.RecordSchedule
 	for i := cfg.Walkers - 1; i >= 0; i-- {
@@ -778,9 +752,7 @@ func (w *walkState) step() {
 // issueWalkAccess performs the remaining PTE reads sequentially; each
 // read depends on the previous one's result, as in a real radix walk.
 // Between reads it honours an injected walker kill, and after the last
-// read it routes a non-present leaf to the page-fault path. Under the
-// latency-model tier each read completes after a fixed latency instead
-// of going through the DRAM model; every other transition is shared.
+// read it routes a non-present leaf to the page-fault path.
 func (io *IOMMU) issueWalkAccess(w *walkState) {
 	if w.killAfter >= 0 && w.done >= w.killAfter {
 		r, wasted := w.r, w.done
@@ -796,10 +768,6 @@ func (io *IOMMU) issueWalkAccess(w *walkState) {
 			return
 		}
 		io.finishWalk(r, total)
-		return
-	}
-	if io.cfg.WalkerLatencyModel {
-		io.eng.After(io.fixedLat, w.stepFn)
 		return
 	}
 	ok := io.dram(w.addrs[0], w.stepFn)

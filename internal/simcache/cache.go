@@ -425,18 +425,6 @@ func (c *Cache) Close() error {
 	return c.flushIndexLocked()
 }
 
-// GetJSON reads the entry under key into out.
-func (c *Cache) GetJSON(key string, out any) (bool, error) {
-	b, ok, err := c.Get(key)
-	if err != nil || !ok {
-		return false, err
-	}
-	if err := json.Unmarshal(b, out); err != nil {
-		return false, fmt.Errorf("simcache: decoding entry %s: %w", key[:8], err)
-	}
-	return true, nil
-}
-
 func boolU64(b bool) uint64 {
 	if b {
 		return 1

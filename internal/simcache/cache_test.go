@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -299,10 +300,13 @@ func TestGetJSONPutJSON(t *testing.T) {
 	if _, err := c.PutJSON(key, want); err != nil {
 		t.Fatal(err)
 	}
+	b, ok, err := c.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
+	}
 	var got rec
-	ok, err := c.GetJSON(key, &got)
-	if err != nil || !ok || got != want {
-		t.Fatalf("GetJSON = %+v, %v, %v", got, ok, err)
+	if err := json.Unmarshal(b, &got); err != nil || got != want {
+		t.Fatalf("PutJSON payload decodes to %+v, %v; want %+v", got, err, want)
 	}
 }
 

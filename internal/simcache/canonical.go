@@ -10,7 +10,7 @@
 // sizes and last-use order so the store can enforce an LRU byte cap.
 //
 // See docs/SERVER.md for the on-disk layout and the services built on
-// top of it (cmd/gpuwalkd, cmd/paperfigs -resume).
+// top of it (cmd/gpuwalkd, examples/sensitivity).
 package simcache
 
 import (
