@@ -6,13 +6,20 @@
 //
 //	paperfigs -all                # every table and figure
 //	paperfigs -fig 8              # one figure
+//	paperfigs -fig 8 -seeds 5     # Figure 8 aggregated over seeds 1-5
 //	paperfigs -table 2            # one table
 //	paperfigs -fig 8 -scale 1.0   # full Table II footprints (about 7 s on 2 vCPUs)
+//
+// Simulations run on a pool of GOMAXPROCS workers; GOMAXPROCS=N caps
+// it. Each simulation is single-threaded and deterministic, so the
+// pool changes only wall time.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,84 +27,79 @@ import (
 	"gpuwalk/internal/workload"
 )
 
+// errUsage reports a command line that does not parse or names
+// nothing to regenerate; the usage text is already on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	var (
-		fig        = flag.String("fig", "", "figure to regenerate: 2,3,5,6,8,9,10,11,12,13,14 (comma-separated)")
-		table      = flag.String("table", "", "table to regenerate: 1,2 (comma-separated)")
-		discussion = flag.Bool("discussion", false, "run the Section VI large-page comparison")
-		tenants    = flag.String("multitenant", "", "co-run two apps, e.g. MVT,KMN (aggressor,victim)")
-		bars       = flag.Bool("bars", false, "also render bar charts for the normalized figures")
-		csvdir     = flag.String("csvdir", "", "also write each figure's data as CSV into this directory")
-		all        = flag.Bool("all", false, "regenerate everything")
-		scale      = flag.Float64("scale", 0.125, "workload footprint scale vs Table II")
-		wfs        = flag.Int("wavefronts", 0, "wavefronts per CU (0 = calibrated default)")
-		instrs     = flag.Int("instrs", 0, "memory instructions per wavefront (0 = calibrated default)")
-		seed       = flag.Uint64("seed", 1, "deterministic seed")
-		jobs       = flag.Int("j", 0, "parallel simulations (0 = GOMAXPROCS); results are unaffected")
-		seeds      = flag.Int("seeds", 1, "aggregate figures 8-12 over this many seeds (geomean + spread)")
-	)
-	flag.Parse()
-
-	if !*all && *fig == "" && *table == "" && !*discussion && *tenants == "" {
-		flag.Usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run regenerates what args ask for and prints it to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	var (
+		fig        = fs.String("fig", "", "figure to regenerate: 2,3,5,6,8,9,10,11,12,13,14 (comma-separated)")
+		table      = fs.String("table", "", "table to regenerate: 1,2 (comma-separated)")
+		discussion = fs.Bool("discussion", false, "run the Section VI large-page comparison")
+		tenants    = fs.String("multitenant", "", "co-run two apps, e.g. MVT,KMN (aggressor,victim)")
+		bars       = fs.Bool("bars", false, "also render bar charts for the normalized figures")
+		csvdir     = fs.String("csvdir", "", "also write each figure's data as CSV into this directory")
+		all        = fs.Bool("all", false, "regenerate everything")
+		scale      = fs.Float64("scale", 0.125, "workload footprint scale vs Table II")
+		wfs        = fs.Int("wavefronts", 0, "wavefronts per CU (0 = calibrated default)")
+		instrs     = fs.Int("instrs", 0, "memory instructions per wavefront (0 = calibrated default)")
+		seed       = fs.Uint64("seed", 1, "deterministic seed")
+		seeds      = fs.Int("seeds", 1, "aggregate figures 8-12 over this many seeds (geomean + spread)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if !*all && *fig == "" && *table == "" && !*discussion && *tenants == "" {
+		fs.Usage()
+		return errUsage
 	}
 
-	suite := experiments.NewSuite(workload.GenConfig{
-		Scale:              *scale,
-		WavefrontsPerCU:    *wfs,
-		InstrsPerWavefront: *instrs,
-		Seed:               *seed,
-	}, *seed)
-
-	tables := pick(*table, *all, []string{"1", "2"})
-	figs := pick(*fig, *all, []string{"2", "3", "5", "6", "8", "9", "10", "11", "12", "13", "14"})
-
-	// Fill the run cache on a worker pool; each simulation is
-	// single-threaded and deterministic, so parallelism only affects
-	// wall time.
-	if len(figs) > 0 && *seeds <= 1 {
-		var specs []experiments.RunSpec
-		specs = append(specs, experiments.BaselineSpecs()...)
-		for _, f := range figs {
-			if f == "13" || f == "14" {
-				specs = append(specs, experiments.SensitivitySpecs()...)
-				break
-			}
-		}
-		if err := suite.Prewarm(*jobs, specs); err != nil {
-			fatalf("prewarm: %v", err)
-		}
+	// One suite, and so one run cache, per seed. Every figure reads the
+	// first; -seeds aggregates figures 8-12 over all of them.
+	gen := workload.GenConfig{Scale: *scale, WavefrontsPerCU: *wfs, InstrsPerWavefront: *instrs}
+	suites := make([]*experiments.Suite, max(*seeds, 1))
+	for i := range suites {
+		gen.Seed = *seed + uint64(i)
+		suites[i] = experiments.NewSuite(gen, gen.Seed)
 	}
 
-	for _, t := range tables {
+	for _, t := range pick(*table, *all, []string{"1", "2"}) {
 		switch t {
 		case "1":
-			experiments.PrintTable1(os.Stdout)
+			experiments.PrintTable1(stdout)
 		case "2":
-			experiments.PrintTable2(os.Stdout)
+			experiments.PrintTable2(stdout)
 		default:
-			fatalf("unknown table %q", t)
+			return fmt.Errorf("unknown table %q", t)
 		}
 	}
-	for _, f := range figs {
-		if *seeds > 1 {
-			if done, err := runFigMultiSeed(f, *seed, *seeds, *jobs, suite.Gen); err != nil {
-				fatalf("figure %s: %v", f, err)
-			} else if done {
-				continue
-			}
-		}
-		if err := runFig(suite, f, *bars, *csvdir); err != nil {
-			fatalf("figure %s: %v", f, err)
+	for _, f := range pick(*fig, *all, []string{"2", "3", "5", "6", "8", "9", "10", "11", "12", "13", "14"}) {
+		if err := runFig(stdout, suites, f, *bars, *csvdir); err != nil {
+			return fmt.Errorf("figure %s: %w", f, err)
 		}
 	}
 	if *discussion || *all {
-		rows, err := suite.LargePages()
+		rows, err := suites[0].LargePages()
 		if err != nil {
-			fatalf("large-page discussion: %v", err)
+			return fmt.Errorf("large-page discussion: %w", err)
 		}
-		experiments.PrintLargePages(os.Stdout, rows)
+		experiments.PrintLargePages(stdout, rows)
 	}
 	pair := *tenants
 	if *all && pair == "" {
@@ -106,43 +108,15 @@ func main() {
 	if pair != "" {
 		parts := strings.Split(pair, ",")
 		if len(parts) != 2 {
-			fatalf("-multitenant wants aggressor,victim; got %q", pair)
+			return fmt.Errorf("-multitenant wants aggressor,victim; got %q", pair)
 		}
-		rows, err := suite.MultiTenant(parts[0], parts[1])
+		rows, err := suites[0].MultiTenant(parts[0], parts[1])
 		if err != nil {
-			fatalf("multi-tenant comparison: %v", err)
+			return fmt.Errorf("multi-tenant comparison: %w", err)
 		}
-		experiments.PrintMultiTenant(os.Stdout, parts[0], parts[1], rows)
+		experiments.PrintMultiTenant(stdout, parts[0], parts[1], rows)
 	}
-}
-
-// runFigMultiSeed handles the ratio figures under -seeds N; it reports
-// done=false for figures without a multi-seed form.
-func runFigMultiSeed(f string, baseSeed uint64, n, jobs int, gen workload.GenConfig) (bool, error) {
-	figs := map[string]struct {
-		fn    func(*experiments.Suite) ([]experiments.RatioRow, error)
-		title string
-	}{
-		"8":  {(*experiments.Suite).Fig8, "Figure 8: speedup with SIMT-aware scheduler"},
-		"9":  {(*experiments.Suite).Fig9, "Figure 9: normalized GPU stall cycles"},
-		"10": {(*experiments.Suite).Fig10, "Figure 10: normalized first-to-last walk gap"},
-		"11": {(*experiments.Suite).Fig11, "Figure 11: normalized page table walks"},
-		"12": {(*experiments.Suite).Fig12, "Figure 12: normalized distinct wavefronts per epoch"},
-	}
-	spec, ok := figs[f]
-	if !ok {
-		return false, nil
-	}
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = baseSeed + uint64(i)
-	}
-	rows, err := experiments.MultiSeedRatio(gen, seeds, spec.fn, jobs)
-	if err != nil {
-		return true, err
-	}
-	experiments.PrintAggRows(os.Stdout, fmt.Sprintf("%s — %d seeds", spec.title, n), rows)
-	return true, nil
+	return nil
 }
 
 func pick(csv string, all bool, everything []string) []string {
@@ -155,20 +129,51 @@ func pick(csv string, all bool, everything []string) []string {
 	return strings.Split(csv, ",")
 }
 
-func runFig(s *experiments.Suite, f string, bars bool, csvdir string) error {
-	writeCSV := func(name string, header []string, rows [][]string) error {
+// ratioFigs are Figures 8-12: one SIMT-aware over FCFS ratio per
+// workload, which -seeds aggregates across seeds.
+var ratioFigs = map[string]struct {
+	fn            func(*experiments.Suite) ([]experiments.RatioRow, error)
+	title, column string
+}{
+	"8":  {(*experiments.Suite).Fig8, "Figure 8: speedup with SIMT-aware page walk scheduler", "speedup over fcfs"},
+	"9":  {(*experiments.Suite).Fig9, "Figure 9: GPU stall cycles (normalized to FCFS)", "normalized stalls"},
+	"10": {(*experiments.Suite).Fig10, "Figure 10: first-to-last walk latency gap (normalized to FCFS)", "normalized gap"},
+	"11": {(*experiments.Suite).Fig11, "Figure 11: page table walks (normalized to FCFS)", "normalized walks"},
+	"12": {(*experiments.Suite).Fig12, "Figure 12: distinct wavefronts at GPU L2 TLB per epoch (normalized to FCFS)", "normalized wavefronts"},
+}
+
+// runFig prints figure f from the first suite, or for figures 8-12
+// from all of them when there are several.
+func runFig(w io.Writer, suites []*experiments.Suite, f string, bars bool, csvdir string) error {
+	writeCSV := func(header []string, rows [][]string) error {
 		if csvdir == "" {
 			return nil
 		}
-		return experiments.WriteCSV(csvdir, name, header, rows)
+		return experiments.WriteCSV(csvdir, "fig"+f, header, rows)
 	}
-	ratio := func(rows []experiments.RatioRow, title, column string) error {
-		experiments.PrintRatioRows(os.Stdout, title, column, rows)
-		if bars {
-			experiments.PlotRatioRows(os.Stdout, title+" (bars)", rows)
+	s := suites[0]
+	if r, ok := ratioFigs[f]; ok {
+		if len(suites) > 1 {
+			rows, err := experiments.MultiSeedRatio(suites, r.fn)
+			if err != nil {
+				return err
+			}
+			title := fmt.Sprintf("%s — %d seeds", r.title, len(suites))
+			experiments.PrintAggRows(w, title, rows)
+			if bars {
+				experiments.PlotAggRows(w, title+" (bars)", rows)
+			}
+			return writeCSV(experiments.AggCSV(rows))
 		}
-		h, out := experiments.RatioCSV(column, rows)
-		return writeCSV("fig"+f, h, out)
+		rows, err := r.fn(s)
+		if err != nil {
+			return err
+		}
+		experiments.PrintRatioRows(w, r.title, r.column, rows)
+		if bars {
+			experiments.PlotRatioRows(w, r.title+" (bars)", rows)
+		}
+		return writeCSV(experiments.RatioCSV(r.column, rows))
 	}
 	switch f {
 	case "2":
@@ -176,85 +181,43 @@ func runFig(s *experiments.Suite, f string, bars bool, csvdir string) error {
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig2(os.Stdout, rows)
+		experiments.PrintFig2(w, rows)
 		if bars {
-			experiments.PlotFig2(os.Stdout, rows)
+			experiments.PlotFig2(w, rows)
 		}
-		h, out := experiments.Fig2CSV(rows)
-		return writeCSV("fig2", h, out)
+		return writeCSV(experiments.Fig2CSV(rows))
 	case "3":
 		rows, err := s.Fig3()
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig3(os.Stdout, rows)
-		h, out := experiments.Fig3CSV(rows)
-		return writeCSV("fig3", h, out)
+		experiments.PrintFig3(w, rows)
+		return writeCSV(experiments.Fig3CSV(rows))
 	case "5":
 		rows, err := s.Fig5()
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig5(os.Stdout, rows)
+		experiments.PrintFig5(w, rows)
 	case "6":
 		rows, err := s.Fig6()
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig6(os.Stdout, rows)
-	case "8":
-		rows, err := s.Fig8()
+		experiments.PrintFig6(w, rows)
+	case "13", "14":
+		variants, title := experiments.Fig13Variants(), "Figure 13: sensitivity to L2 TLB size and walker count"
+		if f == "14" {
+			variants, title = experiments.Fig14Variants(), "Figure 14: sensitivity to IOMMU buffer size"
+		}
+		rows, err := s.Sensitivity(variants)
 		if err != nil {
 			return err
 		}
-		return ratio(rows, "Figure 8: speedup with SIMT-aware page walk scheduler", "speedup over fcfs")
-	case "9":
-		rows, err := s.Fig9()
-		if err != nil {
-			return err
-		}
-		return ratio(rows, "Figure 9: GPU stall cycles (normalized to FCFS)", "normalized stalls")
-	case "10":
-		rows, err := s.Fig10()
-		if err != nil {
-			return err
-		}
-		return ratio(rows, "Figure 10: first-to-last walk latency gap (normalized to FCFS)", "normalized gap")
-	case "11":
-		rows, err := s.Fig11()
-		if err != nil {
-			return err
-		}
-		return ratio(rows, "Figure 11: page table walks (normalized to FCFS)", "normalized walks")
-	case "12":
-		rows, err := s.Fig12()
-		if err != nil {
-			return err
-		}
-		return ratio(rows, "Figure 12: distinct wavefronts at GPU L2 TLB per epoch (normalized to FCFS)", "normalized wavefronts")
-	case "13":
-		rows, err := s.Sensitivity(experiments.Fig13Variants())
-		if err != nil {
-			return err
-		}
-		experiments.PrintSensitivity(os.Stdout, "Figure 13: sensitivity to L2 TLB size and walker count", rows)
-		h, out := experiments.SensitivityCSV(rows)
-		return writeCSV("fig13", h, out)
-	case "14":
-		rows, err := s.Sensitivity(experiments.Fig14Variants())
-		if err != nil {
-			return err
-		}
-		experiments.PrintSensitivity(os.Stdout, "Figure 14: sensitivity to IOMMU buffer size", rows)
-		h, out := experiments.SensitivityCSV(rows)
-		return writeCSV("fig14", h, out)
+		experiments.PrintSensitivity(w, title, rows)
+		return writeCSV(experiments.SensitivityCSV(rows))
 	default:
 		return fmt.Errorf("unknown figure %q", f)
 	}
 	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "paperfigs: "+format+"\n", args...)
-	os.Exit(1)
 }

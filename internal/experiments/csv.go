@@ -72,6 +72,15 @@ func RatioCSV(column string, rows []RatioRow) (header []string, out [][]string) 
 	return header, out
 }
 
+// AggCSV converts a multi-seed aggregate for WriteCSV.
+func AggCSV(rows []AggRow) (header []string, out [][]string) {
+	header = []string{"workload", "geomean", "min", "max"}
+	for _, r := range rows {
+		out = append(out, []string{r.Workload, ftoa(r.Mean), ftoa(r.Min), ftoa(r.Max)})
+	}
+	return header, out
+}
+
 // SensitivityCSV converts Figure 13/14 rows for WriteCSV.
 func SensitivityCSV(rows []SensitivityRow) (header []string, out [][]string) {
 	header = []string{"variant", "workload", "speedup"}

@@ -24,27 +24,21 @@ type LargePageRow struct {
 	SchedOn2M float64
 }
 
-func withLargePages() func(*gpu.Params) {
-	return func(p *gpu.Params) { p.GPU.PageBits = 21 }
-}
+// largePages backs every touched region with 2 MB pages.
+var largePages = SensitivityVariant{Name: "2MB", Mutate: func(p *gpu.Params) { p.GPU.PageBits = 21 }}
 
 // LargePages runs the Section VI comparison over the irregular
 // workloads.
 func (s *Suite) LargePages() ([]LargePageRow, error) {
+	n := len(IrregularWorkloads)
+	res, err := s.RunAll(append(grid(SensitivityVariant{}, IrregularWorkloads, core.KindFCFS),
+		grid(largePages, IrregularWorkloads, core.KindFCFS, core.KindSIMTAware)...))
+	if err != nil {
+		return nil, err
+	}
 	var rows []LargePageRow
-	for _, wl := range IrregularWorkloads {
-		base4k, err := s.Baseline(wl, core.KindFCFS)
-		if err != nil {
-			return nil, err
-		}
-		fcfs2m, err := s.Run(wl, core.KindFCFS, "2MB", withLargePages())
-		if err != nil {
-			return nil, err
-		}
-		simt2m, err := s.Run(wl, core.KindSIMTAware, "2MB", withLargePages())
-		if err != nil {
-			return nil, err
-		}
+	for i, wl := range IrregularWorkloads {
+		base4k, fcfs2m, simt2m := res[i], res[n+2*i], res[n+2*i+1]
 		rows = append(rows, LargePageRow{
 			Workload:  wl,
 			Walks4K:   base4k.IOMMU.WalksDone,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -36,11 +37,11 @@ func TestGeoMean(t *testing.T) {
 
 func TestSuiteCaching(t *testing.T) {
 	s := microSuite()
-	a, err := s.Baseline("MVT", core.KindFCFS)
+	a, err := s.Run(RunSpec{Workload: "MVT", Sched: core.KindFCFS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Baseline("MVT", core.KindFCFS)
+	b, err := s.Run(RunSpec{Workload: "MVT", Sched: core.KindFCFS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestSuiteCaching(t *testing.T) {
 		t.Errorf("cache has %d entries, want 1", len(s.runs))
 	}
 	// A variant must not collide with the baseline.
-	if _, err := s.Run("MVT", core.KindFCFS, "v", withWalkers(16)); err != nil {
+	if _, err := s.Run(RunSpec{Workload: "MVT", Sched: core.KindFCFS, Variant: "v", Mutate: withWalkers(16)}); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.runs) != 2 {
@@ -191,7 +192,7 @@ func TestTable2Contents(t *testing.T) {
 
 func TestUnknownWorkloadError(t *testing.T) {
 	s := microSuite()
-	if _, err := s.Baseline("NOPE", core.KindFCFS); err == nil {
+	if _, err := s.Run(RunSpec{Workload: "NOPE", Sched: core.KindFCFS}); err == nil {
 		t.Error("unknown workload did not error")
 	}
 }
@@ -239,40 +240,6 @@ func TestMultiTenant(t *testing.T) {
 	}
 }
 
-func TestPrewarmParallel(t *testing.T) {
-	s := microSuite()
-	specs := BaselineSpecs()
-	if len(specs) != 12*2+4 {
-		t.Fatalf("BaselineSpecs = %d entries", len(specs))
-	}
-	if err := s.Prewarm(4, specs[:8]); err != nil {
-		t.Fatal(err)
-	}
-	// The cache holds exactly the prewarmed runs, and reusing them gives
-	// identical results to a fresh serial suite.
-	serial := microSuite()
-	for _, spec := range specs[:8] {
-		a, err := s.Run(spec.Workload, spec.Sched, spec.Variant, spec.Mutate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := serial.Run(spec.Workload, spec.Sched, spec.Variant, spec.Mutate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Cycles != b.Cycles || a.IOMMU.WalksDone != b.IOMMU.WalksDone {
-			t.Fatalf("%s/%s: parallel prewarm changed the result", spec.Workload, spec.Sched)
-		}
-	}
-}
-
-func TestSensitivitySpecsShape(t *testing.T) {
-	specs := SensitivitySpecs()
-	if len(specs) != 5*6*2 {
-		t.Fatalf("SensitivitySpecs = %d entries, want 60", len(specs))
-	}
-}
-
 func TestCSVWriters(t *testing.T) {
 	s := microSuite()
 	dir := t.TempDir()
@@ -313,8 +280,7 @@ func TestCSVWriters(t *testing.T) {
 }
 
 func TestMultiSeedRatio(t *testing.T) {
-	gen := workload.GenConfig{WavefrontsPerCU: 2, InstrsPerWavefront: 6, Scale: 0.05}
-	rows, err := MultiSeedRatio(gen, []uint64{1, 2, 3}, (*Suite).Fig11, 3)
+	rows, err := MultiSeedRatio(seedSuites(1, 2, 3), (*Suite).Fig11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +299,68 @@ func TestMultiSeedRatio(t *testing.T) {
 	PrintAggRows(&buf, "agg", rows)
 	if !strings.Contains(buf.String(), "geomean") {
 		t.Error("agg table missing header")
+	}
+}
+
+// seedSuites returns one micro-shape suite per seed, the way paperfigs
+// builds them for -seeds.
+func seedSuites(seeds ...uint64) []*Suite {
+	suites := make([]*Suite, len(seeds))
+	for i, seed := range seeds {
+		gen := workload.GenConfig{WavefrontsPerCU: 2, InstrsPerWavefront: 6, Scale: 0.05, Seed: seed}
+		suites[i] = NewSuite(gen, seed)
+	}
+	return suites
+}
+
+// TestFiguresShareRuns: figures on one seed's suite read the runs an
+// earlier figure made instead of simulating them again, and a batch
+// on the worker pool gives the same results as one-at-a-time runs.
+func TestFiguresShareRuns(t *testing.T) {
+	suites := seedSuites(1, 2)
+	if _, err := MultiSeedRatio(suites, (*Suite).Fig8); err != nil {
+		t.Fatal(err)
+	}
+	// A re-simulated run would carry a fresh PerCUStall slice.
+	first := map[*Suite]map[runKey]*uint64{}
+	for _, s := range suites {
+		first[s] = map[runKey]*uint64{}
+		for k, r := range s.runs {
+			first[s][k] = &r.PerCUStall[0]
+		}
+	}
+	for _, fig := range []func(*Suite) ([]RatioRow, error){(*Suite).Fig9, (*Suite).Fig11} {
+		if _, err := MultiSeedRatio(suites, fig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range suites {
+		if len(s.runs) != 24 {
+			t.Errorf("seed %d: %d runs cached after Figures 8, 9 and 11, want 24", s.Seed, len(s.runs))
+		}
+		for k, r := range s.runs {
+			if &r.PerCUStall[0] != first[s][k] {
+				t.Errorf("seed %d: %v simulated again after Figure 8", s.Seed, k)
+			}
+		}
+	}
+
+	serial := seedSuites(2)[0]
+	for k, batched := range suites[1].runs {
+		one, err := serial.Run(RunSpec{Workload: k.workload, Sched: k.sched, Variant: k.variant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := json.Marshal(batched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%v: batched result differs from a one-at-a-time run", k)
+		}
 	}
 }

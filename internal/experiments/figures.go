@@ -21,20 +21,13 @@ type Fig2Row struct {
 // Fig2 reproduces Figure 2 (performance impact of page walk scheduling)
 // over the motivational workloads.
 func (s *Suite) Fig2() ([]Fig2Row, error) {
+	res, err := s.RunAll(grid(SensitivityVariant{}, Fig2Workloads, core.KindRandom, core.KindFCFS, core.KindSIMTAware))
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig2Row
-	for _, wl := range Fig2Workloads {
-		rnd, err := s.Baseline(wl, core.KindRandom)
-		if err != nil {
-			return nil, err
-		}
-		fcfs, err := s.Baseline(wl, core.KindFCFS)
-		if err != nil {
-			return nil, err
-		}
-		simt, err := s.Baseline(wl, core.KindSIMTAware)
-		if err != nil {
-			return nil, err
-		}
+	for i, wl := range Fig2Workloads {
+		rnd, fcfs, simt := res[3*i], res[3*i+1], res[3*i+2]
 		rows = append(rows, Fig2Row{
 			Workload:  wl,
 			Random:    1,
@@ -67,21 +60,21 @@ type Fig3Row struct {
 // Fig3 reproduces Figure 3 (distribution of per-instruction translation
 // work) under the baseline FCFS scheduler.
 func (s *Suite) Fig3() ([]Fig3Row, error) {
+	fcfs, err := s.RunAll(grid(SensitivityVariant{}, Fig2Workloads, core.KindFCFS))
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig3Row
-	for _, wl := range Fig2Workloads {
-		res, err := s.Baseline(wl, core.KindFCFS)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range fcfs {
 		bounds, _, _ := res.Instr.AccessHist.Buckets()
 		labels := make([]string, len(bounds))
 		lo := uint64(1)
-		for i, b := range bounds {
-			labels[i] = fmt.Sprintf("%d-%d", lo, b)
+		for j, b := range bounds {
+			labels[j] = fmt.Sprintf("%d-%d", lo, b)
 			lo = b + 1
 		}
 		rows = append(rows, Fig3Row{
-			Workload:  wl,
+			Workload:  Fig2Workloads[i],
 			Buckets:   labels,
 			Fractions: res.Instr.AccessHist.Fractions(),
 		})
@@ -116,17 +109,17 @@ type Fig5Row struct {
 
 // Fig5 reproduces Figure 5 under the baseline FCFS scheduler.
 func (s *Suite) Fig5() ([]Fig5Row, error) {
+	fcfs, err := s.RunAll(grid(SensitivityVariant{}, Fig2Workloads, core.KindFCFS))
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig5Row
-	for _, wl := range Fig2Workloads {
-		res, err := s.Baseline(wl, core.KindFCFS)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range fcfs {
 		frac := 0.0
 		if res.Instr.Multi > 0 {
 			frac = float64(res.Instr.Interleaved) / float64(res.Instr.Multi)
 		}
-		rows = append(rows, Fig5Row{Workload: wl, Fraction: frac})
+		rows = append(rows, Fig5Row{Workload: Fig2Workloads[i], Fraction: frac})
 	}
 	return rows, nil
 }
@@ -152,17 +145,17 @@ type Fig6Row struct {
 
 // Fig6 reproduces Figure 6 under the baseline FCFS scheduler.
 func (s *Suite) Fig6() ([]Fig6Row, error) {
+	fcfs, err := s.RunAll(grid(SensitivityVariant{}, Fig2Workloads, core.KindFCFS))
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig6Row
-	for _, wl := range Fig2Workloads {
-		res, err := s.Baseline(wl, core.KindFCFS)
-		if err != nil {
-			return nil, err
-		}
+	for i, res := range fcfs {
 		last := 0.0
 		if res.Instr.MeanFirstLat > 0 {
 			last = res.Instr.MeanLastLat / res.Instr.MeanFirstLat
 		}
-		rows = append(rows, Fig6Row{Workload: wl, First: 1, Last: last})
+		rows = append(rows, Fig6Row{Workload: Fig2Workloads[i], First: 1, Last: last})
 	}
 	return rows, nil
 }
@@ -188,17 +181,13 @@ type RatioRow struct {
 // ratioFig computes metric(simt)/metric(fcfs) — or its inverse for
 // speedups — per workload.
 func (s *Suite) ratioFig(workloads []string, metric func(gpu.Result) float64, invert bool) ([]RatioRow, error) {
+	res, err := s.RunAll(grid(SensitivityVariant{}, workloads, core.KindFCFS, core.KindSIMTAware))
+	if err != nil {
+		return nil, err
+	}
 	var rows []RatioRow
-	for _, wl := range workloads {
-		fcfs, err := s.Baseline(wl, core.KindFCFS)
-		if err != nil {
-			return nil, err
-		}
-		simt, err := s.Baseline(wl, core.KindSIMTAware)
-		if err != nil {
-			return nil, err
-		}
-		den, num := metric(fcfs), metric(simt)
+	for i, wl := range workloads {
+		den, num := metric(res[2*i]), metric(res[2*i+1])
 		v := 0.0
 		switch {
 		case invert && num > 0:
@@ -337,23 +326,22 @@ type SensitivityRow struct {
 // Sensitivity runs SIMT-aware vs FCFS for the irregular workloads under
 // each machine variant (Figures 13 and 14).
 func (s *Suite) Sensitivity(variants []SensitivityVariant) ([]SensitivityRow, error) {
-	var rows []SensitivityRow
+	var specs []RunSpec
 	for _, v := range variants {
-		for _, wl := range IrregularWorkloads {
-			fcfs, err := s.Run(wl, core.KindFCFS, v.Name, v.Mutate)
-			if err != nil {
-				return nil, err
-			}
-			simt, err := s.Run(wl, core.KindSIMTAware, v.Name, v.Mutate)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, SensitivityRow{
-				Variant:  v.Name,
-				Workload: wl,
-				Speedup:  float64(fcfs.Cycles) / float64(simt.Cycles),
-			})
-		}
+		specs = append(specs, grid(v, IrregularWorkloads, core.KindFCFS, core.KindSIMTAware)...)
+	}
+	res, err := s.RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	var rows []SensitivityRow
+	for i := 0; i < len(specs); i += 2 {
+		fcfs, simt := res[i], res[i+1]
+		rows = append(rows, SensitivityRow{
+			Variant:  specs[i].Variant,
+			Workload: specs[i].Workload,
+			Speedup:  float64(fcfs.Cycles) / float64(simt.Cycles),
+		})
 	}
 	return rows, nil
 }

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"io"
-	"runtime"
-	"sync"
 
-	"gpuwalk/internal/workload"
+	"gpuwalk/internal/textplot"
 )
 
 // AggRow is a per-workload ratio aggregated across seeds: the geometric
@@ -20,43 +18,18 @@ type AggRow struct {
 }
 
 // MultiSeedRatio evaluates one of the ratio figures (Fig8..Fig12, as a
-// method expression like (*Suite).Fig8) across the given seeds, running
-// up to workers per-seed suites at once (0 = GOMAXPROCS), and
-// aggregates per workload.
-func MultiSeedRatio(gen workload.GenConfig, seeds []uint64,
-	fig func(*Suite) ([]RatioRow, error), workers int) ([]AggRow, error) {
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	perSeed := make([][]RatioRow, len(seeds))
-	errors := make([]error, len(seeds))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, seed := range seeds {
-		i, seed := i, seed
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			g := gen
-			g.Seed = seed
-			s := NewSuite(g, seed)
-			perSeed[i], errors[i] = fig(s)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errors {
-		if err != nil {
-			return nil, err
-		}
-	}
-
+// method expression like (*Suite).Fig8) on each suite, one suite per
+// seed, and aggregates per workload. The figure's runs stay in each
+// suite's cache for the next figure.
+func MultiSeedRatio(suites []*Suite, fig func(*Suite) ([]RatioRow, error)) ([]AggRow, error) {
 	byWl := map[string]*AggRow{}
 	vals := map[string][]float64{}
 	var order []string
-	for _, rows := range perSeed {
+	for _, s := range suites {
+		rows, err := fig(s)
+		if err != nil {
+			return nil, err
+		}
 		for _, r := range rows {
 			a, ok := byWl[r.Workload]
 			if !ok {
@@ -101,4 +74,15 @@ func PrintAggRows(wr io.Writer, title string, rows []AggRow) {
 		out = append(out, []string{"Mean(regular)", f3(GeoMean(reg)), "", ""})
 	}
 	printTable(wr, title, []string{"workload", "geomean", "min", "max"}, out)
+}
+
+// PlotAggRows renders a multi-seed aggregate's geomeans as bars with a
+// reference tick at 1.0 (the FCFS baseline).
+func PlotAggRows(w io.Writer, title string, rows []AggRow) {
+	labels := make([]string, len(rows))
+	values := make([]float64, len(rows))
+	for i, r := range rows {
+		labels[i], values[i] = r.Workload, r.Mean
+	}
+	textplot.HBar(w, title, labels, values, textplot.Options{Ref: 1})
 }

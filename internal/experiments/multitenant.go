@@ -38,7 +38,7 @@ func (s *Suite) MultiTenant(aggressor, victim string) ([]MultiTenantRow, error) 
 	}
 	merged := workload.Merge(aggressor+"+"+victim, ag.Generate(s.Gen), vi.Generate(s.Gen))
 
-	solo, err := s.Baseline(victim, core.KindFCFS)
+	solo, err := s.Run(RunSpec{Workload: victim, Sched: core.KindFCFS})
 	if err != nil {
 		return nil, err
 	}

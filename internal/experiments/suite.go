@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section V). Each FigN function runs the required
-// configuration sweep and returns the rows the paper plots; the Print
-// helpers render them as text tables. Runs are cached within a Suite so
-// figures that share the same underlying runs (8-12 all compare the same
-// FCFS and SIMT-aware baselines) reuse them.
+// evaluation (Section V). Each FigN method lists the runs its figure
+// needs, gets their results from the Suite's run cache and returns the
+// rows the paper plots; the Print helpers render them as text tables.
+// Figures on one Suite share runs (8-12 all compare the same FCFS and
+// SIMT-aware baselines).
 package experiments
 
 import (
@@ -19,10 +19,9 @@ import (
 	"gpuwalk/internal/workload"
 )
 
-// Suite is a cache of simulation runs under one workload scaling.
-// Run and the FigN methods are safe for concurrent use; Prewarm runs a
-// batch of configurations on a worker pool so subsequent figure methods
-// hit the cache.
+// Suite is a cache of simulation runs under one workload scaling and
+// seed. RunAll simulates the runs a figure needs that the cache lacks
+// on one worker pool. Its methods are safe for concurrent use.
 type Suite struct {
 	// Gen controls trace generation for every run in the suite.
 	Gen workload.GenConfig
@@ -76,40 +75,9 @@ func (s *Suite) baseParams(kind core.Kind) gpu.Params {
 	return p
 }
 
-// Run simulates workload wl under scheduler kind, with mutate applied to
-// the baseline parameters. variant must uniquely tag the mutation ("" for
-// the baseline) — it is the cache key.
-func (s *Suite) Run(wl string, kind core.Kind, variant string, mutate func(*gpu.Params)) (gpu.Result, error) {
-	key := runKey{workload: wl, sched: kind, variant: variant}
-	s.mu.Lock()
-	r, ok := s.runs[key]
-	s.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	tr, err := s.trace(wl)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	p := s.baseParams(kind)
-	if mutate != nil {
-		mutate(&p)
-	}
-	sys, err := gpu.NewSystem(p, tr)
-	if err != nil {
-		return gpu.Result{}, err
-	}
-	r, err = sys.Run()
-	if err != nil {
-		return gpu.Result{}, fmt.Errorf("%s/%s%s: %w", wl, kind, variant, err)
-	}
-	s.mu.Lock()
-	s.runs[key] = r
-	s.mu.Unlock()
-	return r, nil
-}
-
-// RunSpec names one configuration for Prewarm.
+// RunSpec names one run: a workload under a scheduler on the Table I
+// machine with Mutate applied. Variant must uniquely tag the mutation
+// ("" for the baseline): it is the cache key.
 type RunSpec struct {
 	Workload string
 	Sched    core.Kind
@@ -117,76 +85,100 @@ type RunSpec struct {
 	Mutate   func(*gpu.Params)
 }
 
-// BaselineSpecs returns the (workload, scheduler) grid at the Table I
-// machine, covering everything Figures 2-12 need.
-func BaselineSpecs() []RunSpec {
-	var specs []RunSpec
-	all := append(append([]string{}, IrregularWorkloads...), RegularWorkloads...)
-	for _, wl := range all {
-		for _, k := range []core.Kind{core.KindFCFS, core.KindSIMTAware} {
-			specs = append(specs, RunSpec{Workload: wl, Sched: k})
-		}
-	}
-	for _, wl := range Fig2Workloads {
-		specs = append(specs, RunSpec{Workload: wl, Sched: core.KindRandom})
-	}
-	return specs
+func (r RunSpec) key() runKey {
+	return runKey{workload: r.Workload, sched: r.Sched, variant: r.Variant}
 }
 
-// SensitivitySpecs returns the Figure 13/14 grid.
-func SensitivitySpecs() []RunSpec {
-	var specs []RunSpec
-	for _, v := range append(Fig13Variants(), Fig14Variants()...) {
-		for _, wl := range IrregularWorkloads {
-			for _, k := range []core.Kind{core.KindFCFS, core.KindSIMTAware} {
-				specs = append(specs, RunSpec{Workload: wl, Sched: k, Variant: v.Name, Mutate: v.Mutate})
-			}
+// grid lists every workload under every scheduler kind on machine
+// variant v (the zero variant is the Table I machine), kinds varying
+// fastest.
+func grid(v SensitivityVariant, workloads []string, kinds ...core.Kind) []RunSpec {
+	specs := make([]RunSpec, 0, len(workloads)*len(kinds))
+	for _, wl := range workloads {
+		for _, k := range kinds {
+			specs = append(specs, RunSpec{Workload: wl, Sched: k, Variant: v.Name, Mutate: v.Mutate})
 		}
 	}
 	return specs
 }
 
-// Prewarm executes specs on a pool of workers wide (0 = GOMAXPROCS) and
-// populates the cache. Individual simulations stay single-threaded and
-// deterministic; only independent runs execute concurrently. The first
-// simulation error (if any) is returned after all workers finish.
-func (s *Suite) Prewarm(workers int, specs []RunSpec) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// Run returns the result of one spec, simulating it unless cached.
+func (s *Suite) Run(spec RunSpec) (gpu.Result, error) {
+	res, err := s.RunAll([]RunSpec{spec})
+	if err != nil {
+		return gpu.Result{}, err
 	}
-	work := make(chan RunSpec)
-	errs := make(chan error, workers)
+	return res[0], nil
+}
+
+// RunAll returns the results of specs, in order. The specs the cache
+// lacks run on one pool of runtime.GOMAXPROCS(0) workers. Each
+// simulation is single-threaded and deterministic, so the pool changes
+// only wall time. The error is the first failing spec's, in spec order.
+func (s *Suite) RunAll(specs []RunSpec) ([]gpu.Result, error) {
+	var todo []RunSpec
+	s.mu.Lock()
+	for _, spec := range specs {
+		if _, ok := s.runs[spec.key()]; !ok {
+			todo = append(todo, spec)
+		}
+	}
+	s.mu.Unlock()
+
+	errs := make([]error, len(todo))
+	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for range min(runtime.GOMAXPROCS(0), len(todo)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var first error
-			for spec := range work {
-				if _, err := s.Run(spec.Workload, spec.Sched, spec.Variant, spec.Mutate); err != nil && first == nil {
-					first = err
-				}
+			for i := range next {
+				errs[i] = s.simulate(todo[i])
 			}
-			errs <- first
 		}()
 	}
-	for _, spec := range specs {
-		work <- spec
+	for i := range todo {
+		next <- i
 	}
-	close(work)
+	close(next)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res := make([]gpu.Result, len(specs))
+	for i, spec := range specs {
+		res[i] = s.runs[spec.key()]
+	}
+	return res, nil
 }
 
-// Baseline runs workload wl under kind with the Table I machine.
-func (s *Suite) Baseline(wl string, kind core.Kind) (gpu.Result, error) {
-	return s.Run(wl, kind, "", nil)
+// simulate runs spec and caches its result.
+func (s *Suite) simulate(spec RunSpec) error {
+	tr, err := s.trace(spec.Workload)
+	if err != nil {
+		return err
+	}
+	p := s.baseParams(spec.Sched)
+	if spec.Mutate != nil {
+		spec.Mutate(&p)
+	}
+	sys, err := gpu.NewSystem(p, tr)
+	if err != nil {
+		return err
+	}
+	r, err := sys.Run()
+	if err != nil {
+		return fmt.Errorf("%s/%s%s: %w", spec.Workload, spec.Sched, spec.Variant, err)
+	}
+	s.mu.Lock()
+	s.runs[spec.key()] = r
+	s.mu.Unlock()
+	return nil
 }
 
 // IrregularWorkloads is the paper's irregular set, in Figure 8 order.

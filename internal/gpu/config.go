@@ -72,10 +72,10 @@ type Config struct {
 	L2TLBWays    int
 	L2TLBLat     uint64
 	// L2TLBPort is the initiation interval of the shared L2 TLB. The
-	// default is 0 (fully banked — latency only): real shared GPU TLBs
-	// are multi-banked, and a serializing port would stretch one
-	// instruction's request burst far beyond walker service time,
-	// breaking the batch-scheduling premise the paper relies on.
+	// default is 1 (one lookup per cycle); 0 makes it fully banked
+	// (latency only) and changes results. A longer interval would
+	// stretch one instruction's request burst far beyond walker service
+	// time, breaking the batch-scheduling premise the paper relies on.
 	L2TLBPort uint64
 
 	// TranslateJitter staggers each translation request by a
