@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer) error {
 		wfs        = fs.Int("wavefronts", 0, "wavefronts per CU (0 = calibrated default)")
 		instrs     = fs.Int("instrs", 0, "memory instructions per wavefront (0 = calibrated default)")
 		seed       = fs.Uint64("seed", 1, "deterministic seed")
-		seeds      = fs.Int("seeds", 1, "aggregate figures 8-12 over this many seeds (geomean + spread)")
+		seeds      = fs.Int("seeds", 1, "aggregate figures 8-12 over this many seeds (geomean + spread); the rest read the first")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -78,6 +78,12 @@ func run(args []string, stdout io.Writer) error {
 		gen.Seed = *seed + uint64(i)
 		suites[i] = experiments.NewSuite(gen, gen.Seed)
 	}
+	// What reads the first seed alone says so in its title when there
+	// are several.
+	note := ""
+	if len(suites) > 1 {
+		note = fmt.Sprintf("seed %d only", *seed)
+	}
 
 	for _, t := range pick(*table, *all, []string{"1", "2"}) {
 		switch t {
@@ -90,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	for _, f := range pick(*fig, *all, []string{"2", "3", "5", "6", "8", "9", "10", "11", "12", "13", "14"}) {
-		if err := runFig(stdout, suites, f, *bars, *csvdir); err != nil {
+		if err := runFig(stdout, suites, f, *bars, *csvdir, note); err != nil {
 			return fmt.Errorf("figure %s: %w", f, err)
 		}
 	}
@@ -99,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("large-page discussion: %w", err)
 		}
-		experiments.PrintLargePages(stdout, rows)
+		experiments.PrintLargePages(stdout, rows, note)
 	}
 	pair := *tenants
 	if *all && pair == "" {
@@ -114,7 +120,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("multi-tenant comparison: %w", err)
 		}
-		experiments.PrintMultiTenant(stdout, parts[0], parts[1], rows)
+		experiments.PrintMultiTenant(stdout, parts[0], parts[1], rows, note)
 	}
 	return nil
 }
@@ -143,8 +149,9 @@ var ratioFigs = map[string]struct {
 }
 
 // runFig prints figure f from the first suite, or for figures 8-12
-// from all of them when there are several.
-func runFig(w io.Writer, suites []*experiments.Suite, f string, bars bool, csvdir string) error {
+// from all of them when there are several. note goes into the title of
+// a figure printed from the first suite alone.
+func runFig(w io.Writer, suites []*experiments.Suite, f string, bars bool, csvdir, note string) error {
 	writeCSV := func(header []string, rows [][]string) error {
 		if csvdir == "" {
 			return nil
@@ -181,9 +188,9 @@ func runFig(w io.Writer, suites []*experiments.Suite, f string, bars bool, csvdi
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig2(w, rows)
+		experiments.PrintFig2(w, rows, note)
 		if bars {
-			experiments.PlotFig2(w, rows)
+			experiments.PlotFig2(w, rows, note)
 		}
 		return writeCSV(experiments.Fig2CSV(rows))
 	case "3":
@@ -191,20 +198,20 @@ func runFig(w io.Writer, suites []*experiments.Suite, f string, bars bool, csvdi
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig3(w, rows)
+		experiments.PrintFig3(w, rows, note)
 		return writeCSV(experiments.Fig3CSV(rows))
 	case "5":
 		rows, err := s.Fig5()
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig5(w, rows)
+		experiments.PrintFig5(w, rows, note)
 	case "6":
 		rows, err := s.Fig6()
 		if err != nil {
 			return err
 		}
-		experiments.PrintFig6(w, rows)
+		experiments.PrintFig6(w, rows, note)
 	case "13", "14":
 		variants, title := experiments.Fig13Variants(), "Figure 13: sensitivity to L2 TLB size and walker count"
 		if f == "14" {
@@ -214,7 +221,7 @@ func runFig(w io.Writer, suites []*experiments.Suite, f string, bars bool, csvdi
 		if err != nil {
 			return err
 		}
-		experiments.PrintSensitivity(w, title, rows)
+		experiments.PrintSensitivity(w, title, rows, note)
 		return writeCSV(experiments.SensitivityCSV(rows))
 	default:
 		return fmt.Errorf("unknown figure %q", f)

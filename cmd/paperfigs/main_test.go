@@ -58,10 +58,11 @@ func TestGoldenAll(t *testing.T) {
 }
 
 // TestGoldenSeeds: the ratio figures aggregated over two seeds, with
-// their bars and the CSV files they write.
+// their bars and the CSV files they write, then a figure that reads
+// the first seed alone and says so in its title.
 func TestGoldenSeeds(t *testing.T) {
 	dir := t.TempDir()
-	runGolden(t, "seeds", "-fig", "8,9,10,11,12", "-seeds", "2", "-bars", "-csvdir", dir)
+	runGolden(t, "seeds", "-fig", "8,9,10,11,12,6", "-seeds", "2", "-bars", "-csvdir", dir)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

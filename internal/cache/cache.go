@@ -71,9 +71,20 @@ type set struct {
 	plru  uint64 // tree pseudo-LRU state bits
 }
 
+// mshr is one outstanding line miss. Records are pooled per cache with
+// fetch and fill bound once, and keep their waiter slice's capacity, so
+// a steady-state miss allocates nothing. fill returns a record to the
+// pool once it has run every waiter.
 type mshr struct {
+	c       *Cache
+	la      uint64
+	slot    int // index in c.mshrs while outstanding
 	write   bool
-	waiters []func()
+	waiters []func() // starts in buf
+	buf     [2]func()
+
+	fetchFn func() // bound m.fetch
+	fillFn  func() // bound m.fill
 }
 
 // waiting is an access parked because all MSHRs were busy.
@@ -85,14 +96,20 @@ type waiting struct {
 
 // Cache is one level of a data cache hierarchy.
 type Cache struct {
-	cfg      Config
-	eng      *sim.Engine
-	lower    AccessFn
-	sets     []set
-	setMask  uint64
-	lineSh   uint
-	mshrs    map[uint64]*mshr // keyed by line address
-	waitq    []waiting        // accesses parked on MSHR exhaustion
+	cfg     Config
+	eng     *sim.Engine
+	lower   AccessFn
+	sets    []set
+	setMask uint64
+	lineSh  uint
+	// mshrs holds the outstanding misses, at most cfg.MSHRs of them
+	// when that is set; a miss finds its line's record by a scan of
+	// this short slice rather than a hash.
+	mshrs    []*mshr
+	mshrPool []*mshr
+	mshrSlab []mshr    // records not yet handed out
+	waitq    []waiting // accesses parked on MSHR exhaustion, FIFO
+	waitHead int       // next parked access in waitq
 	stats    Stats
 	portFree sim.Cycle
 }
@@ -105,15 +122,18 @@ func New(eng *sim.Engine, cfg Config, lower AccessFn) *Cache {
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * uint64(cfg.Ways))
 	c := &Cache{
-		cfg:     cfg,
-		eng:     eng,
-		lower:   lower,
-		sets:    make([]set, nsets),
-		setMask: nsets - 1,
-		mshrs:   make(map[uint64]*mshr),
+		cfg:      cfg,
+		eng:      eng,
+		lower:    lower,
+		sets:     make([]set, nsets),
+		setMask:  nsets - 1,
+		mshrs:    make([]*mshr, 0, cfg.MSHRs),
+		mshrPool: make([]*mshr, 0, cfg.MSHRs),
 	}
+	// Every set's ways are carved from one backing array.
+	lines := make([]line, len(c.sets)*cfg.Ways)
 	for i := range c.sets {
-		c.sets[i].lines = make([]line, cfg.Ways)
+		c.sets[i].lines = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineSh++
@@ -163,12 +183,15 @@ func (c *Cache) Access(addr uint64, write bool, done func()) bool {
 	return true
 }
 
+// noop completes fire-and-forget accesses (e.g. writebacks from above).
+func noop() {}
+
 // handle runs the lookup logic for a port-granted access. fresh is true
 // for a new access and false when re-processing a parked one, so the
 // lookup statistics count each access exactly once.
 func (c *Cache) handle(la uint64, write bool, done func(), readyAt sim.Cycle, fresh bool) {
 	if done == nil {
-		done = func() {} // fire-and-forget (e.g. writebacks from above)
+		done = noop
 	}
 	idx, tag := c.indexTag(la)
 	s := &c.sets[idx]
@@ -188,7 +211,7 @@ func (c *Cache) handle(la uint64, write bool, done func(), readyAt sim.Cycle, fr
 	}
 
 	// Merge into an existing outstanding miss for the same line.
-	if m, ok := c.mshrs[la]; ok {
+	if m := c.findMSHR(la); m != nil {
 		c.stats.MSHRMerges++
 		m.write = m.write || write
 		m.waiters = append(m.waiters, done)
@@ -199,9 +222,42 @@ func (c *Cache) handle(la uint64, write bool, done func(), readyAt sim.Cycle, fr
 		c.waitq = append(c.waitq, waiting{la: la, write: write, done: done})
 		return
 	}
-	m := &mshr{write: write, waiters: []func(){done}}
-	c.mshrs[la] = m
-	c.eng.At(readyAt, func() { c.fetch(la) })
+	m := c.getMSHR()
+	m.la, m.write = la, write
+	m.waiters = append(m.waiters, done)
+	m.slot = len(c.mshrs)
+	c.mshrs = append(c.mshrs, m)
+	c.eng.At(readyAt, m.fetchFn)
+}
+
+// findMSHR returns the outstanding miss for line la, or nil.
+func (c *Cache) findMSHR(la uint64) *mshr {
+	for _, m := range c.mshrs {
+		if m.la == la {
+			return m
+		}
+	}
+	return nil
+}
+
+// getMSHR takes a record from the pool, or binds a fresh one's
+// callbacks.
+func (c *Cache) getMSHR() *mshr {
+	if n := len(c.mshrPool); n > 0 {
+		m := c.mshrPool[n-1]
+		c.mshrPool = c.mshrPool[:n-1]
+		return m
+	}
+	if len(c.mshrSlab) == 0 {
+		c.mshrSlab = make([]mshr, 16)
+	}
+	m := &c.mshrSlab[0]
+	c.mshrSlab = c.mshrSlab[1:]
+	m.c = c
+	m.waiters = m.buf[:0]
+	m.fetchFn = m.fetch
+	m.fillFn = m.fill
+	return m
 }
 
 // Probe reports whether the line containing addr is resident, without
@@ -217,26 +273,28 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// fetch sends the miss for line la to the lower level, retrying on
-// rejection.
-func (c *Cache) fetch(la uint64) {
-	ok := c.lower(la, false, func() { c.fill(la) })
+// fetch sends the miss to the lower level, retrying on rejection.
+func (m *mshr) fetch() {
+	c := m.c
+	ok := c.lower(m.la, false, m.fillFn)
 	if !ok {
 		d := c.cfg.RetryDelay
 		if d == 0 {
 			d = 8
 		}
-		c.eng.After(d, func() { c.fetch(la) })
+		c.eng.After(d, m.fetchFn)
 	}
 }
 
-// fill installs line la and releases its MSHR waiters.
-func (c *Cache) fill(la uint64) {
-	m, ok := c.mshrs[la]
-	if !ok {
-		return // duplicate fill; ignore
-	}
-	delete(c.mshrs, la)
+// fill installs the missed line, releases its waiters and then returns
+// the record to the pool.
+func (m *mshr) fill() {
+	c, la := m.c, m.la
+	last := len(c.mshrs) - 1
+	c.mshrs[m.slot] = c.mshrs[last]
+	c.mshrs[m.slot].slot = m.slot
+	c.mshrs[last] = nil
+	c.mshrs = c.mshrs[:last]
 	c.stats.Fills++
 
 	idx, tag := c.indexTag(la)
@@ -253,16 +311,25 @@ func (c *Cache) fill(la uint64) {
 	}
 	s.lines[w] = line{tag: tag, valid: true, dirty: m.write}
 	c.touch(s, w)
-	for _, fn := range m.waiters {
+	// A waiter may miss again and take a record from the pool, so this
+	// one goes back only after the loop.
+	for i, fn := range m.waiters {
+		m.waiters[i] = nil
 		fn()
 	}
+	m.waiters = m.waiters[:0]
+	c.mshrPool = append(c.mshrPool, m)
 
 	// The freed MSHR lets parked accesses proceed. Each iteration either
 	// consumes the free MSHR, hits, or merges; re-check capacity before
 	// each pop so the loop cannot re-park what it popped.
-	for len(c.waitq) > 0 && (c.cfg.MSHRs == 0 || len(c.mshrs) < c.cfg.MSHRs) {
-		wq := c.waitq[0]
-		c.waitq = c.waitq[1:]
+	for c.waitHead < len(c.waitq) && (c.cfg.MSHRs == 0 || len(c.mshrs) < c.cfg.MSHRs) {
+		wq := c.waitq[c.waitHead]
+		c.waitq[c.waitHead] = waiting{}
+		c.waitHead++
+		if c.waitHead == len(c.waitq) {
+			c.waitq, c.waitHead = c.waitq[:0], 0
+		}
 		c.handle(wq.la, wq.write, wq.done, c.eng.Now(), false)
 	}
 }

@@ -48,7 +48,8 @@ type IndexedScheduler interface {
 	// strictly greater than every previous Admit).
 	Admit(r *Request)
 	// Pick removes and returns the next request to service. It must
-	// only be called when PendingLen() > 0.
+	// only be called when PendingLen() > 0. The caller recycles the
+	// request later (see Scheduler), so no structure may keep it.
 	Pick() *Request
 	// PendingLen returns the number of pending requests.
 	PendingLen() int
@@ -278,7 +279,8 @@ type IndexedSIMT struct {
 	list       reqList
 	groups     map[InstrID]*instrGroup
 	heap       groupHeap
-	dispatches uint64 // total Picks, the lazy-aging clock
+	dispatches uint64        // total Picks, the lazy-aging clock
+	free       []*instrGroup // emptied groups, for reuse
 
 	lastInstr    InstrID
 	haveLast     bool
@@ -302,7 +304,13 @@ func (s *IndexedSIMT) Admit(r *Request) {
 	g := s.groups[r.Instr]
 	fresh := g == nil
 	if fresh {
-		g = &instrGroup{instr: r.Instr, hpos: -1}
+		if n := len(s.free); n > 0 {
+			g = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			g = &instrGroup{}
+		}
+		*g = instrGroup{instr: r.Instr, hpos: -1}
 		s.groups[r.Instr] = g
 	}
 	g.score += r.Est
@@ -361,6 +369,7 @@ func (s *IndexedSIMT) commit(r *Request) *Request {
 	if g.count == 0 {
 		s.heap.removeAt(g.hpos)
 		delete(s.groups, r.Instr)
+		s.free = append(s.free, g)
 	} else {
 		s.heap.fix(g)
 	}

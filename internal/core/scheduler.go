@@ -54,6 +54,10 @@ type Request struct {
 	// include the fault round trip.
 	Retries int
 
+	// Owner is the IOMMU's record of the request, which embeds this
+	// Request; schedulers leave it alone.
+	Owner any
+
 	// Index bookkeeping (built-in schedulers only; see index.go).
 	aprev, anext *Request // arrival-ordered pending list links
 	gnext        *Request // per-instruction FIFO link
@@ -103,6 +107,12 @@ type DecisionReporter interface {
 // a slice, in arrival order. Adapt runs it in the IOMMU.
 // Implementations are not safe for concurrent use; the simulator is
 // single-threaded per system.
+//
+// The IOMMU pools its requests: a Request is recycled for a later
+// arrival once it has been selected, its walk has finished and its
+// reply has run. A policy (like an IndexedScheduler) must therefore not
+// keep a *Request after it leaves the pending buffer, nor read one it
+// kept from an earlier call.
 type Scheduler interface {
 	// Name identifies the policy in reports.
 	Name() string

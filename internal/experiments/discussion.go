@@ -50,8 +50,9 @@ func (s *Suite) LargePages() ([]LargePageRow, error) {
 	return rows, nil
 }
 
-// PrintLargePages renders the Section VI comparison.
-func PrintLargePages(w io.Writer, rows []LargePageRow) {
+// PrintLargePages renders the Section VI comparison, with note, if any,
+// in its title.
+func PrintLargePages(w io.Writer, rows []LargePageRow, note string) {
 	var out [][]string
 	var sp2m, sched []float64
 	for _, r := range rows {
@@ -66,6 +67,6 @@ func PrintLargePages(w io.Writer, rows []LargePageRow) {
 		sched = append(sched, r.SchedOn2M)
 	}
 	out = append(out, []string{"Mean", "", "", f3(GeoMean(sp2m)), f3(GeoMean(sched))})
-	printTable(w, "Section VI discussion: 2MB large pages vs 4KB base pages (irregular workloads)",
+	printTable(w, titled("Section VI discussion: 2MB large pages vs 4KB base pages (irregular workloads)", note),
 		[]string{"workload", "walks-4K", "walks-2M", "2M speedup", "simt-on-2M"}, out)
 }

@@ -150,13 +150,13 @@ func TestPrinters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintFig2(&buf, rows2)
+	PrintFig2(&buf, rows2, "")
 	rows3, _ := s.Fig3()
-	PrintFig3(&buf, rows3)
+	PrintFig3(&buf, rows3, "")
 	rows5, _ := s.Fig5()
-	PrintFig5(&buf, rows5)
+	PrintFig5(&buf, rows5, "")
 	rows6, _ := s.Fig6()
-	PrintFig6(&buf, rows6)
+	PrintFig6(&buf, rows6, "")
 	rows8, _ := s.Fig8()
 	PrintRatioRows(&buf, "Figure 8", "speedup", rows8)
 	PrintTable1(&buf)

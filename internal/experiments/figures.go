@@ -38,13 +38,13 @@ func (s *Suite) Fig2() ([]Fig2Row, error) {
 	return rows, nil
 }
 
-// PrintFig2 renders Figure 2.
-func PrintFig2(w io.Writer, rows []Fig2Row) {
+// PrintFig2 renders Figure 2, with note, if any, in its title.
+func PrintFig2(w io.Writer, rows []Fig2Row, note string) {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Workload, f3(r.Random), f3(r.FCFS), f3(r.SIMTAware)}
 	}
-	printTable(w, "Figure 2: speedup over random scheduler",
+	printTable(w, titled("Figure 2: speedup over random scheduler", note),
 		[]string{"workload", "random", "fcfs", "simt-aware"}, out)
 }
 
@@ -82,8 +82,8 @@ func (s *Suite) Fig3() ([]Fig3Row, error) {
 	return rows, nil
 }
 
-// PrintFig3 renders Figure 3.
-func PrintFig3(w io.Writer, rows []Fig3Row) {
+// PrintFig3 renders Figure 3, with note, if any, in its title.
+func PrintFig3(w io.Writer, rows []Fig3Row, note string) {
 	if len(rows) == 0 {
 		return
 	}
@@ -96,7 +96,7 @@ func PrintFig3(w io.Writer, rows []Fig3Row) {
 		}
 		out[i] = cells
 	}
-	printTable(w, "Figure 3: fraction of SIMD instructions by page-walk memory accesses",
+	printTable(w, titled("Figure 3: fraction of SIMD instructions by page-walk memory accesses", note),
 		header, out)
 }
 
@@ -124,13 +124,13 @@ func (s *Suite) Fig5() ([]Fig5Row, error) {
 	return rows, nil
 }
 
-// PrintFig5 renders Figure 5.
-func PrintFig5(w io.Writer, rows []Fig5Row) {
+// PrintFig5 renders Figure 5, with note, if any, in its title.
+func PrintFig5(w io.Writer, rows []Fig5Row, note string) {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Workload, f3(r.Fraction)}
 	}
-	printTable(w, "Figure 5: fraction of instructions with interleaved page walks (FCFS)",
+	printTable(w, titled("Figure 5: fraction of instructions with interleaved page walks (FCFS)", note),
 		[]string{"workload", "fraction"}, out)
 }
 
@@ -160,13 +160,13 @@ func (s *Suite) Fig6() ([]Fig6Row, error) {
 	return rows, nil
 }
 
-// PrintFig6 renders Figure 6.
-func PrintFig6(w io.Writer, rows []Fig6Row) {
+// PrintFig6 renders Figure 6, with note, if any, in its title.
+func PrintFig6(w io.Writer, rows []Fig6Row, note string) {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
 		out[i] = []string{r.Workload, f3(r.First), f3(r.Last)}
 	}
-	printTable(w, "Figure 6: normalized latency of first- vs last-completed walk (FCFS)",
+	printTable(w, titled("Figure 6: normalized latency of first- vs last-completed walk (FCFS)", note),
 		[]string{"workload", "first", "last"}, out)
 }
 
@@ -281,15 +281,16 @@ func PlotRatioRows(w io.Writer, title string, rows []RatioRow) {
 	textplot.HBar(w, title, labels, values, textplot.Options{Ref: 1})
 }
 
-// PlotFig2 renders Figure 2 as grouped bars normalized to Random.
-func PlotFig2(w io.Writer, rows []Fig2Row) {
+// PlotFig2 renders Figure 2 as grouped bars normalized to Random, with
+// note, if any, in its title.
+func PlotFig2(w io.Writer, rows []Fig2Row, note string) {
 	var labels []string
 	var values []float64
 	for _, r := range rows {
 		labels = append(labels, r.Workload+"/fcfs", r.Workload+"/simt")
 		values = append(values, r.FCFS, r.SIMTAware)
 	}
-	textplot.HBar(w, "Figure 2 (bars): speedup over random scheduler",
+	textplot.HBar(w, titled("Figure 2 (bars): speedup over random scheduler", note),
 		labels, values, textplot.Options{Ref: 1})
 }
 
@@ -346,8 +347,9 @@ func (s *Suite) Sensitivity(variants []SensitivityVariant) ([]SensitivityRow, er
 	return rows, nil
 }
 
-// PrintSensitivity renders Figure 13/14 style tables grouped by variant.
-func PrintSensitivity(w io.Writer, title string, rows []SensitivityRow) {
+// PrintSensitivity renders Figure 13/14 style tables grouped by
+// variant, with note, if any, in each title.
+func PrintSensitivity(w io.Writer, title string, rows []SensitivityRow, note string) {
 	byVariant := map[string][]SensitivityRow{}
 	for _, r := range rows {
 		byVariant[r.Variant] = append(byVariant[r.Variant], r)
@@ -360,7 +362,7 @@ func PrintSensitivity(w io.Writer, title string, rows []SensitivityRow) {
 			vals = append(vals, r.Speedup)
 		}
 		out = append(out, []string{"Mean", f3(GeoMean(vals))})
-		printTable(w, fmt.Sprintf("%s — %s", title, v),
+		printTable(w, titled(fmt.Sprintf("%s — %s", title, v), note),
 			[]string{"workload", "speedup over fcfs"}, out)
 	}
 }

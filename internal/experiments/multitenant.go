@@ -78,12 +78,13 @@ func (s *Suite) MultiTenant(aggressor, victim string) ([]MultiTenantRow, error) 
 	return rows, nil
 }
 
-// PrintMultiTenant renders the interference comparison.
-func PrintMultiTenant(w io.Writer, aggressor, victim string, rows []MultiTenantRow) {
+// PrintMultiTenant renders the interference comparison, with note, if
+// any, in its title.
+func PrintMultiTenant(w io.Writer, aggressor, victim string, rows []MultiTenantRow, note string) {
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{r.Scheduler, f3(r.VictimSlowdown), f3(r.AggressorFinish)})
 	}
-	printTable(w, fmt.Sprintf("Extension: multi-application interference (%s aggressor, %s victim)", aggressor, victim),
+	printTable(w, titled(fmt.Sprintf("Extension: multi-application interference (%s aggressor, %s victim)", aggressor, victim), note),
 		[]string{"scheduler", "victim slowdown vs solo", "aggressor finish vs fcfs"}, out)
 }

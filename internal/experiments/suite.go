@@ -205,6 +205,14 @@ func GeoMean(vs []float64) float64 {
 	return math.Exp(sum / float64(len(vs)))
 }
 
+// titled appends note, if any, to a figure's title.
+func titled(title, note string) string {
+	if note == "" {
+		return title
+	}
+	return title + " — " + note
+}
+
 // printTable renders rows of (label, values...) with a header.
 func printTable(w io.Writer, title string, header []string, rows [][]string) {
 	fmt.Fprintf(w, "\n%s\n", title)

@@ -1,24 +1,36 @@
 package gpu
 
+import "slices"
+
+// coalesced is one instruction's unique pages and lines.
+type coalesced struct {
+	pages    []uint64 // unique vpns
+	lines    []uint64 // unique line addresses
+	linePage []int    // lines[i] lies in pages[linePage[i]]
+}
+
 // coalesce reduces a SIMD instruction's per-lane virtual addresses to
 // the unique pages (for translation) and unique cache lines (for data),
 // mirroring the hardware coalescer described in Section II. Order is
-// first-occurrence order, which keeps runs deterministic.
-func coalesce(lanes []uint64, pageBits uint, lineBytes uint64) (pages []uint64, lines []uint64) {
-	seenPage := make(map[uint64]struct{}, len(lanes))
-	seenLine := make(map[uint64]struct{}, len(lanes))
+// first-occurrence order, which keeps runs deterministic. The buffers
+// keep their capacity across instructions, and a scan of what one
+// wavefront's lanes have found so far stands in for a hash set.
+func (co *coalesced) coalesce(lanes []uint64, pageBits uint, lineBytes uint64) {
+	if n := len(lanes); cap(co.lines) < n {
+		co.pages, co.lines, co.linePage = make([]uint64, 0, n), make([]uint64, 0, n), make([]int, 0, n)
+	}
+	co.pages, co.lines, co.linePage = co.pages[:0], co.lines[:0], co.linePage[:0]
 	lineMask := ^(lineBytes - 1)
 	for _, va := range lanes {
 		vpn := va >> pageBits
-		if _, ok := seenPage[vpn]; !ok {
-			seenPage[vpn] = struct{}{}
-			pages = append(pages, vpn)
+		pi := slices.Index(co.pages, vpn)
+		if pi < 0 {
+			pi = len(co.pages)
+			co.pages = append(co.pages, vpn)
 		}
-		la := va & lineMask
-		if _, ok := seenLine[la]; !ok {
-			seenLine[la] = struct{}{}
-			lines = append(lines, la)
+		if la := va & lineMask; !slices.Contains(co.lines, la) {
+			co.lines = append(co.lines, la)
+			co.linePage = append(co.linePage, pi)
 		}
 	}
-	return pages, lines
 }

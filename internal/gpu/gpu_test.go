@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"gpuwalk/internal/core"
@@ -13,7 +14,9 @@ func TestCoalesce(t *testing.T) {
 		0x2000, // page 2
 		0x1000, // duplicate
 	}
-	pages, lines := coalesce(lanes, 12, 64)
+	var co coalesced
+	co.coalesce(lanes, 12, 64)
+	pages, lines := co.pages, co.lines
 	if len(pages) != 2 {
 		t.Errorf("pages = %v, want 2 unique", pages)
 	}
@@ -26,6 +29,14 @@ func TestCoalesce(t *testing.T) {
 	if lines[0] != 0x1000 || lines[1] != 0x1040 || lines[2] != 0x2000 {
 		t.Errorf("lines = %v not in first-occurrence order", lines)
 	}
+	if want := []int{0, 0, 1}; !slices.Equal(co.linePage, want) {
+		t.Errorf("linePage = %v, want %v", co.linePage, want)
+	}
+	// A second instruction reuses the buffers and sees none of the first.
+	co.coalesce([]uint64{0x3000}, 12, 64)
+	if !slices.Equal(co.pages, []uint64{3}) || !slices.Equal(co.lines, []uint64{0x3000}) || !slices.Equal(co.linePage, []int{0}) {
+		t.Errorf("reused buffers: pages=%v lines=%v linePage=%v", co.pages, co.lines, co.linePage)
+	}
 }
 
 func TestCoalesceFullyCoalesced(t *testing.T) {
@@ -33,9 +44,10 @@ func TestCoalesceFullyCoalesced(t *testing.T) {
 	for i := range lanes {
 		lanes[i] = 0x4000 + uint64(i)*4 // 256 bytes: 1 page, 4 lines
 	}
-	pages, lines := coalesce(lanes, 12, 64)
-	if len(pages) != 1 || len(lines) != 4 {
-		t.Errorf("pages=%d lines=%d, want 1 and 4", len(pages), len(lines))
+	var co coalesced
+	co.coalesce(lanes, 12, 64)
+	if len(co.pages) != 1 || len(co.lines) != 4 {
+		t.Errorf("pages=%d lines=%d, want 1 and 4", len(co.pages), len(co.lines))
 	}
 }
 

@@ -43,8 +43,8 @@ type System struct {
 	instrsDone   uint64
 	translations uint64 // coalesced page-translation requests issued
 
-	xlateOut    int // outstanding L2 TLB misses at the IOMMU
-	xlateParked []parkedXlate
+	xlateOut    int      // outstanding L2 TLB misses at the IOMMU
+	xlateParked []*xlate // misses waiting for a free miss register
 
 	// Per-app accounting for multi-tenant traces.
 	appRemaining []uint64
@@ -274,7 +274,7 @@ func NewSystem(p Params, tr *workload.Trace) (*System, error) {
 		if len(wt.Instrs) == 0 {
 			continue
 		}
-		w := &wavefront{cu: s.cus[wt.CU], gid: uint64(wi), app: wt.App, instrs: wt.Instrs}
+		w := newWavefront(s.cus[wt.CU], uint64(wi), wt.App, wt.Instrs)
 		s.cus[wt.CU].pending = append(s.cus[wt.CU].pending, w)
 		s.instrsTotal += uint64(len(wt.Instrs))
 		s.appRemaining[wt.App] += uint64(len(wt.Instrs))

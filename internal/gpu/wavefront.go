@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"slices"
+
 	"gpuwalk/internal/cache"
 	"gpuwalk/internal/core"
 	"gpuwalk/internal/iommu"
@@ -35,6 +37,11 @@ type cu struct {
 	lsuFree  int
 	lsuQueue []*instrExec
 
+	// execPool recycles the CU's instruction records (see instrExec).
+	execPool []*instrExec
+	// issueTickFn is c.issueTick, bound once.
+	issueTickFn func()
+
 	// computeInt tracks the number of wavefronts currently in their
 	// compute phase. While the CU has live wavefronts and this count is
 	// zero, every wavefront is blocked on memory: those are the paper's
@@ -51,6 +58,7 @@ func newCU(s *System, id int) *cu {
 		l1c: cache.New(s.eng, s.cfg.L1Cache, s.l2c.Access),
 	}
 	c.lsuFree = s.cfg.SIMDPerCU
+	c.issueTickFn = c.issueTick
 	return c
 }
 
@@ -99,16 +107,27 @@ type wavefront struct {
 	app    int
 	instrs []workload.MemInstr
 	pc     int
+
+	readyFn func() // bound w.ready
+}
+
+// newWavefront builds wavefront gid of app, resident on c.
+func newWavefront(c *cu, gid uint64, app int, instrs []workload.MemInstr) *wavefront {
+	w := &wavefront{cu: c, gid: gid, app: app, instrs: instrs}
+	w.readyFn = w.ready
+	return w
 }
 
 // enterCompute puts the wavefront in its compute phase for gap cycles,
 // then hands it to the CU's issue arbiter.
 func (w *wavefront) enterCompute(gap uint64) {
-	c := w.cu
-	eng := c.sys.eng
-	c.computeInt.Add(eng.Now(), 1)
-	eng.After(gap, func() { c.makeReady(w) })
+	eng := w.cu.sys.eng
+	w.cu.computeInt.Add(eng.Now(), 1)
+	eng.After(gap, w.readyFn)
 }
+
+// ready ends the compute phase.
+func (w *wavefront) ready() { w.cu.makeReady(w) }
 
 // makeReady enqueues a compute-finished wavefront for issue and arms
 // the 1-per-cycle issue tick.
@@ -116,7 +135,7 @@ func (c *cu) makeReady(w *wavefront) {
 	c.readyQ = append(c.readyQ, w)
 	if !c.tickArmed {
 		c.tickArmed = true
-		c.sys.eng.After(0, c.issueTick)
+		c.sys.eng.After(0, c.issueTickFn)
 	}
 }
 
@@ -147,7 +166,7 @@ func (c *cu) issueTick() {
 	c.readyQ = append(c.readyQ[:pick], c.readyQ[pick+1:]...)
 	w.issue()
 	if len(c.readyQ) > 0 {
-		c.sys.eng.After(1, c.issueTick)
+		c.sys.eng.After(1, c.issueTickFn)
 	} else {
 		c.tickArmed = false
 	}
@@ -168,17 +187,49 @@ func (w *wavefront) issue() {
 }
 
 // instrExec tracks one in-flight SIMD memory instruction: outstanding
-// page translations, then outstanding line accesses.
+// page translations, then outstanding line accesses. Records are pooled
+// per CU: lineDone and every page's callbacks are bound once per record,
+// and the page and line buffers keep their capacity, so a steady-state
+// instruction allocates nothing. lineDone returns the record to its
+// CU's pool after the instruction's last line; by then every callback
+// it handed out has run.
 type instrExec struct {
+	c     *cu
 	w     *wavefront
 	id    core.InstrID
 	write bool
 
-	pages        []uint64
-	pfns         map[uint64]uint64 // vpn -> pfn
+	coalesced
+	pfns         []uint64 // pfns[i] translates pages[i]
+	xlates       []*xlate // xlates[i] carries pages[i]
 	pendingPages int
-	lines        []uint64
 	pendingLines int
+
+	lineDoneFn func() // bound ex.lineDone
+}
+
+// xlate is one page of an instrExec on its way through the GPU TLBs
+// and, when both miss, the IOMMU. Its callbacks are bound when the
+// record's page buffer first grows to it.
+type xlate struct {
+	ex *instrExec
+	i  int // index into ex.pages
+
+	l1Fn    func()           // bound x.l1Lookup
+	l2Fn    func()           // bound x.l2Lookup
+	replyFn func(pfn uint64) // bound x.translated
+}
+
+// getExec takes an instruction record from the CU's pool, or builds one.
+func (c *cu) getExec() *instrExec {
+	if n := len(c.execPool); n > 0 {
+		ex := c.execPool[n-1]
+		c.execPool = c.execPool[:n-1]
+		return ex
+	}
+	ex := &instrExec{c: c}
+	ex.lineDoneFn = ex.lineDone
+	return ex
 }
 
 // execute starts an instruction: coalesce lanes, then translate every
@@ -186,17 +237,24 @@ type instrExec struct {
 func (c *cu) execute(w *wavefront, in *workload.MemInstr) {
 	s := c.sys
 	s.instrSeq++
-	pages, lines := coalesce(in.Lanes, s.cfg.PageBits, s.cfg.L1Cache.LineBytes)
-	ex := &instrExec{
-		w:            w,
-		id:           core.InstrID(s.instrSeq),
-		write:        in.Write,
-		pages:        pages,
-		pfns:         make(map[uint64]uint64, len(pages)),
-		pendingPages: len(pages),
-		lines:        lines,
-		pendingLines: len(lines),
+	ex := c.getExec()
+	ex.w, ex.id, ex.write = w, core.InstrID(s.instrSeq), in.Write
+	ex.coalesce(in.Lanes, s.cfg.PageBits, s.cfg.L1Cache.LineBytes)
+	// The per-page buffers get room for a page per lane, so they grow
+	// once, and new pages' records come in one block.
+	n := len(ex.pages)
+	ex.pfns = slices.Grow(ex.pfns[:0], len(in.Lanes))[:n]
+	if k := len(ex.xlates); n > k {
+		ex.xlates = slices.Grow(ex.xlates, len(in.Lanes)-k)
+		block := make([]xlate, n-k)
+		for i := range block {
+			x := &block[i]
+			x.ex, x.i = ex, k+i
+			x.l1Fn, x.l2Fn, x.replyFn = x.l1Lookup, x.l2Lookup, x.translated
+			ex.xlates = append(ex.xlates, x)
+		}
 	}
+	ex.pendingPages, ex.pendingLines = n, len(ex.lines)
 	if c.lsuFree == 0 {
 		c.lsuQueue = append(c.lsuQueue, ex)
 		return
@@ -208,8 +266,8 @@ func (c *cu) execute(w *wavefront, in *workload.MemInstr) {
 // beginTranslation starts an instruction's translation phase on an
 // acquired LSU slot.
 func (c *cu) beginTranslation(ex *instrExec) {
-	for _, vpn := range ex.pages {
-		c.translate(ex, vpn)
+	for _, x := range ex.xlates[:len(ex.pages)] {
+		c.translate(x)
 	}
 }
 
@@ -224,9 +282,9 @@ func (c *cu) lsuRelease() {
 	c.lsuFree++
 }
 
-// translate resolves one vpn through the GPU TLB hierarchy and, on a
+// translate resolves one page through the GPU TLB hierarchy and, on a
 // full miss, the IOMMU.
-func (c *cu) translate(ex *instrExec, vpn uint64) {
+func (c *cu) translate(x *xlate) {
 	s := c.sys
 	s.translations++
 	// A deterministic per-request jitter models MSHR allocation and
@@ -237,73 +295,87 @@ func (c *cu) translate(ex *instrExec, vpn uint64) {
 	// requests clustered relative to walker service time.
 	jitter := uint64(0)
 	if s.cfg.TranslateJitter > 1 {
-		h := (vpn ^ uint64(ex.id)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+		h := (x.vpn() ^ uint64(x.ex.id)*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 		jitter = (h >> 48) % s.cfg.TranslateJitter
 	}
-	s.eng.After(s.cfg.L1TLBLat+jitter, func() {
-		if pfn, ok := c.l1tlb.Lookup(vpn); ok {
-			ex.pageDone(vpn, pfn)
-			return
-		}
-		s.l2TLBAccess(c, ex, vpn)
-	})
+	s.eng.After(s.cfg.L1TLBLat+jitter, x.l1Fn)
+}
+
+// vpn is the page x translates.
+func (x *xlate) vpn() uint64 { return x.ex.pages[x.i] }
+
+// l1Lookup runs after the L1 TLB latency.
+func (x *xlate) l1Lookup() {
+	c := x.ex.c
+	if pfn, ok := c.l1tlb.Lookup(x.vpn()); ok {
+		x.ex.pageDone(x.i, pfn)
+		return
+	}
+	c.sys.l2TLBAccess(x)
 }
 
 // l2TLBAccess queues a lookup on the shared GPU L2 TLB.
-func (s *System) l2TLBAccess(c *cu, ex *instrExec, vpn uint64) {
+func (s *System) l2TLBAccess(x *xlate) {
 	at := s.l2tlbPort.Acquire(s.eng.Now())
-	s.eng.At(at+sim.Cycle(s.cfg.L2TLBLat), func() {
-		s.epoch.Access(ex.w.gid)
-		if pfn, ok := s.l2tlb.Lookup(vpn); ok {
-			c.l1tlb.Insert(vpn, pfn)
-			ex.pageDone(vpn, pfn)
-			return
-		}
-		s.sendToIOMMU(c, ex, vpn)
-	})
+	s.eng.At(at+sim.Cycle(s.cfg.L2TLBLat), x.l2Fn)
 }
 
-// parkedXlate is an L2 TLB miss waiting for a free miss register.
-type parkedXlate struct {
-	c   *cu
-	ex  *instrExec
-	vpn uint64
+// l2Lookup runs when the shared L2 TLB's port and latency have passed.
+func (x *xlate) l2Lookup() {
+	ex := x.ex
+	s := ex.c.sys
+	s.epoch.Access(ex.w.gid)
+	vpn := x.vpn()
+	if pfn, ok := s.l2tlb.Lookup(vpn); ok {
+		ex.c.l1tlb.Insert(vpn, pfn)
+		ex.pageDone(x.i, pfn)
+		return
+	}
+	s.sendToIOMMU(x)
 }
 
 // sendToIOMMU forwards an L2 TLB miss to the IOMMU, respecting the
 // GPU-side outstanding-miss cap (Config.XlateMSHRs).
-func (s *System) sendToIOMMU(c *cu, ex *instrExec, vpn uint64) {
+func (s *System) sendToIOMMU(x *xlate) {
 	if s.cfg.XlateMSHRs > 0 && s.xlateOut >= s.cfg.XlateMSHRs {
-		s.xlateParked = append(s.xlateParked, parkedXlate{c: c, ex: ex, vpn: vpn})
+		s.xlateParked = append(s.xlateParked, x)
 		return
 	}
 	s.xlateOut++
+	ex := x.ex
 	s.io.Translate(iommu.TranslateReq{
-		VPN:       vpn,
+		VPN:       x.vpn(),
 		Instr:     ex.id,
 		Wavefront: ex.w.gid,
-		CU:        c.id,
-		Done: func(pfn uint64) {
-			s.l2tlb.Insert(vpn, pfn)
-			c.l1tlb.Insert(vpn, pfn)
-			s.xlateOut--
-			if len(s.xlateParked) > 0 {
-				p := s.xlateParked[0]
-				s.xlateParked = s.xlateParked[1:]
-				s.sendToIOMMU(p.c, p.ex, p.vpn)
-			}
-			ex.pageDone(vpn, pfn)
-		},
+		CU:        ex.c.id,
+		Done:      x.replyFn,
 	})
 }
 
-// pageDone records one completed translation; when the last page of the
-// instruction resolves, the data phase begins.
-func (ex *instrExec) pageDone(vpn, pfn uint64) {
-	ex.pfns[vpn] = pfn
+// translated receives the IOMMU's reply: it fills both GPU TLBs and
+// hands the freed miss register to the oldest parked miss.
+func (x *xlate) translated(pfn uint64) {
+	ex := x.ex
+	s := ex.c.sys
+	vpn := x.vpn()
+	s.l2tlb.Insert(vpn, pfn)
+	ex.c.l1tlb.Insert(vpn, pfn)
+	s.xlateOut--
+	if len(s.xlateParked) > 0 {
+		p := s.xlateParked[0]
+		s.xlateParked = s.xlateParked[1:]
+		s.sendToIOMMU(p)
+	}
+	ex.pageDone(x.i, pfn)
+}
+
+// pageDone records the translation of pages[i]; when the last page of
+// the instruction resolves, the data phase begins.
+func (ex *instrExec) pageDone(i int, pfn uint64) {
+	ex.pfns[i] = pfn
 	ex.pendingPages--
 	if ex.pendingPages == 0 {
-		ex.w.cu.lsuRelease()
+		ex.c.lsuRelease()
 		ex.dataPhase()
 	}
 }
@@ -314,12 +386,10 @@ func (ex *instrExec) pageDone(vpn, pfn uint64) {
 // mappings, whose backing frames are physically contiguous — so the
 // physical address is pfn<<12 plus the offset within the page.
 func (ex *instrExec) dataPhase() {
-	c := ex.w.cu
-	pageBits := c.sys.cfg.PageBits
-	pageMask := uint64(1)<<pageBits - 1
-	for _, la := range ex.lines {
-		pfn := ex.pfns[la>>pageBits]
-		pa := pfn<<mmu.PageBits | la&pageMask
+	c := ex.c
+	pageMask := uint64(1)<<c.sys.cfg.PageBits - 1
+	for i, la := range ex.lines {
+		pa := ex.pfns[ex.linePage[i]]<<mmu.PageBits | la&pageMask
 		c.accessLine(ex, pa)
 	}
 }
@@ -327,21 +397,23 @@ func (ex *instrExec) dataPhase() {
 // accessLine sends one line access to the L1 data cache, retrying if the
 // cache cannot accept it (MSHRs full).
 func (c *cu) accessLine(ex *instrExec, pa uint64) {
-	ok := c.l1c.Access(pa, ex.write, ex.lineDone)
+	ok := c.l1c.Access(pa, ex.write, ex.lineDoneFn)
 	if !ok {
 		c.sys.eng.After(c.sys.cfg.RetryDelay, func() { c.accessLine(ex, pa) })
 	}
 }
 
 // lineDone records one completed line access; when the last line
-// returns, the instruction completes and the wavefront re-enters its
-// compute phase.
+// returns, the instruction completes, its record goes back to the pool
+// and the wavefront re-enters its compute phase.
 func (ex *instrExec) lineDone() {
 	ex.pendingLines--
 	if ex.pendingLines > 0 {
 		return
 	}
-	s := ex.w.cu.sys
-	s.noteInstrDone(ex.w.app)
-	ex.w.enterCompute(s.cfg.ComputeGap)
+	c, w := ex.c, ex.w
+	ex.w = nil
+	c.execPool = append(c.execPool, ex)
+	c.sys.noteInstrDone(w.app)
+	w.enterCompute(c.sys.cfg.ComputeGap)
 }

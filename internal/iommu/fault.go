@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"gpuwalk/internal/core"
 	"gpuwalk/internal/faultinject"
 	"gpuwalk/internal/obs"
 	"gpuwalk/internal/sim"
@@ -143,23 +142,23 @@ func (io *IOMMU) backoff(attempt int) uint64 {
 // joins the fault queue to await OS service. Without an attached fault
 // model an unmapped walk stays fatal, as demand paging is otherwise
 // out of scope (the simulator premaps every page a workload touches).
-func (io *IOMMU) pageFault(r *core.Request, accesses int) {
+func (io *IOMMU) pageFault(r *request, accesses int) {
 	if !io.faultModeled() {
 		panic(fmt.Sprintf("iommu: walk of unmapped vpn %#x", r.VPN))
 	}
 	io.releaseWalker(r, "walk-fault", accesses)
 	io.idleWalkers++
 	io.busyInt.Add(io.eng.Now(), -1)
-	if _, isPrefetch := io.prefetchReqs[r]; isPrefetch {
+	if r.prefetch {
 		// Prefetches are speculative: a faulting prefetch is dropped,
 		// not serviced.
-		delete(io.prefetchReqs, r)
 		io.stats.PrefetchFaultDrops++
 		io.walkerFreed()
+		io.putRequest(r)
 		return
 	}
 	io.stats.Faults++
-	io.faultSince[r] = io.eng.Now()
+	r.faultAt = io.eng.Now()
 	if tr := io.tr; tr != nil {
 		tr.Instant(io.trkFault, "fault", "page-fault",
 			obs.U64("seq", r.Seq), obs.U64("vpn", r.VPN),
@@ -171,7 +170,7 @@ func (io *IOMMU) pageFault(r *core.Request, accesses int) {
 
 // enqueueFault adds r to the bounded fault queue, NACKing with backoff
 // when it is full.
-func (io *IOMMU) enqueueFault(r *core.Request, attempt int) {
+func (io *IOMMU) enqueueFault(r *request, attempt int) {
 	if len(io.faultQ) >= io.cfg.Faults.queueEntries() {
 		io.stats.FaultNACKs++
 		if tr := io.tr; tr != nil {
@@ -224,16 +223,13 @@ func (io *IOMMU) pumpFaults() {
 
 // serviceDone completes one OS fault service: the handler reinstates
 // the mapping and the request retries through the scheduler.
-func (io *IOMMU) serviceDone(r *core.Request) {
+func (io *IOMMU) serviceDone(r *request) {
 	io.inService--
 	if io.faultHandler == nil || !io.faultHandler(io.vpn4k(r.VPN)) {
 		panic(fmt.Sprintf("iommu: page fault on vpn %#x could not be serviced", r.VPN))
 	}
 	io.stats.FaultsServiced++
-	if since, ok := io.faultSince[r]; ok {
-		io.stats.FaultWait.Add(float64(io.eng.Now() - since))
-		delete(io.faultSince, r)
-	}
+	io.stats.FaultWait.Add(float64(io.eng.Now() - r.faultAt))
 	io.traceFaultDepth()
 	io.retryWalk(r)
 	io.pumpFaults()
@@ -247,7 +243,7 @@ func (io *IOMMU) serviceDone(r *core.Request) {
 // statistics include the fault round trip. PWC protection counters
 // stay balanced across retries: each re-admission re-probes and each
 // re-dispatch re-looks-up in matched pairs.
-func (io *IOMMU) retryWalk(r *core.Request) {
+func (io *IOMMU) retryWalk(r *request) {
 	io.stats.WalkRetries++
 	r.Retries++
 	io.seq++
@@ -266,7 +262,7 @@ func (io *IOMMU) retryWalk(r *core.Request) {
 // walks are killed (the injector draws at demand dispatch), so there
 // is no prefetch case here. The caller has already returned the
 // walkState to the pool, so this takes the surviving fields directly.
-func (io *IOMMU) abortWalk(r *core.Request, wasted int) {
+func (io *IOMMU) abortWalk(r *request, wasted int) {
 	io.releaseWalker(r, "walk-killed", wasted)
 	io.idleWalkers++
 	io.busyInt.Add(io.eng.Now(), -1)

@@ -225,7 +225,7 @@ type IOMMU struct {
 	l1 *tlb.TLB
 	l2 *tlb.TLB
 
-	preQueue []*core.Request // overflow beyond the scheduler window, FIFO
+	preQueue []*request // overflow beyond the scheduler window, FIFO
 	// bufVPNs / preVPNs count pending requests per VPN in the buffer
 	// and the overflow queue, so MergeSameVPN coalesces in O(1) instead
 	// of scanning; maintained only when merging is enabled.
@@ -235,29 +235,28 @@ type IOMMU struct {
 	schedSeq uint64 // global service-order sequence
 
 	idleWalkers int
-	inflight    map[uint64][]*core.Request // VPN -> merged requests (MergeSameVPN)
+	inflight    map[uint64][]*request // VPN -> merged requests (MergeSameVPN)
 
-	doneFns map[*core.Request]func(pfn uint64)
+	// prefetched tracks VPNs installed by the prefetcher until first
+	// demand use.
+	prefetched map[uint64]struct{}
 
-	// prefetchReqs marks in-flight background prefetch walks; prefetched
-	// tracks VPNs installed by the prefetcher until first demand use.
-	prefetchReqs map[*core.Request]struct{}
-	prefetched   map[uint64]struct{}
-
-	instrs map[core.InstrID]*instrInfo
+	instrs []instrInfo // indexed by the GPU's dense InstrID
 	stats  Stats
 
-	// walkPool recycles walkState objects (with their pre-bound
-	// callback closures and PTE-address buffers) so steady-state walks
-	// allocate nothing.
+	// reqPool and walkPool recycle request records and walkState
+	// objects (with their pre-bound callbacks and, for walks, PTE-address
+	// buffers) so steady-state translations allocate nothing. reqSlab
+	// holds records not yet handed out, allocated in blocks.
+	reqPool  []*request
+	reqSlab  []request
 	walkPool []*walkState
 
 	busyInt sim.Integrator // busy walkers over time
 
-	// freeWalkers/walkStart track walker identities whenever the
-	// schedule log or the tracer needs them (trackWalkers).
+	// freeWalkers tracks walker identities whenever the schedule log or
+	// the tracer needs them (trackWalkers).
 	freeWalkers  []int
-	walkStart    map[*core.Request]walkSlot
 	schedule     []WalkRecord
 	trackWalkers bool
 
@@ -272,15 +271,30 @@ type IOMMU struct {
 	// faultQ holds faults awaiting an OS service slot.
 	faultHandler FaultHandlerFn
 	inj          *faultinject.Injector
-	faultQ       []*core.Request
+	faultQ       []*request
 	inService    int
-	faultSince   map[*core.Request]sim.Cycle
 }
 
-// walkSlot remembers which walker took a request and when.
-type walkSlot struct {
-	walker int
-	start  sim.Cycle
+// request is the IOMMU's record of one translation request, from
+// Translate to its reply. Records are pooled (getRequest/putRequest)
+// with their callbacks bound once, so a steady-state request allocates
+// nothing. The embedded core.Request is what the scheduler sees, and
+// its Owner points back here. A record returns to the pool only after
+// its last callback has run and it has left the scheduler, the
+// overflow, merge and fault queues, and its walk.
+type request struct {
+	core.Request
+	io *IOMMU
+
+	done     func(pfn uint64) // the requester's callback; nil for a prefetch
+	pfn      uint64           // the reply's payload
+	prefetch bool             // a background next-page walk
+	walker   int              // the walker serving it (trackWalkers)
+	start    sim.Cycle        // when that walker took it (trackWalkers)
+	faultAt  sim.Cycle        // when its last page fault was found
+
+	lookupFn func() // bound r.lookupTLBs
+	replyFn  func() // bound r.deliver
 }
 
 // WalkRecord is one serviced walk in the schedule log.
@@ -299,24 +313,19 @@ func New(eng *sim.Engine, cfg Config, sched core.IndexedScheduler, pt *mmu.PageT
 		panic(err)
 	}
 	io := &IOMMU{
-		cfg:          cfg,
-		eng:          eng,
-		sched:        sched,
-		bufVPNs:      make(map[uint64]int),
-		preVPNs:      make(map[uint64]int),
-		pt:           pt,
-		dram:         dram,
-		pwc:          pwc.New(cfg.PWC),
-		l1:           tlb.New(cfg.l1Config()),
-		l2:           tlb.New(cfg.l2Config()),
-		idleWalkers:  cfg.Walkers,
-		inflight:     make(map[uint64][]*core.Request),
-		doneFns:      make(map[*core.Request]func(uint64)),
-		prefetchReqs: make(map[*core.Request]struct{}),
-		prefetched:   make(map[uint64]struct{}),
-		instrs:       make(map[core.InstrID]*instrInfo),
-		walkStart:    make(map[*core.Request]walkSlot),
-		faultSince:   make(map[*core.Request]sim.Cycle),
+		cfg:         cfg,
+		eng:         eng,
+		sched:       sched,
+		bufVPNs:     make(map[uint64]int),
+		preVPNs:     make(map[uint64]int),
+		pt:          pt,
+		dram:        dram,
+		pwc:         pwc.New(cfg.PWC),
+		l1:          tlb.New(cfg.l1Config()),
+		l2:          tlb.New(cfg.l2Config()),
+		idleWalkers: cfg.Walkers,
+		inflight:    make(map[uint64][]*request),
+		prefetched:  make(map[uint64]struct{}),
 	}
 	io.trackWalkers = cfg.RecordSchedule
 	for i := cfg.Walkers - 1; i >= 0; i-- {
@@ -394,51 +403,100 @@ func (io *IOMMU) ScheduleLog() []WalkRecord { return io.schedule }
 // Section II-B's "life of a GPU address translation request", steps 5-9.
 func (io *IOMMU) Translate(req TranslateReq) {
 	io.stats.Requests++
-	io.eng.After(io.cfg.TransferLat+io.cfg.TLBLat, func() { io.lookupTLBs(req) })
+	r := io.getRequest()
+	r.Request = core.Request{VPN: req.VPN, Instr: req.Instr, Wavefront: req.Wavefront, CU: req.CU, Owner: r}
+	r.done = req.Done
+	io.eng.After(io.cfg.TransferLat+io.cfg.TLBLat, r.lookupFn)
 }
 
-func (io *IOMMU) lookupTLBs(req TranslateReq) {
-	if pfn, ok := io.l1.Lookup(req.VPN); ok {
+// getRequest takes a record from the pool, or binds a fresh one's
+// callbacks. The caller sets its core.Request and, on a demand
+// request, done; putRequest left done nil and prefetch false.
+func (io *IOMMU) getRequest() *request {
+	if n := len(io.reqPool); n > 0 {
+		r := io.reqPool[n-1]
+		io.reqPool = io.reqPool[:n-1]
+		return r
+	}
+	if len(io.reqSlab) == 0 {
+		io.reqSlab = make([]request, 64)
+	}
+	r := &io.reqSlab[0]
+	io.reqSlab = io.reqSlab[1:]
+	r.io = io
+	r.lookupFn = r.lookupTLBs
+	r.replyFn = r.deliver
+	return r
+}
+
+// putRequest returns a finished record to the pool, dropping its
+// requester's callback.
+func (io *IOMMU) putRequest(r *request) {
+	r.done = nil
+	r.prefetch = false
+	io.reqPool = append(io.reqPool, r)
+}
+
+func (r *request) lookupTLBs() {
+	io := r.io
+	if pfn, ok := io.l1.Lookup(r.VPN); ok {
 		io.stats.L1Hits++
-		io.notePrefetchUse(req.VPN)
-		io.reply(req.Done, pfn)
+		io.notePrefetchUse(r.VPN)
+		io.reply(r, pfn)
 		return
 	}
-	if pfn, ok := io.l2.Lookup(req.VPN); ok {
+	if pfn, ok := io.l2.Lookup(r.VPN); ok {
 		io.stats.L2Hits++
-		io.notePrefetchUse(req.VPN)
-		io.l1.Insert(req.VPN, pfn)
-		io.reply(req.Done, pfn)
+		io.notePrefetchUse(r.VPN)
+		io.l1.Insert(r.VPN, pfn)
+		io.reply(r, pfn)
 		return
 	}
-	io.enqueueWalk(req)
+	io.enqueueWalk(r)
 }
 
 // notePrefetchUse credits the prefetcher when a demand request hits an
 // entry it installed.
 func (io *IOMMU) notePrefetchUse(vpn uint64) {
+	if len(io.prefetched) == 0 {
+		return
+	}
 	if _, ok := io.prefetched[vpn]; ok {
 		io.stats.PrefetchHits++
 		delete(io.prefetched, vpn)
 	}
 }
 
-func (io *IOMMU) reply(done func(uint64), pfn uint64) {
-	io.eng.After(io.cfg.ReplyLat, func() { done(pfn) })
+// reply sends pfn back to r's requester after the reply latency; r
+// returns to the pool when the reply is delivered. A request without a
+// callback goes back at once.
+func (io *IOMMU) reply(r *request, pfn uint64) {
+	if r.done == nil {
+		io.putRequest(r)
+		return
+	}
+	r.pfn = pfn
+	io.eng.After(io.cfg.ReplyLat, r.replyFn)
+}
+
+func (r *request) deliver() {
+	done, pfn := r.done, r.pfn
+	r.io.putRequest(r)
+	done(pfn)
 }
 
 // enqueueWalk turns a TLB-missing request into a pending walk request
 // (step 6) or starts it immediately on an idle walker (step 7 shortcut).
-func (io *IOMMU) enqueueWalk(req TranslateReq) {
+func (io *IOMMU) enqueueWalk(r *request) {
+	io.stamp(r)
 	if io.cfg.MergeSameVPN {
 		// Merge onto an in-flight walk, a pending (unstarted) walk in
 		// the buffer, or a walk waiting in the overflow queue — all
 		// O(1) map lookups.
-		_, inflight := io.inflight[req.VPN]
-		if inflight || io.bufVPNs[req.VPN] > 0 || io.preVPNs[req.VPN] > 0 {
+		_, inflight := io.inflight[r.VPN]
+		if inflight || io.bufVPNs[r.VPN] > 0 || io.preVPNs[r.VPN] > 0 {
 			io.stats.Merged++
-			r := io.newRequest(req)
-			io.inflight[req.VPN] = append(io.inflight[req.VPN], r)
+			io.inflight[r.VPN] = append(io.inflight[r.VPN], r)
 			if tr := io.tr; tr != nil {
 				tr.Instant(io.trkSched, "sched", "merge",
 					obs.U64("seq", r.Seq), obs.U64("vpn", r.VPN),
@@ -447,14 +505,14 @@ func (io *IOMMU) enqueueWalk(req TranslateReq) {
 			return
 		}
 	}
-	io.enqueueRequest(io.newRequest(req), 0)
+	io.enqueueRequest(r, 0)
 }
 
 // enqueueRequest routes a new or retried request to an idle walker,
 // the scheduler buffer, or the overflow queue, applying NACK/backoff
 // backpressure when the overflow queue is bounded and full. attempt
 // counts NACK retries for the backoff schedule.
-func (io *IOMMU) enqueueRequest(r *core.Request, attempt int) {
+func (io *IOMMU) enqueueRequest(r *request, attempt int) {
 	if io.idleWalkers > 0 {
 		io.nextRule = core.DecisionNone // direct start, no scheduler pick
 		io.startWalk(r)
@@ -498,18 +556,12 @@ func (io *IOMMU) enqueueRequest(r *core.Request, attempt int) {
 	}
 }
 
-func (io *IOMMU) newRequest(req TranslateReq) *core.Request {
+// stamp gives r the next arrival sequence number and the current cycle
+// as its arrival at the walk buffer.
+func (io *IOMMU) stamp(r *request) {
 	io.seq++
-	r := &core.Request{
-		VPN:       req.VPN,
-		Instr:     req.Instr,
-		Wavefront: req.Wavefront,
-		CU:        req.CU,
-		Seq:       io.seq,
-		Arrive:    io.eng.Now(),
-	}
-	io.doneFns[r] = req.Done
-	return r
+	r.Seq = io.seq
+	r.Arrive = io.eng.Now()
 }
 
 // upperLevels returns how many page-table levels the PWC covers at the
@@ -523,7 +575,7 @@ func (io *IOMMU) upperLevels() int {
 
 // admit scores a request (actions 1-a and 1-b of Figure 7) and hands
 // it to the scheduler-visible buffer.
-func (io *IOMMU) admit(r *core.Request) {
+func (io *IOMMU) admit(r *request) {
 	r.Est = io.pwc.ProbeN(io.vpn4k(r.VPN), io.upperLevels())
 	if io.inj != nil {
 		// Probe corruption only skews the scheduling score; the PWC's
@@ -541,7 +593,7 @@ func (io *IOMMU) admit(r *core.Request) {
 	if io.cfg.MergeSameVPN {
 		io.bufVPNs[r.VPN]++
 	}
-	io.sched.Admit(r)
+	io.sched.Admit(&r.Request)
 	if n := io.sched.PendingLen(); n > io.stats.BufferPeak {
 		io.stats.BufferPeak = n
 	}
@@ -556,8 +608,8 @@ func (io *IOMMU) admit(r *core.Request) {
 
 // nextWalk asks the scheduler for the next request, which it removes
 // from the pending buffer.
-func (io *IOMMU) nextWalk() *core.Request {
-	r := io.sched.Pick()
+func (io *IOMMU) nextWalk() *request {
+	r := io.sched.Pick().Owner.(*request)
 	if io.cfg.MergeSameVPN {
 		if n := io.bufVPNs[r.VPN]; n <= 1 {
 			delete(io.bufVPNs, r.VPN)
@@ -605,16 +657,16 @@ func (io *IOMMU) walkerFreed() {
 
 // startWalk occupies a walker and runs the walk state machine: PWC
 // lookup, then 1-4 dependent DRAM reads of page-table entries (2-b).
-func (io *IOMMU) startWalk(r *core.Request) {
+func (io *IOMMU) startWalk(r *request) {
 	io.idleWalkers--
 	io.busyInt.Add(io.eng.Now(), 1)
 	if io.trackWalkers {
-		wid := io.freeWalkers[len(io.freeWalkers)-1]
+		r.walker = io.freeWalkers[len(io.freeWalkers)-1]
+		r.start = io.eng.Now()
 		io.freeWalkers = io.freeWalkers[:len(io.freeWalkers)-1]
-		io.walkStart[r] = walkSlot{walker: wid, start: io.eng.Now()}
 	}
 	kill := false
-	if _, isPrefetch := io.prefetchReqs[r]; !isPrefetch {
+	if !r.prefetch {
 		io.stats.WalksStarted++
 		io.stats.BufferWait.Add(float64(io.eng.Now() - r.Arrive))
 		// Fault injection draws at demand dispatch: one kill decision
@@ -680,7 +732,7 @@ func (io *IOMMU) vpn4k(vpn uint64) uint64 {
 // a steady-state walk performs no allocations at all.
 type walkState struct {
 	io        *IOMMU
-	r         *core.Request
+	r         *request
 	addrs     []uint64 // remaining PTE reads (slice into buf)
 	buf       [mmu.Levels]uint64
 	total     int  // reads a full walk performs
@@ -695,7 +747,7 @@ type walkState struct {
 
 // getWalk takes a walkState from the pool (or builds one with its
 // closures pre-bound) and resets it for request r.
-func (io *IOMMU) getWalk(r *core.Request) *walkState {
+func (io *IOMMU) getWalk(r *request) *walkState {
 	var w *walkState
 	if n := len(io.walkPool); n > 0 {
 		w = io.walkPool[n-1]
@@ -784,15 +836,13 @@ func (io *IOMMU) issueWalkAccess(w *walkState) {
 // counter and busy integral stay with the caller), closing the walk
 // trace span under the given outcome and logging completed walks in
 // the schedule log.
-func (io *IOMMU) releaseWalker(r *core.Request, outcome string, accesses int) {
+func (io *IOMMU) releaseWalker(r *request, outcome string, accesses int) {
 	if !io.trackWalkers {
 		return
 	}
-	slot := io.walkStart[r]
-	delete(io.walkStart, r)
-	io.freeWalkers = append(io.freeWalkers, slot.walker)
+	io.freeWalkers = append(io.freeWalkers, r.walker)
 	if tr := io.tr; tr != nil {
-		tr.Span(io.trkWalker[slot.walker], "walk", outcome, slot.start, io.eng.Now(),
+		tr.Span(io.trkWalker[r.walker], "walk", outcome, r.start, io.eng.Now(),
 			obs.U64("vpn", r.VPN), obs.U64("instr", uint64(r.Instr)),
 			obs.U64("accesses", uint64(accesses)))
 	}
@@ -803,8 +853,8 @@ func (io *IOMMU) releaseWalker(r *core.Request, outcome string, accesses int) {
 		}
 		if len(io.schedule) < limit {
 			io.schedule = append(io.schedule, WalkRecord{
-				Walker: slot.walker,
-				Start:  slot.start,
+				Walker: r.walker,
+				Start:  r.start,
 				End:    io.eng.Now(),
 				Instr:  r.Instr,
 				VPN:    r.VPN,
@@ -815,7 +865,7 @@ func (io *IOMMU) releaseWalker(r *core.Request, outcome string, accesses int) {
 
 // finishWalk completes a walk: fills PWC and IOMMU TLBs, replies to the
 // GPU, frees the walker (step 9).
-func (io *IOMMU) finishWalk(r *core.Request, accesses int) {
+func (io *IOMMU) finishWalk(r *request, accesses int) {
 	vpn4k := io.vpn4k(r.VPN)
 	pfn, pageBits, ok := io.pt.TranslateAny(vpn4k)
 	if !ok {
@@ -835,12 +885,12 @@ func (io *IOMMU) finishWalk(r *core.Request, accesses int) {
 	io.l2.Insert(r.VPN, pfn)
 	io.l1.Insert(r.VPN, pfn)
 
-	if _, isPrefetch := io.prefetchReqs[r]; isPrefetch {
-		delete(io.prefetchReqs, r)
+	if r.prefetch {
 		io.prefetched[r.VPN] = struct{}{}
 		io.idleWalkers++
 		io.busyInt.Add(io.eng.Now(), -1)
 		io.walkerFreed()
+		io.putRequest(r)
 		return
 	}
 
@@ -857,27 +907,26 @@ func (io *IOMMU) finishWalk(r *core.Request, accesses int) {
 			obs.U64("accesses", uint64(accesses)))
 	}
 
-	if done := io.doneFns[r]; done != nil {
-		io.reply(done, pfn)
-	}
-	delete(io.doneFns, r)
-
+	vpn := r.VPN
 	if io.cfg.MergeSameVPN {
-		for _, m := range io.inflight[r.VPN] {
+		// The replies go out in this order: the walk's own, then each
+		// merged request's.
+		merged := io.inflight[vpn]
+		delete(io.inflight, vpn)
+		io.reply(r, pfn)
+		for _, m := range merged {
 			mlat := uint64(io.eng.Now() - m.Arrive)
 			io.noteCompleted(m, 0, mlat)
-			if done := io.doneFns[m]; done != nil {
-				io.reply(done, pfn)
-			}
-			delete(io.doneFns, m)
+			io.reply(m, pfn)
 		}
-		delete(io.inflight, r.VPN)
+	} else {
+		io.reply(r, pfn)
 	}
 
 	io.idleWalkers++
 	io.busyInt.Add(io.eng.Now(), -1)
 	io.walkerFreed()
-	io.maybePrefetch(r.VPN + 1)
+	io.maybePrefetch(vpn + 1)
 }
 
 // maybePrefetch issues a background walk for vpn when the prefetcher is
@@ -894,23 +943,22 @@ func (io *IOMMU) maybePrefetch(vpn uint64) {
 	if _, ok := io.pt.Translate(io.vpn4k(vpn)); !ok {
 		return
 	}
-	io.seq++
-	r := &core.Request{VPN: vpn, Seq: io.seq, Arrive: io.eng.Now()}
-	io.prefetchReqs[r] = struct{}{}
+	r := io.getRequest()
+	r.Request = core.Request{VPN: vpn, Owner: r}
+	r.prefetch = true
+	io.stamp(r)
 	io.stats.Prefetches++
 	io.startWalk(r)
 }
 
 func (io *IOMMU) instr(id core.InstrID) *instrInfo {
-	in := io.instrs[id]
-	if in == nil {
-		in = &instrInfo{}
-		io.instrs[id] = in
+	if n := int(id) + 1; n > len(io.instrs) {
+		io.instrs = append(io.instrs, make([]instrInfo, n-len(io.instrs))...)
 	}
-	return in
+	return &io.instrs[id]
 }
 
-func (io *IOMMU) noteScheduled(r *core.Request) {
+func (io *IOMMU) noteScheduled(r *request) {
 	in := io.instr(r.Instr)
 	if in.schedCount == 0 {
 		in.firstSchedSeq = io.schedSeq
@@ -919,7 +967,7 @@ func (io *IOMMU) noteScheduled(r *core.Request) {
 	in.schedCount++
 }
 
-func (io *IOMMU) noteCompleted(r *core.Request, accesses int, lat uint64) {
+func (io *IOMMU) noteCompleted(r *request, accesses int, lat uint64) {
 	in := io.instr(r.Instr)
 	in.walks++
 	in.accesses += accesses
@@ -934,7 +982,8 @@ func (io *IOMMU) noteCompleted(r *core.Request, accesses int, lat uint64) {
 func (io *IOMMU) InstrSummary() InstrSummary {
 	s := InstrSummary{AccessHist: stats.PaperFig3Buckets()}
 	var firstSum, lastSum float64
-	for _, in := range io.instrs {
+	for i := range io.instrs {
+		in := &io.instrs[i]
 		if in.walks == 0 {
 			continue
 		}

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"encoding/json"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -75,14 +77,18 @@ func TestHistogramJSONRejectsShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestQuantileJSONRoundTrip also requires a restored quantile to keep
+// exactly the bucket range Observe built, so a Result read back from
+// the cache equals the one its run produced.
 func TestQuantileJSONRoundTrip(t *testing.T) {
-	var q Quantile
+	var q, down Quantile
 	for v := uint64(1); v <= 10000; v *= 3 {
 		q.Observe(v)
 		q.Observe(v + 1)
+		down.Observe(20000 / v) // the kept range grows downward
 	}
 	var got Quantile
-	marshalUnmarshalMarshal(t, q, &got)
+	b := marshalUnmarshalMarshal(t, q, &got)
 	for _, p := range []float64{0.5, 0.95, 0.99} {
 		if got.Value(p) != q.Value(p) {
 			t.Fatalf("P%v: %d != %d", p*100, got.Value(p), q.Value(p))
@@ -91,9 +97,30 @@ func TestQuantileJSONRoundTrip(t *testing.T) {
 	if got.N() != q.N() || got.Min() != q.Min() || got.Max() != q.Max() {
 		t.Fatal("restored N/Min/Max differ")
 	}
+	if !reflect.DeepEqual(got, q) {
+		t.Fatalf("restored quantile %+v differs from observed %+v", got, q)
+	}
+	bucket := func(v uint64) int {
+		return sort.Search(len(bucketBounds), func(i int) bool { return bucketBounds[i] >= v })
+	}
+	if lo, hi := bucket(q.Min()), bucket(q.Max()); q.lo != lo || len(q.counts) != hi-lo+1 {
+		t.Fatalf("kept buckets %d..%d, want only %d..%d", q.lo, q.lo+len(q.counts)-1, lo, hi)
+	}
+	var full struct{ Counts []uint64 }
+	if err := json.Unmarshal(b, &full); err != nil || len(full.Counts) != len(bucketBounds)+1 {
+		t.Fatalf("marshalled %d counts (%v), want every bucket's %d", len(full.Counts), err, len(bucketBounds)+1)
+	}
+	var gotDown Quantile
+	marshalUnmarshalMarshal(t, down, &gotDown)
+	if !reflect.DeepEqual(gotDown, down) {
+		t.Fatalf("restored quantile %+v differs from observed %+v", gotDown, down)
+	}
 	var empty, gotEmpty Quantile
 	marshalUnmarshalMarshal(t, empty, &gotEmpty)
 	if gotEmpty.N() != 0 {
 		t.Fatal("restored empty quantile non-empty")
+	}
+	if !reflect.DeepEqual(gotEmpty, empty) {
+		t.Fatalf("restored empty quantile %+v differs from the zero value", gotEmpty)
 	}
 }

@@ -3,15 +3,19 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Quantile estimates quantiles of a stream using a fixed geometric
 // bucket histogram (2% resolution per decade step of 1.07x), so memory
 // stays constant regardless of sample count. Good enough for reporting
-// P50/P95/P99 of walk latencies.
+// P50/P95/P99 of walk latencies. Only the buckets from the one holding
+// Min to the one holding Max are kept: a walk-latency distribution
+// spans a few dozen of the several hundred.
 type Quantile struct {
-	counts []uint64
+	counts []uint64 // buckets lo .. lo+len(counts)-1
+	lo     int
 	total  uint64
 	min    uint64
 	max    uint64
@@ -41,9 +45,17 @@ var bucketBounds = func() []uint64 {
 
 // Observe records one sample.
 func (q *Quantile) Observe(v uint64) {
-	if q.counts == nil {
-		q.counts = make([]uint64, len(bucketBounds)+1)
+	i := sort.Search(len(bucketBounds), func(i int) bool { return bucketBounds[i] >= v })
+	switch {
+	case len(q.counts) == 0:
+		q.counts, q.lo = make([]uint64, 1), i
 		q.min = v
+	case i < q.lo:
+		grown := make([]uint64, q.lo-i+len(q.counts))
+		copy(grown[q.lo-i:], q.counts)
+		q.counts, q.lo = grown, i
+	case i >= q.lo+len(q.counts):
+		q.counts = append(q.counts, make([]uint64, i-q.lo-len(q.counts)+1)...)
 	}
 	if v < q.min {
 		q.min = v
@@ -52,8 +64,7 @@ func (q *Quantile) Observe(v uint64) {
 		q.max = v
 	}
 	q.total++
-	i := sort.Search(len(bucketBounds), func(i int) bool { return bucketBounds[i] >= v })
-	q.counts[i]++
+	q.counts[i-q.lo]++
 }
 
 // N returns the number of samples.
@@ -65,11 +76,17 @@ func (q *Quantile) Min() uint64 { return q.min }
 // Max returns the largest observed sample.
 func (q *Quantile) Max() uint64 { return q.max }
 
-// MarshalJSON emits the summary quantiles plus the raw bucket counts.
-// The counts (against the package-wide deterministic bucket bounds) are
-// what UnmarshalJSON needs to restore the estimator exactly; the
-// P50/P95/P99 fields are derived and kept for readability.
+// MarshalJSON emits the summary quantiles plus the raw bucket counts,
+// every bucket's, kept or not. The counts (against the package-wide
+// deterministic bucket bounds) are what UnmarshalJSON needs to restore
+// the estimator exactly; the P50/P95/P99 fields are derived and kept
+// for readability.
 func (q Quantile) MarshalJSON() ([]byte, error) {
+	var counts []uint64
+	if len(q.counts) > 0 {
+		counts = make([]uint64, len(bucketBounds)+1)
+		copy(counts[q.lo:], q.counts)
+	}
 	return json.Marshal(struct {
 		N      uint64   `json:"n"`
 		Min    uint64   `json:"min"`
@@ -78,13 +95,14 @@ func (q Quantile) MarshalJSON() ([]byte, error) {
 		P99    uint64   `json:"p99"`
 		Max    uint64   `json:"max"`
 		Counts []uint64 `json:"counts,omitempty"`
-	}{q.total, q.min, q.Value(0.5), q.Value(0.95), q.Value(0.99), q.max, q.counts})
+	}{q.total, q.min, q.Value(0.5), q.Value(0.95), q.Value(0.99), q.max, counts})
 }
 
-// UnmarshalJSON restores a Quantile written by MarshalJSON. The bucket
-// bounds are a package constant, so only the counts travel; a payload
-// whose counts do not match the current bucketization is rejected
-// rather than silently misread.
+// UnmarshalJSON restores a Quantile written by MarshalJSON, keeping the
+// same bucket range Observe would have. The bucket bounds are a package
+// constant, so only the counts travel; a payload whose counts do not
+// match the current bucketization is rejected rather than silently
+// misread.
 func (q *Quantile) UnmarshalJSON(b []byte) error {
 	var in struct {
 		N      uint64   `json:"n"`
@@ -98,7 +116,17 @@ func (q *Quantile) UnmarshalJSON(b []byte) error {
 	if in.Counts != nil && len(in.Counts) != len(bucketBounds)+1 {
 		return fmt.Errorf("stats: quantile has %d buckets, this build uses %d", len(in.Counts), len(bucketBounds)+1)
 	}
-	q.counts = in.Counts
+	lo, hi := 0, len(in.Counts)
+	for lo < hi && in.Counts[lo] == 0 {
+		lo++
+	}
+	for hi > lo && in.Counts[hi-1] == 0 {
+		hi--
+	}
+	q.counts, q.lo = nil, 0
+	if lo < hi {
+		q.counts, q.lo = slices.Clone(in.Counts[lo:hi]), lo
+	}
 	q.total = in.N
 	q.min = in.Min
 	q.max = in.Max
@@ -122,11 +150,11 @@ func (q *Quantile) Value(p float64) uint64 {
 		rank = 1
 	}
 	var seen uint64
-	for i, c := range q.counts {
+	for j, c := range q.counts {
 		seen += c
 		if seen >= rank {
 			var v uint64
-			if i < len(bucketBounds) {
+			if i := q.lo + j; i < len(bucketBounds) {
 				v = bucketBounds[i]
 			} else {
 				v = q.max

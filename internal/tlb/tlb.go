@@ -112,8 +112,10 @@ func New(cfg Config) *TLB {
 	}
 	nsets := cfg.Entries / ways
 	t := &TLB{cfg: cfg, sets: make([]set, nsets), setMask: uint64(nsets - 1), rng: 0x9e3779b97f4a7c15}
+	// Every set's ways are carved from one backing array.
+	entries := make([]entry, nsets*ways)
 	for i := range t.sets {
-		t.sets[i].entries = make([]entry, ways)
+		t.sets[i].entries = entries[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return t
 }
