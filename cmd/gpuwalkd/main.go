@@ -205,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// SIGTERM/SIGINT triggers a graceful drain: stop accepting jobs,
 	// cancel the queue, let in-flight simulations finish (up to
-	// -drain-timeout), then flush the cache index and exit. Installed
+	// -drain-timeout), then stamp the cache's recency and exit. Installed
 	// before the listener so a signal is never lost once the address
 	// has been announced.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

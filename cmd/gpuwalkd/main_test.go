@@ -21,6 +21,7 @@ import (
 	"gpuwalk"
 	"gpuwalk/internal/jobd"
 	"gpuwalk/internal/obs"
+	"gpuwalk/internal/simcache"
 )
 
 // syncBuffer is a goroutine-safe bytes.Buffer for capturing the
@@ -271,7 +272,9 @@ func TestEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stored, err := os.ReadFile(filepath.Join(cacheDir, "objects", key[:2], key+".json"))
+		// The object's name carries the digest of the bytes served.
+		name := key + "." + simcache.PayloadDigest(item.Result) + ".json"
+		stored, err := os.ReadFile(filepath.Join(cacheDir, "objects", key[:2], name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestAllocRunSkipsUsedFrames(t *testing.T) {
 	pm := NewPhysMem(16 << 20) // 4096 frames
 	alloc := NewAllocator(pm, 5)
 	// Poison the topmost run candidate by hand.
-	alloc.used[4096-1] = struct{}{}
+	alloc.take(4096 - 1)
 	base, ok := alloc.AllocRun(FramesPerLarge)
 	if !ok {
 		t.Fatal("AllocRun failed with one poisoned frame")

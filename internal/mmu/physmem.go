@@ -40,21 +40,49 @@ const (
 )
 
 // PhysMem is the simulated physical memory. Only page-table words are
-// actually stored (sparsely); data pages exist as allocated frames only,
-// since the simulator models timing, not values.
+// actually stored: each page-table page's 512 words in one array, keyed
+// by frame, with the last frame read or written memoised so that
+// consecutive accesses to one table skip the map. Data pages exist as
+// allocated frames only, since the simulator models timing, not values.
+// The Allocator's bitset of used frames costs one bit per frame: 2 MB
+// for the 64 GB that large-page runs are sized at.
 type PhysMem struct {
-	frames uint64
-	words  map[uint64]uint64 // word-aligned phys addr -> 8-byte value
+	frames  uint64
+	pages   map[uint64]*frameWords // frame -> its words
+	last    *frameWords            // words of frame lastPFN
+	lastPFN uint64
 }
+
+// frameWords holds the 512 words of one page-table frame.
+type frameWords [PageSize / PTESize]uint64
 
 // NewPhysMem creates a physical memory of the given size in bytes,
 // rounded down to whole frames.
 func NewPhysMem(size uint64) *PhysMem {
-	return &PhysMem{frames: size / PageSize, words: make(map[uint64]uint64)}
+	return &PhysMem{frames: size / PageSize, pages: make(map[uint64]*frameWords)}
 }
 
 // Frames returns the number of physical frames.
 func (m *PhysMem) Frames() uint64 { return m.frames }
+
+// page returns the words of addr's frame, creating them if create is
+// set; otherwise it returns nil for a frame that holds no words.
+func (m *PhysMem) page(addr uint64, create bool) *frameWords {
+	pfn := addr >> PageBits
+	if m.last != nil && m.lastPFN == pfn {
+		return m.last
+	}
+	p := m.pages[pfn]
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(frameWords)
+		m.pages[pfn] = p
+	}
+	m.last, m.lastPFN = p, pfn
+	return p
+}
 
 // ReadWord returns the 8-byte word at the given physical address
 // (which must be 8-byte aligned). Unwritten words read as zero.
@@ -62,7 +90,10 @@ func (m *PhysMem) ReadWord(addr uint64) uint64 {
 	if addr%PTESize != 0 {
 		panic(fmt.Sprintf("mmu: unaligned word read at %#x", addr))
 	}
-	return m.words[addr]
+	if p := m.page(addr, false); p != nil {
+		return p[addr%PageSize/PTESize]
+	}
+	return 0
 }
 
 // WriteWord stores an 8-byte word at the given physical address.
@@ -70,16 +101,24 @@ func (m *PhysMem) WriteWord(addr, val uint64) {
 	if addr%PTESize != 0 {
 		panic(fmt.Sprintf("mmu: unaligned word write at %#x", addr))
 	}
-	if val == 0 {
-		delete(m.words, addr)
-		return
+	if p := m.page(addr, val != 0); p != nil {
+		p[addr%PageSize/PTESize] = val
 	}
-	m.words[addr] = val
 }
 
 // WordCount returns the number of nonzero stored words (page-table
 // footprint in PTEs), useful for tests and reports.
-func (m *PhysMem) WordCount() int { return len(m.words) }
+func (m *PhysMem) WordCount() int {
+	n := 0
+	for _, p := range m.pages {
+		for _, w := range p {
+			if w != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Allocator hands out free physical frames. Placement is randomized to
 // emulate the frame scatter of a long-running OS: consecutive virtual
@@ -88,7 +127,7 @@ func (m *PhysMem) WordCount() int { return len(m.words) }
 type Allocator struct {
 	mem     *PhysMem
 	rng     *xrand.Rand
-	used    map[uint64]struct{}
+	used    []uint64 // bitset over frames
 	n       uint64
 	runNext uint64 // bump pointer for AllocRun (grows downward)
 }
@@ -98,9 +137,15 @@ func NewAllocator(mem *PhysMem, seed uint64) *Allocator {
 	return &Allocator{
 		mem:  mem,
 		rng:  xrand.New(seed),
-		used: make(map[uint64]struct{}),
+		used: make([]uint64, (mem.frames+63)/64),
 	}
 }
+
+// taken reports whether frame pfn has been handed out.
+func (a *Allocator) taken(pfn uint64) bool { return a.used[pfn/64]&(1<<(pfn%64)) != 0 }
+
+// take marks frame pfn as handed out.
+func (a *Allocator) take(pfn uint64) { a.used[pfn/64] |= 1 << (pfn % 64) }
 
 // Alloc returns a free frame number, or ok=false when memory is
 // exhausted. Frame 0 is never returned (kept as a null sentinel).
@@ -110,8 +155,8 @@ func (a *Allocator) Alloc() (pfn uint64, ok bool) {
 	}
 	for {
 		pfn = 1 + a.rng.Uint64n(a.mem.frames-1)
-		if _, taken := a.used[pfn]; !taken {
-			a.used[pfn] = struct{}{}
+		if !a.taken(pfn) {
+			a.take(pfn)
 			a.n++
 			return pfn, true
 		}
@@ -140,12 +185,12 @@ func (a *Allocator) AllocRun(n uint64) (base uint64, ok bool) {
 cand:
 	for cand := (a.runNext - n) &^ (n - 1); cand >= a.mem.frames/2; cand -= n {
 		for f := cand; f < cand+n; f++ {
-			if _, taken := a.used[f]; taken {
+			if a.taken(f) {
 				continue cand
 			}
 		}
 		for f := cand; f < cand+n; f++ {
-			a.used[f] = struct{}{}
+			a.take(f)
 		}
 		a.n += n
 		a.runNext = cand

@@ -3,6 +3,7 @@ package simcache
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 	"unsafe"
 	"weak"
 
@@ -56,29 +58,39 @@ type Peer interface {
 }
 
 // Cache is a persistent content-addressed result store rooted at one
-// directory. It is safe for concurrent use by multiple goroutines of
-// one process; cross-process safety relies on atomic writes (readers
-// never observe a partial object, but two writers may race on the
-// index — last rename wins, and either outcome is a consistent index).
+// directory. Each entry is one object file,
+// objects/<hh>/<key>.<sha256>.json, whose name carries the SHA-256 of
+// its payload: a Put is one atomic write that makes payload and digest
+// durable together, and no index file exists to fall behind. Open
+// rebuilds the in-memory index from the names; recency is kept in the
+// objects' mtimes, which Close stamps in LRU order.
+//
+// A Cache is safe for concurrent use by multiple goroutines of one
+// process. Processes sharing a directory never observe a partial
+// object, since writes are atomic renames, but each indexes only the
+// objects present at its Open plus its own puts: an object another
+// process evicted or replaced is a miss.
 type Cache struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	seq     uint64 // LRU clock: bumped on every hit and put
-	size    int64  // total payload bytes
-	dirty   bool   // index has in-memory changes not yet persisted
-	stats   Stats
-	peer    Peer
+	// lru is the sentinel of the LRU list: lru.next is the least
+	// recently used entry, lru.prev the most recently used one.
+	lru   entry
+	size  int64 // total payload bytes
+	stats Stats
+	peer  Peer
 }
 
-// entry is one index record.
+// entry is one stored object, linked into its cache's LRU list.
 type entry struct {
-	Key    string `json:"key"`
-	Size   int64  `json:"size"`
-	Seq    uint64 `json:"seq"`
-	Digest string `json:"sha256"`
+	key    string
+	digest string // hex SHA-256 of the payload, as in the object's name
+	size   int64
+
+	prev, next *entry
 
 	// shared is a weak pointer to the first byte of the payload slice the
 	// last verified read of this entry returned, sharedLen its length.
@@ -106,31 +118,79 @@ func (e *entry) share(b []byte) []byte {
 	return b
 }
 
-// index is the on-disk index file layout.
-type index struct {
-	Version int      `json:"version"`
-	Seq     uint64   `json:"seq"`
-	Entries []*entry `json:"entries"`
-}
+const objectsDir = "objects"
 
-const (
-	indexFile    = "index.json"
-	objectsDir   = "objects"
-	indexVersion = 1
-)
-
-// Open opens (creating if needed) a cache rooted at dir. A missing or
-// unreadable index is rebuilt by scanning the object files, so a crash
-// between an object write and an index write loses nothing.
+// Open opens (creating if needed) a cache rooted at dir. It indexes the
+// store with one walk over the object files and reads no payload: each
+// name gives an entry's key and digest, its metadata the size and, by
+// mtime, the LRU order (ties broken by key). An object in the layout
+// before digests moved into names, objects/<hh>/<key>.json, is hashed
+// and renamed once, and the index.json of that layout is removed. If a
+// crash left two objects for one key, the newer is kept.
 func Open(dir string, opts Options) (*Cache, error) {
-	if err := os.MkdirAll(filepath.Join(dir, objectsDir), 0o755); err != nil {
+	root := filepath.Join(dir, objectsDir)
+	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
 	c := &Cache{dir: dir, opts: opts, entries: make(map[string]*entry)}
-	if err := c.loadIndex(); err != nil {
-		if err := c.rebuildIndex(); err != nil {
-			return nil, err
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	type object struct {
+		e     *entry
+		mtime int64
+	}
+	found := make(map[string]object)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
+		key, digest, ok := parseObjectName(d.Name())
+		if !ok || path != filepath.Join(root, key[:2], d.Name()) {
+			return nil // a temporary file, or not an object
+		}
+		fi, err := d.Info()
+		if err == nil && digest == "" {
+			// An object of the old layout: hash it and rename it once.
+			var b []byte
+			if b, err = os.ReadFile(path); err == nil {
+				digest = PayloadDigest(b)
+				err = os.Rename(path, c.objectPath(key, digest))
+			}
+		}
+		if err != nil {
+			return nil // vanished mid-walk
+		}
+		o := object{&entry{key: key, digest: digest, size: fi.Size()}, fi.ModTime().UnixNano()}
+		if old, dup := found[key]; dup {
+			// A crash came between a replacing Put's rename and its
+			// removal of the old object.
+			if o.mtime < old.mtime || o.mtime == old.mtime && o.e.digest < old.e.digest {
+				o, old = old, o
+			}
+			if old.e.digest != o.e.digest {
+				os.Remove(c.objectPath(key, old.e.digest))
+			}
+		}
+		found[key] = o
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("simcache: indexing objects: %w", err)
+	}
+	os.Remove(filepath.Join(dir, "index.json"))
+	objs := make([]object, 0, len(found))
+	for _, o := range found {
+		objs = append(objs, o)
+	}
+	sort.Slice(objs, func(i, j int) bool {
+		if objs[i].mtime != objs[j].mtime {
+			return objs[i].mtime < objs[j].mtime
+		}
+		return objs[i].e.key < objs[j].e.key
+	})
+	for _, o := range objs {
+		c.entries[o.e.key] = o.e
+		c.size += o.e.size
+		c.pushBack(o.e)
 	}
 	return c, nil
 }
@@ -138,106 +198,39 @@ func Open(dir string, opts Options) (*Cache, error) {
 // Dir returns the cache root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-func (c *Cache) objectPath(key string) string {
-	// Shard by the first byte of the digest so no directory collects
-	// millions of files.
-	return filepath.Join(c.dir, objectsDir, key[:2], key+".json")
+// objectPath names the object holding key's payload with the given
+// digest. Objects are sharded by the key's first byte so no directory
+// collects millions of files.
+func (c *Cache) objectPath(key, digest string) string {
+	return filepath.Join(c.dir, objectsDir, key[:2], key+"."+digest+".json")
 }
 
-func (c *Cache) loadIndex() error {
-	b, err := os.ReadFile(filepath.Join(c.dir, indexFile))
-	if err != nil {
-		return err
-	}
-	var idx index
-	if err := json.Unmarshal(b, &idx); err != nil {
-		return err
-	}
-	if idx.Version != indexVersion {
-		return fmt.Errorf("simcache: index version %d (want %d)", idx.Version, indexVersion)
-	}
-	c.seq = idx.Seq
-	for _, e := range idx.Entries {
-		c.entries[e.Key] = e
-		c.size += e.Size
-		if e.Seq > c.seq {
-			c.seq = e.Seq
-		}
-	}
-	return nil
+// validKey reports whether key can name an object: two bytes or more
+// for its shard directory, and no '/' or '.', which would split the
+// name.
+func validKey(key string) bool {
+	return len(key) >= 2 && !strings.ContainsAny(key, "/.")
 }
 
-// rebuildIndex reconstructs the index from the object files themselves.
-// Recovered entries get fresh digests (computed from the payloads) and
-// an LRU order recovered from the object files' modification times,
-// oldest first (ties broken by key for determinism). Key-sorted order
-// here would be an eviction bug: after an index loss, a hot entry whose
-// key happens to sort first would be evicted before cold ones.
-func (c *Cache) rebuildIndex() error {
-	c.entries = make(map[string]*entry)
-	c.seq, c.size = 0, 0
-	root := filepath.Join(c.dir, objectsDir)
-	type found struct {
-		key   string
-		mtime int64
-	}
-	var objs []found
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") {
-			return err
-		}
-		fi, err := d.Info()
-		if err != nil {
-			return nil // vanished mid-walk: skip
-		}
-		objs = append(objs, found{
-			key:   strings.TrimSuffix(d.Name(), ".json"),
-			mtime: fi.ModTime().UnixNano(),
-		})
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("simcache: rebuilding index: %w", err)
-	}
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].mtime != objs[j].mtime {
-			return objs[i].mtime < objs[j].mtime
-		}
-		return objs[i].key < objs[j].key
-	})
-	for _, o := range objs {
-		b, err := os.ReadFile(c.objectPath(o.key))
-		if err != nil {
-			continue
-		}
-		c.seq++
-		c.entries[o.key] = &entry{Key: o.key, Size: int64(len(b)), Seq: c.seq, Digest: PayloadDigest(b)}
-		c.size += int64(len(b))
-	}
-	c.dirty = true
-	return c.flushIndexLocked()
+// parseObjectName splits an object's file name, <key>.<digest>.json,
+// into its key and digest. An object in the old layout, <key>.json,
+// has an empty digest.
+func parseObjectName(name string) (key, digest string, ok bool) {
+	stem, ok := strings.CutSuffix(name, ".json")
+	key, digest, named := strings.Cut(stem, ".")
+	return key, digest, ok && validKey(key) && (!named || len(digest) == 2*sha256.Size)
 }
 
-// flushIndexLocked persists the index; the caller holds c.mu.
-func (c *Cache) flushIndexLocked() error {
-	if !c.dirty {
-		return nil
-	}
-	idx := index{Version: indexVersion, Seq: c.seq}
-	idx.Entries = make([]*entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		idx.Entries = append(idx.Entries, e)
-	}
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].Key < idx.Entries[j].Key })
-	err := atomicio.WriteFile(filepath.Join(c.dir, indexFile), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(idx)
-	})
-	if err == nil {
-		c.dirty = false
-	}
-	return err
+// pushBack makes e, which is on no list, the most recently used entry.
+func (c *Cache) pushBack(e *entry) {
+	e.prev, e.next = c.lru.prev, &c.lru
+	e.prev.next, c.lru.prev = e, e
+}
+
+// unlink takes e off its LRU list.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // SetPeer installs (or, with nil, removes) a read-through peer
@@ -250,7 +243,7 @@ func (c *Cache) SetPeer(p Peer) {
 }
 
 // Get returns the payload stored under key. ok is false on a miss; a
-// payload whose digest no longer matches the index is dropped and
+// payload that no longer matches the digest in its name is dropped and
 // reported as a miss, never returned. With a Peer configured, a local
 // miss read-throughs the peer — outside the cache lock, so a slow
 // network fetch never blocks concurrent local hits — and an adopted
@@ -283,14 +276,9 @@ func (c *Cache) GetContext(ctx context.Context, key string) (payload []byte, ok 
 	if !ok {
 		return nil, false, nil
 	}
-	if err := c.Put(key, pb); err != nil {
-		// The payload is good even if persisting it failed; serve it and
-		// let the next miss retry the store.
-		c.mu.Lock()
-		c.stats.PeerHits++
-		c.mu.Unlock()
-		return pb, true, nil
-	}
+	// The payload is good even if persisting it fails; serve it and let
+	// the next miss retry the store.
+	_ = c.Put(key, pb)
 	c.mu.Lock()
 	c.stats.PeerHits++
 	c.mu.Unlock()
@@ -313,7 +301,7 @@ func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 		c.stats.Misses++
 		return nil, false, nil
 	}
-	b, err := os.ReadFile(c.objectPath(key))
+	b, err := os.ReadFile(c.objectPath(e.key, e.digest))
 	if err != nil {
 		// Object vanished out from under the index (partial cleanup,
 		// concurrent eviction by another process): treat as a miss.
@@ -321,27 +309,29 @@ func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 		c.stats.Misses++
 		return nil, false, nil
 	}
-	if PayloadDigest(b) != e.Digest {
+	if PayloadDigest(b) != e.digest {
 		c.dropLocked(e)
 		c.stats.Corrupt++
 		c.stats.Misses++
 		return nil, false, nil
 	}
-	c.seq++
-	e.Seq = c.seq
-	c.dirty = true
+	e.unlink()
+	c.pushBack(e)
 	c.stats.Hits++
 	return e.share(b), true, nil
 }
 
-// Put stores payload under key, atomically, and evicts least recently
-// used entries if the store exceeds its byte cap. Re-putting an
-// existing key refreshes its payload and LRU position.
+// Put stores payload under key with one atomic write of its object,
+// fsynced with its directory before Put returns, and evicts least
+// recently used entries if the store exceeds its byte cap. Re-putting
+// an existing key refreshes its payload and LRU position. A key is at
+// least two bytes long and contains no '/' or '.'.
 func (c *Cache) Put(key string, payload []byte) error {
-	if len(key) < 2 {
-		return errors.New("simcache: key too short")
+	if !validKey(key) {
+		return fmt.Errorf("simcache: invalid key %q", key)
 	}
-	path := c.objectPath(key)
+	e := &entry{key: key, digest: PayloadDigest(payload), size: int64(len(payload))}
+	path := c.objectPath(key, e.digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("simcache: %w", err)
 	}
@@ -354,47 +344,42 @@ func (c *Cache) Put(key string, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.entries[key]; ok {
-		c.size -= old.Size
+		if old.digest == e.digest {
+			c.forgetLocked(old) // its object is the one just written
+		} else {
+			c.dropLocked(old)
+		}
 	}
-	c.seq++
-	c.entries[key] = &entry{Key: key, Size: int64(len(payload)), Seq: c.seq, Digest: PayloadDigest(payload)}
-	c.size += int64(len(payload))
+	c.entries[key] = e
+	c.size += e.size
+	c.pushBack(e)
 	c.stats.Puts++
-	c.evictLocked(key)
-	c.dirty = true
-	return c.flushIndexLocked()
+	c.evictLocked(e)
+	return nil
 }
 
 // evictLocked removes least recently used entries until the store fits
-// its cap. keep is never evicted (the entry just put).
-func (c *Cache) evictLocked(keep string) {
-	if c.opts.MaxBytes <= 0 {
-		return
-	}
-	for c.size > c.opts.MaxBytes && len(c.entries) > 1 {
-		var victim *entry
-		for _, e := range c.entries {
-			if e.Key == keep {
-				continue
-			}
-			if victim == nil || e.Seq < victim.Seq {
-				victim = e
-			}
-		}
-		if victim == nil {
-			return
-		}
-		c.dropLocked(victim)
+// its cap. keep, the entry just put and so the most recently used, is
+// never evicted.
+func (c *Cache) evictLocked(keep *entry) {
+	for c.opts.MaxBytes > 0 && c.size > c.opts.MaxBytes && c.lru.next != keep {
+		c.dropLocked(c.lru.next)
 		c.stats.Evictions++
 	}
 }
 
 // dropLocked removes an entry and its object file; the caller holds c.mu.
 func (c *Cache) dropLocked(e *entry) {
-	os.Remove(c.objectPath(e.Key))
-	delete(c.entries, e.Key)
-	c.size -= e.Size
-	c.dirty = true
+	os.Remove(c.objectPath(e.key, e.digest))
+	c.forgetLocked(e)
+}
+
+// forgetLocked removes an entry from the index, leaving its object file;
+// the caller holds c.mu.
+func (c *Cache) forgetLocked(e *entry) {
+	delete(c.entries, e.key)
+	c.size -= e.size
+	e.unlink()
 }
 
 // Len returns the number of stored entries.
@@ -418,11 +403,25 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Close flushes any index changes accumulated by Gets (LRU bumps).
+// Close stamps the LRU order into the objects' mtimes, so that the next
+// Open restores it: the most recently used entry gets the current time,
+// each older one a microsecond less, which file systems with
+// nanosecond timestamps (ext4, XFS, btrfs, tmpfs) keep exactly. Puts
+// are durable without Close: a crash loses only the recency that hits
+// set since the last Close, never an entry. The cache stays usable.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.flushIndexLocked()
+	t := time.Now()
+	var err error
+	for e := c.lru.prev; e != &c.lru; e = e.prev {
+		serr := os.Chtimes(c.objectPath(e.key, e.digest), t, t)
+		if serr != nil && err == nil && !errors.Is(serr, fs.ErrNotExist) {
+			err = fmt.Errorf("simcache: stamping recency: %w", serr)
+		}
+		t = t.Add(-time.Microsecond)
+	}
+	return err
 }
 
 func boolU64(b bool) uint64 {

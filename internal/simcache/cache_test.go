@@ -22,6 +22,29 @@ func open(t *testing.T, dir string, opts Options) *Cache {
 	return c
 }
 
+// objectFile returns the path of the object holding key's payload.
+func objectFile(t *testing.T, c *Cache, key string) string {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		t.Fatalf("no entry for %s", key)
+	}
+	return c.objectPath(e.key, e.digest)
+}
+
+// lruKeys lists c's keys from the least to the most recently used.
+func lruKeys(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var keys []string
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		keys = append(keys, e.key)
+	}
+	return keys
+}
+
 func mustKey(t *testing.T, parts ...any) string {
 	t.Helper()
 	k, err := Key(parts...)
@@ -79,7 +102,7 @@ func TestCorruptPayloadIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip bytes behind the cache's back.
-	path := c.objectPath(key)
+	path := objectFile(t, c, key)
 	if err := os.WriteFile(path, []byte("tampered!!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -94,21 +117,27 @@ func TestCorruptPayloadIsAMiss(t *testing.T) {
 	}
 }
 
+// TestIndexRebuildFromObjects: the index is rebuilt from the object
+// files alone. A handle that is never closed, as in a crash, leaves
+// objects from which a fresh Open serves and counts every entry.
 func TestIndexRebuildFromObjects(t *testing.T) {
 	dir := t.TempDir()
 	c := open(t, dir, Options{})
-	key := mustKey(t, "rebuild")
-	if err := c.Put(key, []byte("still-here")); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash that lost the index but kept the object.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
+	keys := []string{mustKey(t, "rebuild", 0), mustKey(t, "rebuild", 1)}
+	for i, key := range keys {
+		if err := c.Put(key, []byte(fmt.Sprintf("still-here-%d", i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c2 := open(t, dir, Options{})
-	got, ok, err := c2.Get(key)
-	if err != nil || !ok || string(got) != "still-here" {
-		t.Fatalf("rebuilt Get = %q, %v, %v", got, ok, err)
+	if c2.Len() != 2 || c2.Size() != c.Size() {
+		t.Fatalf("rebuilt cache has %d entries, %d bytes; want 2, %d", c2.Len(), c2.Size(), c.Size())
+	}
+	for i, key := range keys {
+		got, ok, err := c2.Get(key)
+		if err != nil || !ok || string(got) != fmt.Sprintf("still-here-%d", i) {
+			t.Fatalf("rebuilt Get = %q, %v, %v", got, ok, err)
+		}
 	}
 }
 
@@ -241,7 +270,7 @@ func TestCorruptObjectMissesWhileShared(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
-	if err := os.WriteFile(c.objectPath(key), []byte("tampered!!"), 0o644); err != nil {
+	if err := os.WriteFile(objectFile(t, c, key), []byte("tampered!!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok, err := c.Get(key); ok || err != nil {
@@ -406,11 +435,11 @@ func hasTempFile(root string) bool {
 }
 
 // TestRebuildRecencyFromMtimes is the regression test for the
-// rebuild-eviction bug: rebuildIndex used to reset LRU recency to
-// key-sorted order, so after an index loss the entry whose key happened
-// to sort first was evicted first regardless of how recently it was
-// used. The rebuilt order must come from object mtimes instead: the
-// entry touched longest ago is the eviction victim.
+// rebuild-eviction bug: rebuilding the index used to reset LRU recency
+// to key-sorted order, so the entry whose key happened to sort first was
+// evicted first regardless of how recently it was used. The order Open
+// rebuilds must come from object mtimes instead: the entry touched
+// longest ago is the eviction victim.
 func TestRebuildRecencyFromMtimes(t *testing.T) {
 	dir := t.TempDir()
 	c := open(t, dir, Options{})
@@ -429,15 +458,11 @@ func TestRebuildRecencyFromMtimes(t *testing.T) {
 	// Stamp mtimes explicitly: filesystems may round timestamps, and the
 	// test must not depend on Put wall-clock spacing.
 	base := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(c.objectPath(cold), base, base); err != nil {
+	if err := os.Chtimes(objectFile(t, c, cold), base, base); err != nil {
 		t.Fatal(err)
 	}
 	later := base.Add(10 * time.Minute)
-	if err := os.Chtimes(c.objectPath(hot), later, later); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: the index is lost, only the objects survive.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	if err := os.Chtimes(objectFile(t, c, hot), later, later); err != nil {
 		t.Fatal(err)
 	}
 	// Reopen with a cap that forces one eviction on the next Put.
