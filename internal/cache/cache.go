@@ -36,8 +36,9 @@ type Config struct {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0:
-		return fmt.Errorf("cache %s: LineBytes must be a power of two, got %d", c.Name, c.LineBytes)
+	case c.LineBytes < 4 || c.LineBytes&(c.LineBytes-1) != 0:
+		// Four bytes or more leave a tag two spare bits (see lineValid).
+		return fmt.Errorf("cache %s: LineBytes must be a power of two of at least 4, got %d", c.Name, c.LineBytes)
 	case c.Ways <= 0:
 		return fmt.Errorf("cache %s: Ways must be positive, got %d", c.Name, c.Ways)
 	case c.SizeBytes == 0 || c.SizeBytes%(c.LineBytes*uint64(c.Ways)) != 0:
@@ -60,16 +61,13 @@ type Stats struct {
 	MSHRStalls uint64 // accesses rejected because MSHRs were full
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
-
-type set struct {
-	lines []line
-	plru  uint64 // tree pseudo-LRU state bits
-}
+// A tag-store word holds one line: its tag, the line address >>
+// lineSh, with the valid and dirty bits above it. Lines of four bytes
+// or more keep every tag below bit 62.
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+)
 
 // mshr is one outstanding line miss. Records are pooled per cache with
 // fetch and fill bound once, and keep their waiter slice's capacity, so
@@ -96,10 +94,13 @@ type waiting struct {
 
 // Cache is one level of a data cache hierarchy.
 type Cache struct {
-	cfg     Config
-	eng     *sim.Engine
-	lower   AccessFn
-	sets    []set
+	cfg   Config
+	eng   *sim.Engine
+	lower AccessFn
+	// lines is the tag store, Ways words per set, set after set; plru
+	// holds each set's tree pseudo-LRU bits.
+	lines   []uint64
+	plru    []uint64
 	setMask uint64
 	lineSh  uint
 	// mshrs holds the outstanding misses, at most cfg.MSHRs of them
@@ -125,15 +126,11 @@ func New(eng *sim.Engine, cfg Config, lower AccessFn) *Cache {
 		cfg:      cfg,
 		eng:      eng,
 		lower:    lower,
-		sets:     make([]set, nsets),
+		lines:    make([]uint64, nsets*uint64(cfg.Ways)),
+		plru:     make([]uint64, nsets),
 		setMask:  nsets - 1,
 		mshrs:    make([]*mshr, 0, cfg.MSHRs),
 		mshrPool: make([]*mshr, 0, cfg.MSHRs),
-	}
-	// Every set's ways are carved from one backing array.
-	lines := make([]line, len(c.sets)*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i].lines = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	for lb := cfg.LineBytes; lb > 1; lb >>= 1 {
 		c.lineSh++
@@ -154,6 +151,12 @@ func (c *Cache) indexTag(la uint64) (uint64, uint64) {
 	idx := (la >> c.lineSh) & c.setMask
 	tag := la >> c.lineSh
 	return idx, tag
+}
+
+// ways returns the tag-store words of set idx.
+func (c *Cache) ways(idx uint64) []uint64 {
+	w := uint64(c.cfg.Ways)
+	return c.lines[idx*w : idx*w+w : idx*w+w]
 }
 
 // occupyPort serializes accesses through the lookup port and returns the
@@ -194,14 +197,14 @@ func (c *Cache) handle(la uint64, write bool, done func(), readyAt sim.Cycle, fr
 		done = noop
 	}
 	idx, tag := c.indexTag(la)
-	s := &c.sets[idx]
-	if w := c.findWay(s, tag); w >= 0 {
+	set := c.ways(idx)
+	if w := findWay(set, tag); w >= 0 {
 		if fresh {
 			c.stats.Lookups.Hit()
 		}
-		c.touch(s, w)
+		c.touch(idx, w)
 		if write {
-			s.lines[w].dirty = true
+			set[w] |= lineDirty
 		}
 		c.eng.At(readyAt, done)
 		return
@@ -264,13 +267,7 @@ func (c *Cache) getMSHR() *mshr {
 // touching replacement state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	idx, tag := c.indexTag(c.lineAddr(addr))
-	s := &c.sets[idx]
-	for w := range s.lines {
-		if s.lines[w].valid && s.lines[w].tag == tag {
-			return true
-		}
-	}
-	return false
+	return findWay(c.ways(idx), tag) >= 0
 }
 
 // fetch sends the miss to the lower level, retrying on rejection.
@@ -298,19 +295,22 @@ func (m *mshr) fill() {
 	c.stats.Fills++
 
 	idx, tag := c.indexTag(la)
-	s := &c.sets[idx]
-	w := c.victim(s)
-	if s.lines[w].valid {
+	set := c.ways(idx)
+	w := c.victim(idx, set)
+	if old := set[w]; old&lineValid != 0 {
 		c.stats.Evictions++
-		if s.lines[w].dirty {
+		if old&lineDirty != 0 {
 			c.stats.Writebacks++
 			// The tag is the full line address >> lineSh, so shifting
 			// back reconstructs the victim's line address.
-			c.writeback(s.lines[w].tag << c.lineSh)
+			c.writeback((old &^ (lineValid | lineDirty)) << c.lineSh)
 		}
 	}
-	s.lines[w] = line{tag: tag, valid: true, dirty: m.write}
-	c.touch(s, w)
+	set[w] = tag | lineValid
+	if m.write {
+		set[w] |= lineDirty
+	}
+	c.touch(idx, w)
 	// A waiter may miss again and take a record from the pool, so this
 	// one goes back only after the loop.
 	for i, fn := range m.waiters {
@@ -347,30 +347,32 @@ func (c *Cache) writeback(la uint64) {
 	}
 }
 
-// findWay returns the way holding tag, or -1.
-func (c *Cache) findWay(s *set, tag uint64) int {
-	for w := range s.lines {
-		if s.lines[w].valid && s.lines[w].tag == tag {
+// findWay returns the way of set holding tag, or -1.
+func findWay(set []uint64, tag uint64) int {
+	want := tag | lineValid
+	for w, l := range set {
+		if l&^lineDirty == want {
 			return w
 		}
 	}
 	return -1
 }
 
-// touch marks way w most-recently used in the tree pseudo-LRU bits.
-// The tree is stored implicitly: node i has children 2i+1, 2i+2; leaves
-// map to ways. Setting the path bits to point *away* from w protects it.
-func (c *Cache) touch(s *set, w int) {
-	n := len(s.lines)
+// touch marks way w of set idx most-recently used in its tree
+// pseudo-LRU bits. The tree is stored implicitly: node i has children
+// 2i+1, 2i+2; leaves map to ways. Setting the path bits to point *away*
+// from w protects it.
+func (c *Cache) touch(idx uint64, w int) {
+	plru := &c.plru[idx]
 	node := 0
-	for sz := n; sz > 1; {
+	for sz := c.cfg.Ways; sz > 1; {
 		half := sz / 2
 		if w < half {
-			s.plru |= 1 << uint(node) // 1 = victim search goes right
+			*plru |= 1 << uint(node) // 1 = victim search goes right
 			node = 2*node + 1
 			sz = half
 		} else {
-			s.plru &^= 1 << uint(node)
+			*plru &^= 1 << uint(node)
 			node = 2*node + 2
 			w -= half
 			sz -= half
@@ -378,18 +380,19 @@ func (c *Cache) touch(s *set, w int) {
 	}
 }
 
-// victim picks a way to replace: first invalid way, else pseudo-LRU.
-func (c *Cache) victim(s *set) int {
-	for w := range s.lines {
-		if !s.lines[w].valid {
+// victim picks a way of set idx to replace: first invalid way, else
+// pseudo-LRU.
+func (c *Cache) victim(idx uint64, set []uint64) int {
+	for w, l := range set {
+		if l&lineValid == 0 {
 			return w
 		}
 	}
-	n := len(s.lines)
+	plru := c.plru[idx]
 	node, base := 0, 0
-	for sz := n; sz > 1; {
+	for sz := len(set); sz > 1; {
 		half := sz / 2
-		if s.plru&(1<<uint(node)) != 0 { // go right
+		if plru&(1<<uint(node)) != 0 { // go right
 			node = 2*node + 2
 			base += half
 			sz -= half

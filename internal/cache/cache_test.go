@@ -24,11 +24,13 @@ type backing struct {
 	latency uint64
 	reads   int
 	writes  int
+	written []uint64 // addresses of the writes, in order
 }
 
 func (b *backing) access(addr uint64, write bool, done func()) bool {
 	if write {
 		b.writes++
+		b.written = append(b.written, addr)
 	} else {
 		b.reads++
 	}
@@ -176,6 +178,33 @@ func TestPseudoLRUPrefersUntouched(t *testing.T) {
 	}
 }
 
+// TestTagStoreHighAddresses fills, dirties and evicts lines at the top
+// of the 64 GB physical memory that large-page runs use, and above it up
+// to the last line of the address space: every writeback must carry its
+// victim's line address, so the valid and dirty bits never alias a tag.
+func TestTagStoreHighAddresses(t *testing.T) {
+	for _, la := range []uint64{64<<30 - 64, 64 << 30, 1 << 48, 1<<62 - 64, 1 << 62, 1 << 63, ^uint64(0) &^ 63} {
+		eng, c, lower := newPair(t)
+		cfg := c.Config()
+		setStride := cfg.SizeBytes / uint64(cfg.Ways) // same set, next tag down
+		c.Access(la+8, true, nil)
+		eng.Run()
+		if !c.Probe(la) {
+			t.Fatalf("line %#x: not resident after its write fill", la)
+		}
+		for k := uint64(1); k <= uint64(cfg.Ways); k++ {
+			c.Access(la-k*setStride, false, nil)
+			eng.Run()
+		}
+		if c.Probe(la) || !c.Probe(la-uint64(cfg.Ways)*setStride) {
+			t.Fatalf("line %#x: still resident after %d conflicting fills", la, cfg.Ways)
+		}
+		if len(lower.written) != 1 || lower.written[0] != la {
+			t.Errorf("line %#x: writebacks to %#x, want one to the line", la, lower.written)
+		}
+	}
+}
+
 func TestWriteHitMarksDirty(t *testing.T) {
 	eng, c, lower := newPair(t)
 	cfg := c.Config()
@@ -256,6 +285,7 @@ func TestValidateErrors(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.LineBytes = 0 },
 		func(c *Config) { c.LineBytes = 96 },
+		func(c *Config) { c.LineBytes = 2 }, // no room for the tag-store bits
 		func(c *Config) { c.Ways = 0 },
 		func(c *Config) { c.SizeBytes = 1000 },
 		func(c *Config) { c.SizeBytes = c.LineBytes * uint64(c.Ways) * 3 }, // 3 sets

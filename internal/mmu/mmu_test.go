@@ -3,6 +3,8 @@ package mmu
 import (
 	"testing"
 	"testing/quick"
+
+	"gpuwalk/internal/xrand"
 )
 
 func newTestPT(t *testing.T) (*PhysMem, *Allocator, *PageTable) {
@@ -190,6 +192,30 @@ func TestPhysMemWords(t *testing.T) {
 	}
 }
 
+// TestPhysMemMemo checks the frame memo against a plain map of words:
+// reads and writes cycle over more frames than the memo holds, in
+// orders that hit every memo slot and evict from it, and touch frames
+// that hold no words.
+func TestPhysMemMemo(t *testing.T) {
+	pm := NewPhysMem(1 << 30)
+	want := make(map[uint64]uint64)
+	rng := xrand.New(7)
+	for i := 0; i < 20000; i++ {
+		frame := rng.Uint64n(2 * Levels)
+		if i%3 == 0 {
+			frame = uint64(i/3) % (Levels + 1) // a cycle one frame longer than the memo
+		}
+		addr := frame<<PageBits | rng.Uint64n(4)*PTESize
+		if rng.Uint64n(4) == 0 {
+			val := rng.Uint64n(3) // zero included
+			pm.WriteWord(addr, val)
+			want[addr] = val
+		} else if got := pm.ReadWord(addr); got != want[addr] {
+			t.Fatalf("step %d: ReadWord(%#x) = %d, want %d", i, addr, got, want[addr])
+		}
+	}
+}
+
 func TestPhysMemUnalignedPanics(t *testing.T) {
 	pm := NewPhysMem(1 << 20)
 	defer func() {
@@ -260,5 +286,33 @@ func TestQuickMapTranslateRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkWalk times four-level walks, in random order, over a page
+// table holding 2,565 pages scattered over 1 GB of virtual addresses,
+// as XSB's are at the ledger's sweep shape. A walk reads one frame per
+// level, so it measures PhysMem's frame lookup.
+func BenchmarkWalk(b *testing.B) {
+	pm := NewPhysMem(1 << 30)
+	as := NewAddressSpace(pm, NewAllocator(pm, 1))
+	rng := xrand.New(1)
+	vpns := make([]uint64, 2565)
+	for i := range vpns {
+		vpns[i] = 1<<20 + rng.Uint64n(1<<18) // from 4 GB on
+		if _, err := as.Ensure(vpns[i] << PageBits); err != nil {
+			b.Fatal(err)
+		}
+	}
+	order := make([]uint64, 1<<16)
+	for i := range order {
+		order[i] = vpns[rng.Uint64n(uint64(len(vpns)))]
+	}
+	var buf [Levels]uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if path, fault := as.PT.WalkPathFaultInto(order[i%len(order)], buf[:0]); fault || len(path) != Levels {
+			b.Fatalf("walk of %#x: %d levels, fault %v", order[i%len(order)], len(path), fault)
+		}
 	}
 }

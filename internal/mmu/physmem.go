@@ -41,25 +41,38 @@ const (
 
 // PhysMem is the simulated physical memory. Only page-table words are
 // actually stored: each page-table page's 512 words in one array, keyed
-// by frame, with the last frame read or written memoised so that
-// consecutive accesses to one table skip the map. Data pages exist as
-// allocated frames only, since the simulator models timing, not values.
-// The Allocator's bitset of used frames costs one bit per frame: 2 MB
-// for the 64 GB that large-page runs are sized at.
+// by frame, with the last four frames read or written memoised, so that
+// a walk, which reads one frame per level, finds the upper levels
+// without the map. Frames are never freed, so a memoised frame never
+// goes stale. Data pages exist as allocated frames only, since the
+// simulator models timing, not values. The Allocator's bitset of used
+// frames costs one bit per frame: 2 MB for the 64 GB that large-page
+// runs are sized at.
 type PhysMem struct {
-	frames  uint64
-	pages   map[uint64]*frameWords // frame -> its words
-	last    *frameWords            // words of frame lastPFN
-	lastPFN uint64
+	frames uint64
+	pages  map[uint64]*frameWords // frame -> its words
+	memo   [Levels]memoFrame      // the least recently used is replaced
+	clock  uint64                 // frame lookups so far
 }
 
 // frameWords holds the 512 words of one page-table frame.
 type frameWords [PageSize / PTESize]uint64
 
+// memoFrame is one memoised frame of a PhysMem.
+type memoFrame struct {
+	pfn   uint64
+	used  uint64 // PhysMem.clock at its last lookup
+	words *frameWords
+}
+
 // NewPhysMem creates a physical memory of the given size in bytes,
 // rounded down to whole frames.
 func NewPhysMem(size uint64) *PhysMem {
-	return &PhysMem{frames: size / PageSize, pages: make(map[uint64]*frameWords)}
+	m := &PhysMem{frames: size / PageSize, pages: make(map[uint64]*frameWords)}
+	for i := range m.memo {
+		m.memo[i].pfn = ^uint64(0) // no frame: a frame number has at most 52 bits
+	}
+	return m
 }
 
 // Frames returns the number of physical frames.
@@ -69,8 +82,17 @@ func (m *PhysMem) Frames() uint64 { return m.frames }
 // set; otherwise it returns nil for a frame that holds no words.
 func (m *PhysMem) page(addr uint64, create bool) *frameWords {
 	pfn := addr >> PageBits
-	if m.last != nil && m.lastPFN == pfn {
-		return m.last
+	m.clock++
+	lru := 0
+	for i := range m.memo {
+		e := &m.memo[i]
+		if e.pfn == pfn {
+			e.used = m.clock
+			return e.words
+		}
+		if e.used < m.memo[lru].used {
+			lru = i
+		}
 	}
 	p := m.pages[pfn]
 	if p == nil {
@@ -80,7 +102,7 @@ func (m *PhysMem) page(addr uint64, create bool) *frameWords {
 		p = new(frameWords)
 		m.pages[pfn] = p
 	}
-	m.last, m.lastPFN = p, pfn
+	m.memo[lru] = memoFrame{pfn, m.clock, p}
 	return p
 }
 

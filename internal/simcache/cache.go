@@ -120,14 +120,21 @@ func (e *entry) share(b []byte) []byte {
 
 const objectsDir = "objects"
 
+// staleTempAge is how long before an Open a put's temporary file must
+// have been last written for that Open to remove it as left by a
+// killed put. A younger one may be another process's put in progress.
+const staleTempAge = time.Hour
+
 // Open opens (creating if needed) a cache rooted at dir. It indexes the
 // store with one walk over the object files and reads no payload: each
 // name gives an entry's key and digest, its metadata the size and, by
 // mtime, the LRU order (ties broken by key). An object in the layout
 // before digests moved into names, objects/<hh>/<key>.json, is hashed
 // and renamed once, and the index.json of that layout is removed. If a
-// crash left two objects for one key, the newer is kept.
+// crash left two objects for one key, the newer is kept. A put's
+// temporary file last written more than staleTempAge ago is removed.
 func Open(dir string, opts Options) (*Cache, error) {
+	staleBefore := time.Now().Add(-staleTempAge)
 	root := filepath.Join(dir, objectsDir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
@@ -145,6 +152,11 @@ func Open(dir string, opts Options) (*Cache, error) {
 		}
 		key, digest, ok := parseObjectName(d.Name())
 		if !ok || path != filepath.Join(root, key[:2], d.Name()) {
+			if isTempName(d.Name()) {
+				if fi, err := d.Info(); err == nil && fi.ModTime().Before(staleBefore) {
+					os.Remove(path)
+				}
+			}
 			return nil // a temporary file, or not an object
 		}
 		fi, err := d.Info()
@@ -219,6 +231,16 @@ func parseObjectName(name string) (key, digest string, ok bool) {
 	stem, ok := strings.CutSuffix(name, ".json")
 	key, digest, named := strings.Cut(stem, ".")
 	return key, digest, ok && validKey(key) && (!named || len(digest) == 2*sha256.Size)
+}
+
+// isTempName reports whether name is that of a put's temporary file,
+// an object's name followed by ".tmp" and atomicio's random suffix.
+func isTempName(name string) bool {
+	stem, _, ok := strings.Cut(name, ".json.tmp")
+	if ok {
+		_, _, ok = parseObjectName(stem + ".json")
+	}
+	return ok
 }
 
 // pushBack makes e, which is on no list, the most recently used entry.

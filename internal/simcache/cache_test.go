@@ -2,7 +2,9 @@ package simcache
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -343,7 +345,10 @@ func TestGetJSONPutJSON(t *testing.T) {
 // large cache entry and verifies the store is uncorrupted: the key is a
 // clean miss (no partial object is ever visible) and previously stored
 // entries still verify. This is the crash-safety contract atomic
-// temp-file-plus-rename writes exist to provide.
+// temp-file-plus-rename writes exist to provide. The killed put's
+// temporary file, once older than staleTempAge, is removed by the next
+// Open, while a fresh one, which may be another process's live put,
+// stays.
 func TestKillMidWrite(t *testing.T) {
 	if os.Getenv("SIMCACHE_CRASH_HELPER") == "1" {
 		crashHelperMain()
@@ -377,13 +382,29 @@ func TestKillMidWrite(t *testing.T) {
 			cmd.Wait()
 			t.Fatal("helper never started writing")
 		}
-		if hasTempFile(objects) {
+		if len(tempFiles(objects)) > 0 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	cmd.Process.Kill()
 	cmd.Wait()
+
+	// Age the killed put's temporary file past staleTempAge, and plant a
+	// fresh one beside it.
+	leftovers := tempFiles(objects)
+	if len(leftovers) != 1 {
+		t.Fatalf("killed put left temporary files %v, want one", leftovers)
+	}
+	stale := leftovers[0]
+	old := time.Now().Add(-staleTempAge - time.Minute)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	fresh := stale + "0"
+	if err := os.WriteFile(fresh, []byte("in flight"), 0o600); err != nil {
+		t.Fatal(err)
+	}
 
 	// Reopen: atomicity means all-or-nothing. The victim key is either
 	// a clean miss or a complete, digest-verified 64 MB payload — a
@@ -398,6 +419,24 @@ func TestKillMidWrite(t *testing.T) {
 	got, ok, err := c2.Get(goodKey)
 	if err != nil || !ok || string(got) != "intact" {
 		t.Fatalf("survivor entry damaged: %q, %v, %v", got, ok, err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("stale temporary file survived Open: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temporary file removed by Open: %v", err)
+	}
+	var onDisk int64
+	filepath.WalkDir(objects, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !isTempName(d.Name()) {
+			if fi, err := d.Info(); err == nil {
+				onDisk += fi.Size()
+			}
+		}
+		return nil
+	})
+	if c2.Size() != onDisk {
+		t.Errorf("Size() = %d, want the %d bytes of the objects on disk", c2.Size(), onDisk)
 	}
 }
 
@@ -423,11 +462,12 @@ func crashHelperMain() {
 	os.Exit(0)
 }
 
-func hasTempFile(root string) bool {
-	found := false
-	filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err == nil && info != nil && !info.IsDir() && strings.Contains(filepath.Base(path), ".tmp") {
-			found = true
+// tempFiles lists the temporary files of puts under root.
+func tempFiles(root string) []string {
+	var found []string
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && isTempName(d.Name()) {
+			found = append(found, path)
 		}
 		return nil
 	})

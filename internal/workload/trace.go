@@ -11,7 +11,12 @@
 // kernel. See DESIGN.md for the substitution rationale.
 package workload
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // MemInstr is one dynamic SIMD memory instruction: the virtual address
 // each active lane accesses. Lanes is never empty.
@@ -109,14 +114,92 @@ func Merge(name string, parts ...*Trace) *Trace {
 	return out
 }
 
-// TouchedPages returns the set of distinct virtual page numbers in the
-// trace, for premapping and footprint reporting.
-func (t *Trace) TouchedPages(pageBits uint) map[uint64]struct{} {
-	pages := make(map[uint64]struct{})
+// censusChunkBits is the log2 of the pages one TouchedPages bitmap
+// covers: 2^18 pages, 1 GB of 4 KB pages in 32 KiB of bits.
+const censusChunkBits = 18
+
+// censusBitmap marks the touched pages of one census chunk.
+type censusBitmap [1 << censusChunkBits / 64]uint64
+
+// censusMaxChunks caps the bitmaps of one census, so that the slice a
+// lane's chunk is looked up in stays short.
+const censusMaxChunks = 64
+
+// TouchedPages returns the distinct virtual page numbers in the trace
+// in ascending order, for premapping and footprint reporting. Each
+// page is marked in the bitmap of its 2^18-page chunk. A trace whose
+// pages spread over more chunks than its lanes pay for (a 32 KiB
+// bitmap per 4,096 lanes, the bytes their gathered VPNs would take, and
+// at most censusMaxChunks) is sorted instead, so memory stays
+// proportional to the lanes for any address layout.
+func (t *Trace) TouchedPages(pageBits uint) []uint64 {
+	lanes := 0
+	for wi := range t.Wavefronts {
+		for ii := range t.Wavefronts[wi].Instrs {
+			lanes += len(t.Wavefronts[wi].Instrs[ii].Lanes)
+		}
+	}
+	maxChunks := min(censusMaxChunks, max(1, lanes/len(censusBitmap{})))
+
+	type chunk struct {
+		base uint64 // VPN >> censusChunkBits
+		bits *censusBitmap
+	}
+	var chunks []chunk
+	var bm *censusBitmap
+	cur := ^uint64(0) // no chunk: a chunk number has at most 46 bits
+	spread := false
+census:
 	for wi := range t.Wavefronts {
 		for ii := range t.Wavefronts[wi].Instrs {
 			for _, va := range t.Wavefronts[wi].Instrs[ii].Lanes {
-				pages[va>>pageBits] = struct{}{}
+				vpn := va >> pageBits
+				if vpn>>censusChunkBits != cur {
+					cur, bm = vpn>>censusChunkBits, nil
+					for i := range chunks {
+						if chunks[i].base == cur {
+							bm = chunks[i].bits
+							break
+						}
+					}
+					if bm == nil {
+						if spread = len(chunks) == maxChunks; spread {
+							break census
+						}
+						bm = new(censusBitmap)
+						chunks = append(chunks, chunk{cur, bm})
+					}
+				}
+				off := vpn & (1<<censusChunkBits - 1)
+				bm[off/64] |= 1 << (off % 64)
+			}
+		}
+	}
+	if spread {
+		vpns := make([]uint64, 0, lanes)
+		for wi := range t.Wavefronts {
+			for ii := range t.Wavefronts[wi].Instrs {
+				for _, va := range t.Wavefronts[wi].Instrs[ii].Lanes {
+					vpns = append(vpns, va>>pageBits)
+				}
+			}
+		}
+		slices.Sort(vpns)
+		return slices.Compact(vpns)
+	}
+
+	slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.base, b.base) })
+	n := 0
+	for _, c := range chunks {
+		for _, w := range c.bits {
+			n += bits.OnesCount64(w)
+		}
+	}
+	pages := make([]uint64, 0, n)
+	for _, c := range chunks {
+		for i, w := range c.bits {
+			for ; w != 0; w &= w - 1 {
+				pages = append(pages, c.base<<censusChunkBits|uint64(i*64+bits.TrailingZeros64(w)))
 			}
 		}
 	}
