@@ -48,6 +48,11 @@ func TestLoadConfigRejectsUnknownFields(t *testing.T) {
 		"NotAField":          `{"NotAField": 1}`,
 		"WalkerLatencyModel": `{"IOMMU":{"WalkerLatencyModel":true}}`,
 		"WalkerFixedLat":     `{"IOMMU":{"WalkerFixedLat":180}}`,
+		"PrefetchNext":       `{"IOMMU":{"PrefetchNext":true}}`,
+		"MergeSameVPN":       `{"IOMMU":{"MergeSameVPN":true}}`,
+		"PageBits":           `{"IOMMU":{"PageBits":21}}`,
+		"TLBRepl":            `{"GPU":{"TLBRepl":1}}`,
+		"XlateMSHRs":         `{"GPU":{"XlateMSHRs":4}}`,
 	} {
 		path := filepath.Join(t.TempDir(), "bad.json")
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {

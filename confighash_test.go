@@ -117,9 +117,9 @@ func TestConfigHashGolden(t *testing.T) {
 		cfg  gpuwalk.Config
 		want string
 	}{
-		{"default", gpuwalk.DefaultConfig(), "b7850ee27a8fff5d8fa36868316652aff644341ebba647a5f81599302671ea10"},
-		{"simt-aware", simt, "a8998df1c816bc9287afdcb5dafeb5a44eb8738af4ba5a54ecac489eb02ed879"},
-		{"random/GEV", random, "9d8a38449345e8618eaf25d8559e825732f82f37e43cf8c24125e65e42cfada8"},
+		{"default", gpuwalk.DefaultConfig(), "91c2bd4f9f72931d43456a11e54acdb8243bed417346ee4304777b1338f87e96"},
+		{"simt-aware", simt, "4fdb6e3e94339b360290ffce4e6ee4b359e772d1da257297adcdd78e9c3d848b"},
+		{"random/GEV", random, "83135507c7432728110090be1cdd002ed6f47a9cef24a86bd3e8a41ac0ed1d31"},
 	} {
 		if got := mustHash(t, tc.cfg); got != tc.want {
 			t.Errorf("%s: ConfigHash = %s, want %s", tc.name, got, tc.want)

@@ -65,7 +65,7 @@ func run(kind core.Kind, tracePath string) ([]iommu.WalkRecord, map[core.InstrID
 	if err != nil {
 		log.Fatal(err)
 	}
-	io := iommu.New(eng, cfg, sched, as.PT, dram)
+	io := iommu.New(eng, cfg, sched, as, dram)
 
 	var tracer *obs.Tracer
 	if tracePath != "" {

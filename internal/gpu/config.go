@@ -64,9 +64,6 @@ type Config struct {
 	PageBits uint
 
 	L1TLBEntries int // per-CU, fully associative
-	// TLBRepl selects the GPU TLBs' replacement policy (default LRU;
-	// FIFO and random exist for ablation).
-	TLBRepl      tlb.Replacement
 	L1TLBLat     uint64
 	L2TLBEntries int // shared across CUs
 	L2TLBWays    int
@@ -83,13 +80,6 @@ type Config struct {
 	// (MSHR/fabric arbitration), interleaving concurrent instructions'
 	// request streams. Values <= 1 disable jitter.
 	TranslateJitter uint64
-
-	// XlateMSHRs bounds how many GPU L2 TLB misses may be outstanding at
-	// the IOMMU at once (the GPU TLB hierarchy's miss registers). Misses
-	// beyond the cap queue FIFO on the GPU side. This is what keeps the
-	// IOMMU's pending-walk population comparable to its buffer size, as
-	// the paper's Figure 14 lookahead discussion assumes. 0 = unlimited.
-	XlateMSHRs int
 
 	L1Cache cache.Config
 	L2Cache cache.Config
@@ -117,7 +107,6 @@ func DefaultConfig() Config {
 		L2TLBLat:        16,
 		L2TLBPort:       1,
 		TranslateJitter: 16,
-		XlateMSHRs:      0,
 		L1Cache: cache.Config{
 			Name: "l1d", SizeBytes: 32 << 10, LineBytes: 64, Ways: 16,
 			HitLatency: 4, PortCycles: 1, MSHRs: 32,
@@ -144,6 +133,9 @@ func (c Config) Validate() error {
 		// SIMDPerCU sizes the LSU slot pool; zero would park every
 		// memory instruction forever (an instant, silent deadlock).
 		return fmt.Errorf("gpu: SIMDPerCU must be positive, got %d", c.SIMDPerCU)
+	case c.WavefrontSched < WFRoundRobin || c.WavefrontSched > WFYoungest:
+		return fmt.Errorf("gpu: WavefrontSched must be %d (%s), %d (%s) or %d (%s), got %d",
+			WFRoundRobin, WFRoundRobin, WFOldest, WFOldest, WFYoungest, WFYoungest, int(c.WavefrontSched))
 	case c.PageBits != 12 && c.PageBits != 21:
 		return fmt.Errorf("gpu: PageBits must be 12 (4 KB) or 21 (2 MB), got %d", c.PageBits)
 	case c.EpochLen == 0:

@@ -225,6 +225,11 @@ func TestValidateRejectsBadConfig(t *testing.T) {
 	if _, err := NewSystem(p, tr); err == nil {
 		t.Error("zero-walker config accepted")
 	}
+	p = tinyParams()
+	p.GPU.WavefrontSched = WFYoungest + 1
+	if _, err := NewSystem(p, tr); err == nil {
+		t.Error("unknown wavefront scheduler accepted")
+	}
 }
 
 func TestLSUBoundsConcurrentTranslation(t *testing.T) {

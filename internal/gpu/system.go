@@ -42,9 +42,6 @@ type System struct {
 	instrsDone   uint64
 	translations uint64 // coalesced page-translation requests issued
 
-	xlateOut    int      // outstanding L2 TLB misses at the IOMMU
-	xlateParked []*xlate // misses waiting for a free miss register
-
 	// Per-app accounting for multi-tenant traces.
 	appRemaining []uint64
 	appFinish    []sim.Cycle
@@ -213,13 +210,11 @@ func NewSystem(p Params, tr *workload.Trace) (*System, error) {
 
 	s.mem = dram.New(eng, p.DRAM)
 	s.l2c = cache.New(eng, p.GPU.L2Cache, s.mem.Access)
-	s.l2tlb = tlb.New(tlb.Config{Name: "gpu-l2tlb", Entries: p.GPU.L2TLBEntries, Ways: p.GPU.L2TLBWays, Repl: p.GPU.TLBRepl})
+	s.l2tlb = tlb.New(tlb.Config{Name: "gpu-l2tlb", Entries: p.GPU.L2TLBEntries, Ways: p.GPU.L2TLBWays})
 	// Page-walk reads are translation-critical: they go to DRAM with
-	// controller priority over ordinary data traffic. The IOMMU
-	// translates at the same granularity the GPU coalesces at.
-	ioCfg := p.IOMMU
-	ioCfg.PageBits = p.GPU.PageBits
-	s.io = iommu.New(eng, ioCfg, sched, s.as.PT, s.mem.AccessPrio)
+	// controller priority over ordinary data traffic. The IOMMU walks
+	// the address space at its page size, the one the GPU coalesces at.
+	s.io = iommu.New(eng, p.IOMMU, sched, s.as, s.mem.AccessPrio)
 	s.watchdogIv = p.WatchdogInterval
 	if p.FaultInject.Enabled() {
 		// Attach the fault model before the tracer so the fault track
@@ -348,8 +343,8 @@ func (s *System) publishProgress() {
 // no-progress diagnostic.
 func (s *System) dumpState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "gpu: instrs=%d/%d translations=%d xlate-out=%d xlate-parked=%d\n",
-		s.instrsDone, s.instrsTotal, s.translations, s.xlateOut, len(s.xlateParked))
+	fmt.Fprintf(&b, "gpu: instrs=%d/%d translations=%d\n",
+		s.instrsDone, s.instrsTotal, s.translations)
 	for i, c := range s.cus {
 		fmt.Fprintf(&b, "cu%d: ready=%d lsu-queue=%d lsu-free=%d live=%d pending-wf=%d\n",
 			i, len(c.readyQ), len(c.lsuQueue), c.lsuFree, c.live, len(c.pending))

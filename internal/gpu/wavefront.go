@@ -53,7 +53,7 @@ func newCU(s *System, id int) *cu {
 	c := &cu{
 		sys:   s,
 		id:    id,
-		l1tlb: tlb.New(tlb.Config{Name: "gpu-l1tlb", Entries: s.cfg.L1TLBEntries, Repl: s.cfg.TLBRepl}),
+		l1tlb: tlb.New(tlb.Config{Name: "gpu-l1tlb", Entries: s.cfg.L1TLBEntries}),
 		// L1 misses go to the shared L2 cache.
 		l1c: cache.New(s.eng, s.cfg.L1Cache, s.l2c.Access),
 	}
@@ -321,6 +321,7 @@ func (s *System) l2TLBAccess(x *xlate) {
 }
 
 // l2Lookup runs when the shared L2 TLB's port and latency have passed.
+// A miss goes to the IOMMU.
 func (x *xlate) l2Lookup() {
 	ex := x.ex
 	s := ex.c.sys
@@ -331,20 +332,8 @@ func (x *xlate) l2Lookup() {
 		ex.pageDone(x.i, pfn)
 		return
 	}
-	s.sendToIOMMU(x)
-}
-
-// sendToIOMMU forwards an L2 TLB miss to the IOMMU, respecting the
-// GPU-side outstanding-miss cap (Config.XlateMSHRs).
-func (s *System) sendToIOMMU(x *xlate) {
-	if s.cfg.XlateMSHRs > 0 && s.xlateOut >= s.cfg.XlateMSHRs {
-		s.xlateParked = append(s.xlateParked, x)
-		return
-	}
-	s.xlateOut++
-	ex := x.ex
 	s.io.Translate(iommu.TranslateReq{
-		VPN:       x.vpn(),
+		VPN:       vpn,
 		Instr:     ex.id,
 		Wavefront: ex.w.gid,
 		CU:        ex.c.id,
@@ -352,20 +341,12 @@ func (s *System) sendToIOMMU(x *xlate) {
 	})
 }
 
-// translated receives the IOMMU's reply: it fills both GPU TLBs and
-// hands the freed miss register to the oldest parked miss.
+// translated receives the IOMMU's reply and fills both GPU TLBs.
 func (x *xlate) translated(pfn uint64) {
 	ex := x.ex
-	s := ex.c.sys
 	vpn := x.vpn()
-	s.l2tlb.Insert(vpn, pfn)
+	ex.c.sys.l2tlb.Insert(vpn, pfn)
 	ex.c.l1tlb.Insert(vpn, pfn)
-	s.xlateOut--
-	if len(s.xlateParked) > 0 {
-		p := s.xlateParked[0]
-		s.xlateParked = s.xlateParked[1:]
-		s.sendToIOMMU(p)
-	}
 	ex.pageDone(x.i, pfn)
 }
 

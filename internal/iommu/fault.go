@@ -149,14 +149,6 @@ func (io *IOMMU) pageFault(r *request, accesses int) {
 	io.releaseWalker(r, "walk-fault", accesses)
 	io.idleWalkers++
 	io.busyInt.Add(io.eng.Now(), -1)
-	if r.prefetch {
-		// Prefetches are speculative: a faulting prefetch is dropped,
-		// not serviced.
-		io.stats.PrefetchFaultDrops++
-		io.walkerFreed()
-		io.putRequest(r)
-		return
-	}
 	io.stats.Faults++
 	r.faultAt = io.eng.Now()
 	if tr := io.tr; tr != nil {
@@ -258,10 +250,9 @@ func (io *IOMMU) retryWalk(r *request) {
 
 // abortWalk handles an injected walker death mid-walk: the wasted PTE
 // reads are logged, the walker returns to the pool, and the request
-// re-enters the pipeline with a fresh arrival position. Only demand
-// walks are killed (the injector draws at demand dispatch), so there
-// is no prefetch case here. The caller has already returned the
-// walkState to the pool, so this takes the surviving fields directly.
+// re-enters the pipeline with a fresh arrival position. The caller has
+// already returned the walkState to the pool, so this takes the
+// surviving fields directly.
 func (io *IOMMU) abortWalk(r *request, wasted int) {
 	io.releaseWalker(r, "walk-killed", wasted)
 	io.idleWalkers++

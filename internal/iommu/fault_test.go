@@ -37,7 +37,7 @@ func newFaultRig(t *testing.T, cfg Config, sched core.IndexedScheduler, inj *fau
 		eng.After(20+(addr>>6)%40, done)
 		return true
 	}
-	io := New(eng, cfg, sched, as.PT, dram)
+	io := New(eng, cfg, sched, as, dram)
 	io.SetFaultModel(func(vpn4k uint64) bool { return as.PT.SetPresent(vpn4k, true) }, inj)
 	return &faultRig{eng: eng, as: as, io: io}
 }
@@ -99,7 +99,7 @@ func TestUnmappedWalkFatalWithoutFaultModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	dram := func(addr uint64, done func()) bool { eng.After(10, done); return true }
-	io := New(eng, smallFaultConfig(), &core.IndexedFIFO{}, as.PT, dram)
+	io := New(eng, smallFaultConfig(), &core.IndexedFIFO{}, as, dram)
 	as.PT.SetPresent(3, false)
 	io.Translate(TranslateReq{VPN: 3, Done: func(uint64) {}})
 	defer func() {

@@ -38,27 +38,6 @@ type Config struct {
 
 	PWC pwc.Config
 
-	// PageBits is the translation granularity the GPU requests at: 12
-	// (4 KB, default) or mmu.LargePageBits (2 MB, the paper's Section VI
-	// "why not large pages?" configuration). Request VPNs are virtual
-	// addresses shifted by PageBits; walks of 2 MB pages read three PTE
-	// levels instead of four.
-	PageBits uint
-
-	// PrefetchNext enables a simple next-page translation prefetcher
-	// (extension; the paper cites inter-core cooperative TLB
-	// prefetching as related work): when a walk for VPN completes and a
-	// walker plus buffer slack are free, the IOMMU walks VPN+1 in the
-	// background and installs it in its own TLBs. Prefetch walks never
-	// cascade and never displace demand walks.
-	PrefetchNext bool
-
-	// MergeSameVPN coalesces a newly arrived request onto an in-flight
-	// or pending walk of the same VPN instead of walking twice. The
-	// paper's hardware keeps duplicate requests distinct, so this
-	// defaults to false; it exists as an ablation.
-	MergeSameVPN bool
-
 	// RetryDelay is the backoff before retrying a DRAM access the
 	// memory controller rejected (full queue).
 	RetryDelay uint64
@@ -111,8 +90,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("iommu: Walkers must be positive, got %d", c.Walkers)
 	case c.OverflowEntries < 0:
 		return fmt.Errorf("iommu: OverflowEntries must be >= 0, got %d", c.OverflowEntries)
-	case c.PageBits != 0 && c.PageBits != mmu.PageBits && c.PageBits != mmu.LargePageBits:
-		return fmt.Errorf("iommu: PageBits must be %d or %d, got %d", mmu.PageBits, mmu.LargePageBits, c.PageBits)
+	case c.RecordLimit < 0:
+		return fmt.Errorf("iommu: RecordLimit must be >= 0, got %d", c.RecordLimit)
 	}
 	if err := c.l1Config().Validate(); err != nil {
 		return fmt.Errorf("iommu: %w", err)
@@ -166,16 +145,21 @@ type instrInfo struct {
 }
 
 // Stats aggregates IOMMU activity.
+//
+// Prefetches, PrefetchHits, Merged and PrefetchFaultDrops are always
+// zero: they counted a next-page prefetcher and same-VPN merging that
+// the model no longer has. They stay so that every Result keeps its
+// JSON shape until the next gpu.ModelVersion bump removes them.
 type Stats struct {
 	Requests       uint64 // translation requests received
-	Prefetches     uint64 // background next-page walks issued
-	PrefetchHits   uint64 // demand requests served by prefetched entries
+	Prefetches     uint64 // always zero
+	PrefetchHits   uint64 // always zero
 	L1Hits         uint64
 	L2Hits         uint64
 	WalksStarted   uint64
 	WalksDone      uint64
 	WalkAccessHist [mmu.Levels + 1]uint64 // index = accesses per walk (1..4)
-	Merged         uint64                 // requests coalesced onto an in-flight walk
+	Merged         uint64                 // always zero
 	BufferPeak     int
 	PreQueuePeak   int
 	WalkLatency    stats.Mean     // request arrival -> walk completion, cycles
@@ -185,13 +169,13 @@ type Stats struct {
 	// Fault-model counters; all stay zero unless a fault handler or
 	// injector is attached (SetFaultModel) or OverflowEntries bounds
 	// the overflow queue.
-	Faults             uint64 // demand walks that found a non-present PTE
+	Faults             uint64 // walks that found a non-present PTE
 	FaultsServiced     uint64 // OS fault services completed
 	FaultNACKs         uint64 // fault-queue-full rejections (retried)
 	OverflowNACKs      uint64 // overflow-queue-full rejections (retried)
 	WalkRetries        uint64 // re-admissions after a fault or walker kill
 	WalkerKills        uint64 // injected walker deaths
-	PrefetchFaultDrops uint64 // faulting prefetch walks dropped
+	PrefetchFaultDrops uint64 // always zero
 	FaultQueuePeak     int
 	FaultWait          stats.Mean // fault detection -> service completion, cycles
 }
@@ -222,24 +206,19 @@ type IOMMU struct {
 	dram  DRAMFn
 	pwc   *pwc.PWC
 
+	// pageBits is the address space's page size, which request VPNs
+	// are in: mmu.PageBits (4 KB) or mmu.LargePageBits (2 MB, whose
+	// walks read three PTE levels instead of four).
+	pageBits uint
+
 	l1 *tlb.TLB
 	l2 *tlb.TLB
 
 	preQueue []*request // overflow beyond the scheduler window, FIFO
-	// bufVPNs / preVPNs count pending requests per VPN in the buffer
-	// and the overflow queue, so MergeSameVPN coalesces in O(1) instead
-	// of scanning; maintained only when merging is enabled.
-	bufVPNs  map[uint64]int
-	preVPNs  map[uint64]int
-	seq      uint64 // arrival sequence numbers
-	schedSeq uint64 // global service-order sequence
+	seq      uint64     // arrival sequence numbers
+	schedSeq uint64     // global service-order sequence
 
 	idleWalkers int
-	inflight    map[uint64][]*request // VPN -> merged requests (MergeSameVPN)
-
-	// prefetched tracks VPNs installed by the prefetcher until first
-	// demand use.
-	prefetched map[uint64]struct{}
 
 	instrs []instrInfo // indexed by the GPU's dense InstrID
 	stats  Stats
@@ -264,7 +243,7 @@ type IOMMU struct {
 	trkSched  obs.Track
 	trkWalker []obs.Track
 	trkFault  obs.Track
-	nextRule  core.Decision // rule behind the next demand dispatch
+	nextRule  core.Decision // rule behind the next dispatch
 
 	// Fault model (fault.go): handler reinstates non-present pages (nil
 	// keeps unmapped walks fatal), inj optionally injects faults,
@@ -281,17 +260,16 @@ type IOMMU struct {
 // nothing. The embedded core.Request is what the scheduler sees, and
 // its Owner points back here. A record returns to the pool only after
 // its last callback has run and it has left the scheduler, the
-// overflow, merge and fault queues, and its walk.
+// overflow and fault queues, and its walk.
 type request struct {
 	core.Request
 	io *IOMMU
 
-	done     func(pfn uint64) // the requester's callback; nil for a prefetch
-	pfn      uint64           // the reply's payload
-	prefetch bool             // a background next-page walk
-	walker   int              // the walker serving it (trackWalkers)
-	start    sim.Cycle        // when that walker took it (trackWalkers)
-	faultAt  sim.Cycle        // when its last page fault was found
+	done    func(pfn uint64) // the requester's callback
+	pfn     uint64           // the reply's payload
+	walker  int              // the walker serving it (trackWalkers)
+	start   sim.Cycle        // when that walker took it (trackWalkers)
+	faultAt sim.Cycle        // when its last page fault was found
 
 	lookupFn func() // bound r.lookupTLBs
 	replyFn  func() // bound r.deliver
@@ -306,9 +284,9 @@ type WalkRecord struct {
 	VPN    uint64
 }
 
-// New builds an IOMMU. Panics on invalid config; use Config.Validate for
-// graceful checking.
-func New(eng *sim.Engine, cfg Config, sched core.IndexedScheduler, pt *mmu.PageTable, dram DRAMFn) *IOMMU {
+// New builds an IOMMU that walks as's page table at as's page size.
+// Panics on invalid config; use Config.Validate for graceful checking.
+func New(eng *sim.Engine, cfg Config, sched core.IndexedScheduler, as *mmu.AddressSpace, dram DRAMFn) *IOMMU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -316,16 +294,13 @@ func New(eng *sim.Engine, cfg Config, sched core.IndexedScheduler, pt *mmu.PageT
 		cfg:         cfg,
 		eng:         eng,
 		sched:       sched,
-		bufVPNs:     make(map[uint64]int),
-		preVPNs:     make(map[uint64]int),
-		pt:          pt,
+		pt:          as.PT,
 		dram:        dram,
 		pwc:         pwc.New(cfg.PWC),
+		pageBits:    as.PageBits,
 		l1:          tlb.New(cfg.l1Config()),
 		l2:          tlb.New(cfg.l2Config()),
 		idleWalkers: cfg.Walkers,
-		inflight:    make(map[uint64][]*request),
-		prefetched:  make(map[uint64]struct{}),
 	}
 	io.trackWalkers = cfg.RecordSchedule
 	for i := cfg.Walkers - 1; i >= 0; i-- {
@@ -410,8 +385,8 @@ func (io *IOMMU) Translate(req TranslateReq) {
 }
 
 // getRequest takes a record from the pool, or binds a fresh one's
-// callbacks. The caller sets its core.Request and, on a demand
-// request, done; putRequest left done nil and prefetch false.
+// callbacks. The caller sets its core.Request and done; putRequest
+// left done nil.
 func (io *IOMMU) getRequest() *request {
 	if n := len(io.reqPool); n > 0 {
 		r := io.reqPool[n-1]
@@ -433,7 +408,6 @@ func (io *IOMMU) getRequest() *request {
 // requester's callback.
 func (io *IOMMU) putRequest(r *request) {
 	r.done = nil
-	r.prefetch = false
 	io.reqPool = append(io.reqPool, r)
 }
 
@@ -441,40 +415,28 @@ func (r *request) lookupTLBs() {
 	io := r.io
 	if pfn, ok := io.l1.Lookup(r.VPN); ok {
 		io.stats.L1Hits++
-		io.notePrefetchUse(r.VPN)
 		io.reply(r, pfn)
 		return
 	}
 	if pfn, ok := io.l2.Lookup(r.VPN); ok {
 		io.stats.L2Hits++
-		io.notePrefetchUse(r.VPN)
 		io.l1.Insert(r.VPN, pfn)
 		io.reply(r, pfn)
 		return
 	}
-	io.enqueueWalk(r)
-}
-
-// notePrefetchUse credits the prefetcher when a demand request hits an
-// entry it installed.
-func (io *IOMMU) notePrefetchUse(vpn uint64) {
-	if len(io.prefetched) == 0 {
-		return
-	}
-	if _, ok := io.prefetched[vpn]; ok {
-		io.stats.PrefetchHits++
-		delete(io.prefetched, vpn)
-	}
+	// Both IOMMU TLBs missed: the request becomes a pending walk
+	// request (step 6), stamped with its arrival at the walk buffer.
+	// Duplicate requests for one VPN stay distinct, as in the paper's
+	// hardware.
+	io.seq++
+	r.Seq = io.seq
+	r.Arrive = io.eng.Now()
+	io.enqueueRequest(r, 0)
 }
 
 // reply sends pfn back to r's requester after the reply latency; r
-// returns to the pool when the reply is delivered. A request without a
-// callback goes back at once.
+// returns to the pool when the reply is delivered.
 func (io *IOMMU) reply(r *request, pfn uint64) {
-	if r.done == nil {
-		io.putRequest(r)
-		return
-	}
 	r.pfn = pfn
 	io.eng.After(io.cfg.ReplyLat, r.replyFn)
 }
@@ -485,33 +447,10 @@ func (r *request) deliver() {
 	done(pfn)
 }
 
-// enqueueWalk turns a TLB-missing request into a pending walk request
-// (step 6) or starts it immediately on an idle walker (step 7 shortcut).
-func (io *IOMMU) enqueueWalk(r *request) {
-	io.stamp(r)
-	if io.cfg.MergeSameVPN {
-		// Merge onto an in-flight walk, a pending (unstarted) walk in
-		// the buffer, or a walk waiting in the overflow queue — all
-		// O(1) map lookups.
-		_, inflight := io.inflight[r.VPN]
-		if inflight || io.bufVPNs[r.VPN] > 0 || io.preVPNs[r.VPN] > 0 {
-			io.stats.Merged++
-			io.inflight[r.VPN] = append(io.inflight[r.VPN], r)
-			if tr := io.tr; tr != nil {
-				tr.Instant(io.trkSched, "sched", "merge",
-					obs.U64("seq", r.Seq), obs.U64("vpn", r.VPN),
-					obs.U64("instr", uint64(r.Instr)))
-			}
-			return
-		}
-	}
-	io.enqueueRequest(r, 0)
-}
-
-// enqueueRequest routes a new or retried request to an idle walker,
-// the scheduler buffer, or the overflow queue, applying NACK/backoff
-// backpressure when the overflow queue is bounded and full. attempt
-// counts NACK retries for the backoff schedule.
+// enqueueRequest routes a new or retried request to an idle walker
+// (the step 7 shortcut), the scheduler buffer, or the overflow queue,
+// applying NACK/backoff backpressure when the overflow queue is bounded
+// and full. attempt counts NACK retries for the backoff schedule.
 func (io *IOMMU) enqueueRequest(r *request, attempt int) {
 	if io.idleWalkers > 0 {
 		io.nextRule = core.DecisionNone // direct start, no scheduler pick
@@ -545,9 +484,6 @@ func (io *IOMMU) enqueueRequest(r *request, attempt int) {
 		return
 	}
 	io.preQueue = append(io.preQueue, r)
-	if io.cfg.MergeSameVPN {
-		io.preVPNs[r.VPN]++
-	}
 	if len(io.preQueue) > io.stats.PreQueuePeak {
 		io.stats.PreQueuePeak = len(io.preQueue)
 	}
@@ -556,18 +492,10 @@ func (io *IOMMU) enqueueRequest(r *request, attempt int) {
 	}
 }
 
-// stamp gives r the next arrival sequence number and the current cycle
-// as its arrival at the walk buffer.
-func (io *IOMMU) stamp(r *request) {
-	io.seq++
-	r.Seq = io.seq
-	r.Arrive = io.eng.Now()
-}
-
 // upperLevels returns how many page-table levels the PWC covers at the
-// configured page granularity.
+// address space's page granularity.
 func (io *IOMMU) upperLevels() int {
-	if io.cfg.PageBits == mmu.LargePageBits {
+	if io.pageBits == mmu.LargePageBits {
 		return mmu.Levels - 2
 	}
 	return mmu.Levels - 1
@@ -590,9 +518,6 @@ func (io *IOMMU) admit(r *request) {
 			}
 		}
 	}
-	if io.cfg.MergeSameVPN {
-		io.bufVPNs[r.VPN]++
-	}
 	io.sched.Admit(&r.Request)
 	if n := io.sched.PendingLen(); n > io.stats.BufferPeak {
 		io.stats.BufferPeak = n
@@ -606,33 +531,12 @@ func (io *IOMMU) admit(r *request) {
 	}
 }
 
-// nextWalk asks the scheduler for the next request, which it removes
-// from the pending buffer.
-func (io *IOMMU) nextWalk() *request {
-	r := io.sched.Pick().Owner.(*request)
-	if io.cfg.MergeSameVPN {
-		if n := io.bufVPNs[r.VPN]; n <= 1 {
-			delete(io.bufVPNs, r.VPN)
-		} else {
-			io.bufVPNs[r.VPN] = n - 1
-		}
-	}
-	return r
-}
-
 // promoteOverflow moves overflow requests into the scheduling window,
 // oldest first, while slots are free.
 func (io *IOMMU) promoteOverflow() {
 	for len(io.preQueue) > 0 && io.sched.PendingLen() < io.cfg.BufferEntries {
 		r := io.preQueue[0]
 		io.preQueue = io.preQueue[1:]
-		if io.cfg.MergeSameVPN {
-			if n := io.preVPNs[r.VPN]; n <= 1 {
-				delete(io.preVPNs, r.VPN)
-			} else {
-				io.preVPNs[r.VPN] = n - 1
-			}
-		}
 		io.admit(r)
 	}
 }
@@ -645,7 +549,8 @@ func (io *IOMMU) walkerFreed() {
 	if io.sched.PendingLen() == 0 {
 		return
 	}
-	r := io.nextWalk()
+	// The scheduler removes its pick from the pending buffer.
+	r := io.sched.Pick().Owner.(*request)
 	if io.tr != nil {
 		io.nextRule = io.sched.LastDecision()
 	}
@@ -665,48 +570,38 @@ func (io *IOMMU) startWalk(r *request) {
 		r.start = io.eng.Now()
 		io.freeWalkers = io.freeWalkers[:len(io.freeWalkers)-1]
 	}
+	io.stats.WalksStarted++
+	io.stats.BufferWait.Add(float64(io.eng.Now() - r.Arrive))
+	// Fault injection draws at dispatch: one kill decision per dispatch
+	// keeps the decision stream deterministic, and a non-present flip
+	// unmaps the leaf before the walk reads it.
 	kill := false
-	if !r.prefetch {
-		io.stats.WalksStarted++
-		io.stats.BufferWait.Add(float64(io.eng.Now() - r.Arrive))
-		// Fault injection draws at demand dispatch: one kill decision
-		// per dispatch keeps the decision stream deterministic, and a
-		// non-present flip unmaps the leaf before the walk reads it.
-		if io.inj != nil {
-			kill = io.inj.KillWalker()
-			if io.inj.FaultWalk() {
-				io.pt.SetPresent(io.vpn4k(r.VPN), false)
-			}
+	if io.inj != nil {
+		kill = io.inj.KillWalker()
+		if io.inj.FaultWalk() {
+			io.pt.SetPresent(io.vpn4k(r.VPN), false)
 		}
-		// Demand walks accept same-VPN merges while in flight.
-		// Prefetch walks must not: their completion path replies to
-		// no one, so a request merged onto one would never finish.
-		if io.cfg.MergeSameVPN {
-			if _, ok := io.inflight[r.VPN]; !ok {
-				io.inflight[r.VPN] = nil
-			}
+	}
+	io.schedSeq++
+	io.noteScheduled(r)
+	if tr := io.tr; tr != nil {
+		rule := "direct"
+		if io.nextRule != core.DecisionNone {
+			rule = io.nextRule.String()
 		}
-		io.schedSeq++
-		io.noteScheduled(r)
-		if tr := io.tr; tr != nil {
-			rule := "direct"
-			if io.nextRule != core.DecisionNone {
-				rule = io.nextRule.String()
-			}
-			tr.Instant(io.trkSched, "sched", "dispatch",
-				obs.U64("seq", r.Seq), obs.U64("vpn", r.VPN),
-				obs.U64("instr", uint64(r.Instr)), obs.U64("dsp", io.schedSeq),
-				obs.Str("rule", rule))
-			switch io.nextRule {
-			case core.DecisionAging:
-				tr.Instant(io.trkSched, "sched", "aging-promotion",
-					obs.U64("seq", r.Seq), obs.U64("instr", uint64(r.Instr)))
-			case core.DecisionBatch:
-				tr.Instant(io.trkSched, "sched", "batch-hit",
-					obs.U64("seq", r.Seq), obs.U64("instr", uint64(r.Instr)))
-			}
-			io.traceQueueDepth()
+		tr.Instant(io.trkSched, "sched", "dispatch",
+			obs.U64("seq", r.Seq), obs.U64("vpn", r.VPN),
+			obs.U64("instr", uint64(r.Instr)), obs.U64("dsp", io.schedSeq),
+			obs.Str("rule", rule))
+		switch io.nextRule {
+		case core.DecisionAging:
+			tr.Instant(io.trkSched, "sched", "aging-promotion",
+				obs.U64("seq", r.Seq), obs.U64("instr", uint64(r.Instr)))
+		case core.DecisionBatch:
+			tr.Instant(io.trkSched, "sched", "batch-hit",
+				obs.U64("seq", r.Seq), obs.U64("instr", uint64(r.Instr)))
 		}
+		io.traceQueueDepth()
 	}
 
 	w := io.getWalk(r)
@@ -716,11 +611,12 @@ func (io *IOMMU) startWalk(r *request) {
 	io.eng.After(io.cfg.PWCLat, w.beginFn)
 }
 
-// vpn4k converts a request VPN (at the configured page granularity) to
-// a 4 KB-granular VPN for page-table walking and PWC tagging.
+// vpn4k converts a request VPN (at the address space's page
+// granularity) to a 4 KB-granular VPN for page-table walking and PWC
+// tagging.
 func (io *IOMMU) vpn4k(vpn uint64) uint64 {
-	if io.cfg.PageBits > mmu.PageBits {
-		return vpn << (io.cfg.PageBits - mmu.PageBits)
+	if io.pageBits > mmu.PageBits {
+		return vpn << (io.pageBits - mmu.PageBits)
 	}
 	return vpn
 }
@@ -885,15 +781,6 @@ func (io *IOMMU) finishWalk(r *request, accesses int) {
 	io.l2.Insert(r.VPN, pfn)
 	io.l1.Insert(r.VPN, pfn)
 
-	if r.prefetch {
-		io.prefetched[r.VPN] = struct{}{}
-		io.idleWalkers++
-		io.busyInt.Add(io.eng.Now(), -1)
-		io.walkerFreed()
-		io.putRequest(r)
-		return
-	}
-
 	io.stats.WalksDone++
 	io.stats.WalkAccessHist[accesses]++
 	lat := uint64(io.eng.Now() - r.Arrive)
@@ -907,48 +794,11 @@ func (io *IOMMU) finishWalk(r *request, accesses int) {
 			obs.U64("accesses", uint64(accesses)))
 	}
 
-	vpn := r.VPN
-	if io.cfg.MergeSameVPN {
-		// The replies go out in this order: the walk's own, then each
-		// merged request's.
-		merged := io.inflight[vpn]
-		delete(io.inflight, vpn)
-		io.reply(r, pfn)
-		for _, m := range merged {
-			mlat := uint64(io.eng.Now() - m.Arrive)
-			io.noteCompleted(m, 0, mlat)
-			io.reply(m, pfn)
-		}
-	} else {
-		io.reply(r, pfn)
-	}
+	io.reply(r, pfn)
 
 	io.idleWalkers++
 	io.busyInt.Add(io.eng.Now(), -1)
 	io.walkerFreed()
-	io.maybePrefetch(vpn + 1)
-}
-
-// maybePrefetch issues a background walk for vpn when the prefetcher is
-// enabled and the IOMMU is otherwise idle: a free walker, no pending
-// demand work, a mapped page, and no TLB-resident translation.
-func (io *IOMMU) maybePrefetch(vpn uint64) {
-	if !io.cfg.PrefetchNext || io.idleWalkers == 0 ||
-		io.sched.PendingLen() > 0 || len(io.preQueue) > 0 {
-		return
-	}
-	if io.l1.Probe(vpn) || io.l2.Probe(vpn) {
-		return
-	}
-	if _, ok := io.pt.Translate(io.vpn4k(vpn)); !ok {
-		return
-	}
-	r := io.getRequest()
-	r.Request = core.Request{VPN: vpn, Owner: r}
-	r.prefetch = true
-	io.stamp(r)
-	io.stats.Prefetches++
-	io.startWalk(r)
 }
 
 func (io *IOMMU) instr(id core.InstrID) *instrInfo {

@@ -44,7 +44,7 @@ func newRig(t *testing.T, cfg Config, sched core.IndexedScheduler) *rig {
 		eng.After(100, done)
 		return true
 	}
-	r.io = New(eng, cfg, sched, as.PT, dram)
+	r.io = New(eng, cfg, sched, as, dram)
 	return r
 }
 
@@ -178,32 +178,6 @@ func TestBufferOverflowPromotesFIFO(t *testing.T) {
 	}
 }
 
-func TestMergeSameVPN(t *testing.T) {
-	cfg := testConfig()
-	cfg.MergeSameVPN = true
-	cfg.Walkers = 1
-	r := newRig(t, cfg, &core.IndexedFIFO{})
-	r.mapPage(t, 0x9)
-	r.mapPage(t, 0x9000>>0) // a second page to occupy the walker
-	r.mapPage(t, 0x77<<18)
-	// Occupy the walker, then send two requests for the same VPN.
-	r.translate(0x77<<18, 1)
-	a := r.translate(0x9, 2)
-	b := r.translate(0x9, 3)
-	r.eng.Run()
-	want, _ := r.as.PT.Translate(0x9)
-	if *a != want || *b != want {
-		t.Error("merged request did not receive the translation")
-	}
-	if r.io.Stats().Merged != 1 {
-		t.Errorf("Merged = %d, want 1", r.io.Stats().Merged)
-	}
-	// Two distinct VPNs walked (0x77<<18 and 0x9), not three.
-	if r.io.Stats().WalksDone != 2 {
-		t.Errorf("WalksDone = %d, want 2", r.io.Stats().WalksDone)
-	}
-}
-
 func TestNoMergeWalksTwice(t *testing.T) {
 	cfg := testConfig()
 	cfg.Walkers = 1
@@ -289,6 +263,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.Walkers = 0 },
 		func(c *Config) { c.L1TLBEntries = 0 },
 		func(c *Config) { c.PWC.EntriesPerLevel = 0 },
+		func(c *Config) { c.RecordLimit = -1 },
 	}
 	for i, mutate := range bad {
 		c := testConfig()
@@ -314,110 +289,6 @@ func TestWalkLatencyAccounting(t *testing.T) {
 	}
 	if r.io.BusyWalkerIntegral() == 0 {
 		r.io.FinishStats()
-	}
-}
-
-func TestPrefetchNext(t *testing.T) {
-	cfg := testConfig()
-	cfg.PrefetchNext = true
-	r := newRig(t, cfg, &core.IndexedFIFO{})
-	// Map two adjacent far-apart-from-others pages; walking the first
-	// should prefetch the second once the IOMMU idles.
-	r.mapPage(t, 0x700)
-	r.mapPage(t, 0x701)
-	r.translate(0x700, 1)
-	r.eng.Run()
-	if r.io.Stats().Prefetches == 0 {
-		t.Fatal("no prefetch issued for the adjacent mapped page")
-	}
-	// The demand request for the prefetched page must hit the IOMMU TLB
-	// without walking.
-	walksBefore := r.io.Stats().WalksDone
-	got := r.translate(0x701, 2)
-	r.eng.Run()
-	st := r.io.Stats()
-	if st.WalksDone != walksBefore {
-		t.Error("demand request for prefetched page still walked")
-	}
-	if st.PrefetchHits != 1 {
-		t.Errorf("PrefetchHits = %d, want 1", st.PrefetchHits)
-	}
-	if want, _ := r.as.PT.Translate(0x701); *got != want {
-		t.Error("prefetched translation is wrong")
-	}
-}
-
-func TestPrefetchSkipsUnmapped(t *testing.T) {
-	cfg := testConfig()
-	cfg.PrefetchNext = true
-	r := newRig(t, cfg, &core.IndexedFIFO{})
-	r.mapPage(t, 0x900) // 0x901 left unmapped
-	r.translate(0x900, 1)
-	r.eng.Run()
-	if r.io.Stats().Prefetches != 0 {
-		t.Error("prefetched an unmapped page")
-	}
-}
-
-func TestPrefetchDoesNotCascade(t *testing.T) {
-	cfg := testConfig()
-	cfg.PrefetchNext = true
-	r := newRig(t, cfg, &core.IndexedFIFO{})
-	// A long run of mapped pages: one demand walk must trigger at most
-	// one prefetch (no chain).
-	for v := uint64(0xa00); v < 0xa10; v++ {
-		r.mapPage(t, v)
-	}
-	r.translate(0xa00, 1)
-	r.eng.Run()
-	if p := r.io.Stats().Prefetches; p != 1 {
-		t.Errorf("Prefetches = %d, want exactly 1 (no cascade)", p)
-	}
-}
-
-func TestPrefetchOffByDefault(t *testing.T) {
-	r := newRig(t, testConfig(), &core.IndexedFIFO{})
-	r.mapPage(t, 0xb00)
-	r.mapPage(t, 0xb01)
-	r.translate(0xb00, 1)
-	r.eng.Run()
-	if r.io.Stats().Prefetches != 0 {
-		t.Error("prefetcher ran while disabled")
-	}
-}
-
-// TestMergeAcrossOverflowQueue is the regression test for the
-// overflow-merge bug: a duplicate VPN whose twin is waiting in the
-// overflow queue (not the buffer) must still coalesce instead of
-// walking twice.
-func TestMergeAcrossOverflowQueue(t *testing.T) {
-	cfg := testConfig()
-	cfg.MergeSameVPN = true
-	cfg.BufferEntries = 1
-	cfg.Walkers = 1
-	r := newRig(t, cfg, &core.IndexedFIFO{})
-	vpns := []uint64{0x1 << 18, 0x2 << 18, 0x3 << 18}
-	for _, v := range vpns {
-		r.mapPage(t, v)
-	}
-	a := r.translate(vpns[0], 1) // takes the walker
-	b := r.translate(vpns[1], 2) // fills the 1-entry buffer
-	c := r.translate(vpns[2], 3) // overflows into the pre-queue
-	cDup := r.translate(vpns[2], 4)
-	bDup := r.translate(vpns[1], 5)
-	r.eng.Run()
-	st := r.io.Stats()
-	if st.Merged != 2 {
-		t.Errorf("Merged = %d, want 2 (one overflow dup, one buffer dup)", st.Merged)
-	}
-	if st.WalksDone != 3 {
-		t.Errorf("WalksDone = %d, want one walk per distinct VPN", st.WalksDone)
-	}
-	for i, got := range []*uint64{a, b, c, cDup, bDup} {
-		vpn := []uint64{vpns[0], vpns[1], vpns[2], vpns[2], vpns[1]}[i]
-		if want, _ := r.as.PT.Translate(vpn); *got != want {
-			t.Errorf("reply %d: pfn %#x, want %#x", i, *got, want)
-		}
 	}
 }
 

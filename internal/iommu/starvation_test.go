@@ -71,7 +71,7 @@ func runRandomStream(t *testing.T, sched core.IndexedScheduler, seed uint64, buf
 		eng.After(20+(addr>>6)%80, done)
 		return true
 	}
-	io := New(eng, cfg, sched, as.PT, dram)
+	io := New(eng, cfg, sched, as, dram)
 
 	tr := obs.NewTracer()
 	tr.Attach(eng.Now)

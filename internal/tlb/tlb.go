@@ -15,39 +15,11 @@ import (
 	"gpuwalk/internal/stats"
 )
 
-// Replacement selects a TLB replacement policy.
-type Replacement int
-
-// Replacement policies.
-const (
-	// LRU evicts the least-recently-used entry (default).
-	LRU Replacement = iota
-	// FIFO evicts the oldest-inserted entry regardless of use.
-	FIFO
-	// RandomRepl evicts a pseudo-random entry (deterministic stream).
-	RandomRepl
-)
-
-// String implements fmt.Stringer.
-func (r Replacement) String() string {
-	switch r {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case RandomRepl:
-		return "random"
-	}
-	return fmt.Sprintf("Replacement(%d)", int(r))
-}
-
 // Config describes one TLB.
 type Config struct {
 	Name    string
 	Entries int
 	Ways    int // 0 means fully associative
-	// Repl selects the replacement policy (default LRU).
-	Repl Replacement
 }
 
 // Validate reports configuration errors.
@@ -93,7 +65,6 @@ type TLB struct {
 	sets    []set
 	setMask uint64
 	clock   uint64
-	rng     uint64 // random-replacement stream state
 	stats   Stats
 
 	tr  *obs.Tracer // nil unless tracing; see SetTracer
@@ -111,7 +82,7 @@ func New(cfg Config) *TLB {
 		ways = cfg.Entries
 	}
 	nsets := cfg.Entries / ways
-	t := &TLB{cfg: cfg, sets: make([]set, nsets), setMask: uint64(nsets - 1), rng: 0x9e3779b97f4a7c15}
+	t := &TLB{cfg: cfg, sets: make([]set, nsets), setMask: uint64(nsets - 1)}
 	// Every set's ways are carved from one backing array.
 	entries := make([]entry, nsets*ways)
 	for i := range t.sets {
@@ -133,17 +104,14 @@ func (t *TLB) SetTracer(tr *obs.Tracer, trk obs.Track) {
 func (t *TLB) Config() Config { return t.cfg }
 
 // Lookup searches for vpn. On a hit it returns the cached pfn, updates
-// recency state (under LRU), and records a hit; on a miss it records a
-// miss.
+// its recency, and records a hit; on a miss it records a miss.
 func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 	s := &t.sets[vpn&t.setMask]
 	for i := range s.entries {
 		e := &s.entries[i]
 		if e.valid && e.vpn == vpn {
-			if t.cfg.Repl == LRU {
-				t.clock++
-				e.used = t.clock
-			}
+			t.clock++
+			e.used = t.clock
 			t.stats.Lookups.Hit()
 			return e.pfn, true
 		}
@@ -166,9 +134,9 @@ func (t *TLB) Probe(vpn uint64) bool {
 	return false
 }
 
-// Insert installs vpn→pfn, evicting per the configured replacement
-// policy if the set is full. Inserting an already-present vpn refreshes
-// its pfn (and its recency under LRU).
+// Insert installs vpn→pfn, evicting the set's least-recently-used
+// entry if the set is full. Inserting an already-present vpn refreshes
+// its pfn and its recency.
 func (t *TLB) Insert(vpn, pfn uint64) {
 	s := &t.sets[vpn&t.setMask]
 	t.clock++
@@ -176,9 +144,7 @@ func (t *TLB) Insert(vpn, pfn uint64) {
 		e := &s.entries[i]
 		if e.valid && e.vpn == vpn {
 			e.pfn = pfn
-			if t.cfg.Repl == LRU {
-				e.used = t.clock
-			}
+			e.used = t.clock
 			return
 		}
 	}
@@ -190,32 +156,16 @@ func (t *TLB) Insert(vpn, pfn uint64) {
 		}
 	}
 	if victim == -1 {
-		victim = t.pickVictim(s)
-		t.stats.Evictions++
-	}
-	s.entries[victim] = entry{vpn: vpn, pfn: pfn, valid: true, used: t.clock}
-	t.stats.Fills++
-}
-
-// pickVictim selects a valid entry to evict from a full set.
-func (t *TLB) pickVictim(s *set) int {
-	switch t.cfg.Repl {
-	case RandomRepl:
-		// xorshift64*: cheap deterministic stream seeded by the clock.
-		t.rng ^= t.rng << 13
-		t.rng ^= t.rng >> 7
-		t.rng ^= t.rng << 17
-		return int(t.rng % uint64(len(s.entries)))
-	default: // LRU and FIFO both evict the smallest stamp; they differ
-		// in whether Lookup refreshes it.
-		victim := 0
+		victim = 0
 		for i := range s.entries {
 			if s.entries[i].used < s.entries[victim].used {
 				victim = i
 			}
 		}
-		return victim
+		t.stats.Evictions++
 	}
+	s.entries[victim] = entry{vpn: vpn, pfn: pfn, valid: true, used: t.clock}
+	t.stats.Fills++
 }
 
 // Invalidate removes vpn if present, reporting whether it was resident.

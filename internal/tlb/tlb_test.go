@@ -153,59 +153,3 @@ func TestQuickOccupancyBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFIFOReplacement(t *testing.T) {
-	tl := New(Config{Name: "fifo", Entries: 2, Repl: FIFO})
-	tl.Insert(1, 10)
-	tl.Insert(2, 20)
-	// Under FIFO, touching entry 1 must NOT protect it.
-	tl.Lookup(1)
-	tl.Insert(3, 30)
-	if _, ok := tl.Lookup(1); ok {
-		t.Error("FIFO kept the oldest entry despite a recent hit")
-	}
-	if _, ok := tl.Lookup(2); !ok {
-		t.Error("FIFO evicted the newer entry")
-	}
-}
-
-func TestLRUDiffersFromFIFO(t *testing.T) {
-	lru := New(Config{Name: "lru", Entries: 2, Repl: LRU})
-	lru.Insert(1, 10)
-	lru.Insert(2, 20)
-	lru.Lookup(1) // protect 1 under LRU
-	lru.Insert(3, 30)
-	if _, ok := lru.Lookup(1); !ok {
-		t.Error("LRU evicted the recently-used entry")
-	}
-}
-
-func TestRandomReplacementDeterministicAndBounded(t *testing.T) {
-	run := func() []uint64 {
-		tl := New(Config{Name: "rnd", Entries: 4, Repl: RandomRepl})
-		var evictedAt []uint64
-		for vpn := uint64(0); vpn < 64; vpn++ {
-			tl.Insert(vpn, vpn)
-			evictedAt = append(evictedAt, tl.Stats().Evictions)
-		}
-		if tl.Occupancy() != 4 {
-			t.Fatalf("occupancy = %d", tl.Occupancy())
-		}
-		return evictedAt
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("random replacement is nondeterministic across runs")
-		}
-	}
-}
-
-func TestReplacementString(t *testing.T) {
-	if LRU.String() != "lru" || FIFO.String() != "fifo" || RandomRepl.String() != "random" {
-		t.Error("Replacement String() labels wrong")
-	}
-	if Replacement(9).String() == "" {
-		t.Error("unknown replacement has empty label")
-	}
-}

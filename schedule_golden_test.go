@@ -26,7 +26,6 @@ type scheduleCase struct {
 // pinned. The tiny buffer and walker pool force heavy overflow traffic
 // through the strict-FIFO admission path:
 //   - policy/*: every built-in policy on three irregular workloads;
-//   - merge/*: same-VPN merging with an even smaller buffer;
 //   - engine/*: SIMT-aware on the four paper workloads;
 //   - faults/*: walker kills and non-present PTEs, which exercise the
 //     walk-state pool's abort paths and the fault queue's retry events.
@@ -48,15 +47,6 @@ func scheduleCases() []scheduleCase {
 				c.SchedOpts.AgingThreshold = 32
 			})
 		}
-	}
-	for _, sk := range []gpuwalk.SchedulerKind{gpuwalk.FCFS, gpuwalk.SIMTAware} {
-		add("merge/SSP/"+string(sk), func(c *gpuwalk.Config) {
-			c.Workload = "SSP"
-			c.Scheduler = sk
-			c.SchedOpts.AgingThreshold = 8
-			c.IOMMU.BufferEntries = 8
-			c.IOMMU.MergeSameVPN = true
-		})
 	}
 	for _, wl := range []string{"MVT", "ATX", "GEV", "SSP"} {
 		add("engine/"+wl, func(c *gpuwalk.Config) {
@@ -138,13 +128,6 @@ func scheduleDigest(t *testing.T, cfg gpuwalk.Config) string {
 // strict-FIFO admission path is exercised too.
 func TestSystemDifferentialIndexedVsReference(t *testing.T) {
 	checkScheduleDigests(t, "policy/")
-}
-
-// TestSystemDifferentialMergeOverflow repeats the check with same-VPN
-// merging on and an even smaller buffer, the regime of the
-// overflow-merge fix.
-func TestSystemDifferentialMergeOverflow(t *testing.T) {
-	checkScheduleDigests(t, "merge/")
 }
 
 // TestSystemDifferentialFlatVsReferenceEngine runs the four paper
