@@ -95,11 +95,7 @@ func runCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, pay
 		}
 		return r, err
 	}
-	if c == nil {
-		res, err = runTraced()
-		return res, nil, false, err
-	}
-	key, err := ConfigHash(cfg)
+	key, err := cacheKey(c, cfg)
 	if err == ErrUncacheable {
 		res, err = runTraced()
 		return res, nil, false, err
@@ -107,9 +103,9 @@ func runCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, pay
 	if err != nil {
 		return Result{}, nil, false, err
 	}
-	lookupSpan := ref.Start("cache.lookup")
-	payload, hit, err = c.GetContext(ctx, key)
-	lookupSpan.End(obs.U64("hit", b2uCache(hit)))
+	payload, hit, err = lookup(ctx, key, func(key string) ([]byte, bool, error) {
+		return c.GetContext(ctx, key)
+	})
 	if err != nil || hit {
 		return Result{}, payload, hit, err
 	}
@@ -128,6 +124,41 @@ func runCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, pay
 		return res, payload, false, fmt.Errorf("gpuwalk: caching result: %w", perr)
 	}
 	return res, payload, false, nil
+}
+
+// LookupCachedJSON is RunCachedJSON's lookup alone, in c's local
+// store: it returns cfg's stored payload on a hit, and never simulates
+// or asks c's peer. A nil cache and a config that cannot be hashed
+// report a miss. A miss is not counted in c's Stats: a caller probes
+// with it before running the config, and the run's own lookup counts
+// the miss. gpuwalkd answers cache hits at admission with it. The
+// payload is shared and read-only, as RunCachedJSON's hits are.
+func LookupCachedJSON(ctx context.Context, c *ResultCache, cfg Config) (payload []byte, hit bool) {
+	key, err := cacheKey(c, cfg)
+	if err != nil {
+		return nil, false
+	}
+	payload, hit, _ = lookup(ctx, key, c.Probe)
+	return payload, hit
+}
+
+// cacheKey is the key step of every cache access: cfg's ConfigHash, or
+// ErrUncacheable when cfg bypasses the cache, because c is nil or cfg
+// cannot be hashed (custom schedulers).
+func cacheKey(c *ResultCache, cfg Config) (string, error) {
+	if c == nil {
+		return "", ErrUncacheable
+	}
+	return ConfigHash(cfg)
+}
+
+// lookup reads key through get under a cache.lookup span on ctx's
+// request trace.
+func lookup(ctx context.Context, key string, get func(key string) ([]byte, bool, error)) (payload []byte, hit bool, err error) {
+	span := obs.SpanRefFrom(ctx).Start("cache.lookup")
+	payload, hit, err = get(key)
+	span.End(obs.U64("hit", b2uCache(hit)))
+	return payload, hit, err
 }
 
 func b2uCache(b bool) uint64 {

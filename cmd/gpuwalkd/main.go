@@ -169,6 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := jobd.Options{
 		Runner:           newRunner(cache, *progCycles),
+		Lookup:           newLookup(cache),
 		Workers:          *workers,
 		QueueSize:        *queueSize,
 		RetainJobs:       *retainJobs,
@@ -292,10 +293,8 @@ func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 // hits skip simulation and so report no progress.
 func newRunner(cache *gpuwalk.ResultCache, progCycles uint64) jobd.Runner {
 	return func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool, error) {
-		cfg := gpuwalk.DefaultConfig()
-		dec := json.NewDecoder(bytes.NewReader(spec))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cfg); err != nil {
+		cfg, err := decodeSpec(spec)
+		if err != nil {
 			return nil, false, fmt.Errorf("bad spec: %w", err)
 		}
 		if sink := jobd.ProgressSink(ctx); sink != nil {
@@ -315,4 +314,29 @@ func newRunner(cache *gpuwalk.ResultCache, progCycles uint64) jobd.Runner {
 		}
 		return out, hit, nil
 	}
+}
+
+// newLookup is jobd's admission probe: it decodes a spec as the runner
+// does and looks its result up in the local store only
+// (gpuwalk.LookupCachedJSON). A spec that does not decode or hash is a
+// miss, so its job is admitted and the runner meets it as it would
+// without the probe: a spec that does not decode fails as a bad spec.
+func newLookup(cache *gpuwalk.ResultCache) func(context.Context, json.RawMessage) (json.RawMessage, bool) {
+	return func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool) {
+		cfg, err := decodeSpec(spec)
+		if err != nil {
+			return nil, false
+		}
+		return gpuwalk.LookupCachedJSON(ctx, cache, cfg)
+	}
+}
+
+// decodeSpec merges a job spec over DefaultConfig, rejecting unknown
+// fields.
+func decodeSpec(spec json.RawMessage) (gpuwalk.Config, error) {
+	cfg := gpuwalk.DefaultConfig()
+	dec := json.NewDecoder(bytes.NewReader(spec))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&cfg)
+	return cfg, err
 }

@@ -243,27 +243,20 @@ func TestEndToEnd(t *testing.T) {
 			firstDone.State, firstDone.CacheHits, firstDone.Error)
 	}
 
-	// An identical resubmission must be served entirely from the
-	// cache, with byte-identical results.
+	// An identical resubmission is served entirely from the cache at
+	// admission: its 202 body is already done, with byte-identical
+	// results.
 	second := submit()
-	var secondDone jobd.JobView
-	for poll := time.Now().Add(30 * time.Second); ; {
-		secondDone = fetch(second.ID)
-		if secondDone.State.Terminal() {
-			break
-		}
-		if time.Now().After(poll) {
-			t.Fatalf("second job stuck in %s", secondDone.State)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if second.State != jobd.StateDone || second.CacheHits != 2 {
+		t.Fatalf("second job's 202 = %s with %d cache hits (%s), want done with 2",
+			second.State, second.CacheHits, second.Error)
 	}
-	if secondDone.State != jobd.StateDone || secondDone.CacheHits != 2 {
-		t.Fatalf("second job = %s with %d cache hits (%s), want done with 2",
-			secondDone.State, secondDone.CacheHits, secondDone.Error)
+	if got := fetch(second.ID); got.State != jobd.StateDone || got.CacheHits != 2 {
+		t.Fatalf("second job read back %s with %d cache hits", got.State, got.CacheHits)
 	}
 	// A hit goes out as the object the cache stored, byte for byte, and
 	// so does the fresh result it was stored from.
-	for i, item := range secondDone.Items {
+	for i, item := range second.Items {
 		cfg := gpuwalk.DefaultConfig()
 		if err := json.Unmarshal(item.Spec, &cfg); err != nil {
 			t.Fatal(err)
@@ -306,6 +299,7 @@ func TestEndToEnd(t *testing.T) {
 		`jobd_item_cache_total{result="hit"}`:    2,
 		`jobd_item_cache_total{result="miss"}`:   2,
 		`gpuwalkd_cache_hits_total`:              2,
+		`gpuwalkd_cache_misses_total`:            2,
 		`gpuwalkd_cache_entries`:                 2,
 	} {
 		got, ok := prom.Sample(key)
@@ -421,10 +415,58 @@ func TestRunnerRejectsBadSpec(t *testing.T) {
 	}
 	defer cache.Close()
 	r := newRunner(cache, 500)
+	lookup := newLookup(cache)
 	for _, spec := range []string{`{"Workloud":"MVT"}`, `{"GPU":{"CUs":"two"}}`, `not json`} {
-		if _, _, err := r(context.Background(), json.RawMessage(spec)); err == nil {
-			t.Errorf("runner accepted bad spec %s", spec)
+		if _, ok := lookup(context.Background(), json.RawMessage(spec)); ok {
+			t.Errorf("admission probe hit on bad spec %s", spec)
 		}
+		if _, _, err := r(context.Background(), json.RawMessage(spec)); err == nil || !strings.HasPrefix(err.Error(), "bad spec") {
+			t.Errorf("runner on bad spec %s: err = %v, want bad spec", spec, err)
+		}
+	}
+}
+
+// TestAdmissionProbeCountsOnce: the admission probe and the runner
+// share the cache counters without counting a lookup twice. A
+// single-item job that misses counts one miss, the runner's, and its
+// resubmission, answered at admission, one hit.
+func TestAdmissionProbeCountsOnce(t *testing.T) {
+	cache, err := gpuwalk.OpenResultCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	srv, err := jobd.NewServer(jobd.Options{Runner: newRunner(cache, 0), Lookup: newLookup(cache)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec := tinySpec(t, gpuwalk.FCFS)
+
+	v, err := srv.Submit(jobd.SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !v.State.Terminal(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in %s", v.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		v, _ = srv.Job(v.ID)
+	}
+	if st := cache.Stats(); v.State != jobd.StateDone || st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("first job %s, cache %d hits %d misses; want done, 0 and 1", v.State, st.Hits, st.Misses)
+	}
+
+	again, err := srv.Submit(jobd.SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); again.State != jobd.StateDone || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("resubmission %s, cache %d hits %d misses; want done, 1 and 1", again.State, st.Hits, st.Misses)
+	}
+	if !bytes.Equal(again.Items[0].Result, v.Items[0].Result) {
+		t.Fatal("the hit served other bytes than the run stored")
 	}
 }
 

@@ -5,7 +5,9 @@
 // jobd knows nothing about simulations. Work arrives as opaque JSON
 // specs and is executed by an injected Runner; cmd/gpuwalkd wires the
 // runner to gpuwalk.RunCachedJSON so identical specs short-circuit into
-// the persistent result cache.
+// the persistent result cache, and the Lookup hook to
+// gpuwalk.LookupCachedJSON so a job whose every spec is cached is done
+// at admission.
 package jobd
 
 import (

@@ -346,6 +346,11 @@ func TestServerRecoversJournaledJobs(t *testing.T) {
 	if v := waitTerminal(t, s2, v.ID); v.State != StateDone {
 		t.Fatalf("new job ended %s (%s)", v.State, v.Error)
 	}
+	// The worker appends the terminal record after the job turns done;
+	// Drain waits for it.
+	if err := s2.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if got := re.Stats().Appends - appends; got != 2 {
 		t.Errorf("a job run to done journaled %d records, want 2", got)
 	}
@@ -394,6 +399,11 @@ func TestRecoveryThenEvict(t *testing.T) {
 	}
 	if _, ok := s.Job("j000001"); ok {
 		t.Error("oldest recovered job survived the retention bound")
+	}
+	// Terminal records are appended after the jobs turn done; Drain
+	// waits for them.
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if st := re.Stats(); st.Live != 0 {
 		t.Errorf("journal still has %d live jobs after all finished", st.Live)

@@ -84,6 +84,17 @@ type Options struct {
 	// buffer is allocated and every span call site short-circuits on a
 	// nil check). See docs/OBSERVABILITY.md §8.
 	SpanLimit int
+
+	// Lookup, when set, answers cache hits at admission. Submit probes
+	// each spec through it before taking the server lock and stops at
+	// the first miss (ok=false). A job whose every item hits is born
+	// done, each item carrying its looked-up result as a cache hit: it
+	// writes no journal record, takes no queue slot and wakes no
+	// worker. Any miss admits the job as usual, and the Runner sees
+	// every item. The context carries the submit span. Wire it to
+	// simcache's local store only, never a peer fetch: a probe must
+	// stay cheap enough for every submission to pay it.
+	Lookup func(ctx context.Context, spec json.RawMessage) (result json.RawMessage, ok bool)
 }
 
 // Errors surfaced by Submit, mapped to HTTP statuses by the handler.
@@ -244,7 +255,8 @@ type SubmitRequest struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
-// Submit validates and admits a job, returning its queued view.
+// Submit validates and admits a job, returning its view: queued, or
+// done when Options.Lookup answered every item at admission.
 func (s *Server) Submit(req SubmitRequest) (JobView, error) {
 	return s.submit(req, "", obs.SpanContext{})
 }
@@ -275,11 +287,13 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	}
 
 	// The submit span covers admission end to end — validation done,
-	// through queue-full checks and the journal fsync, to the accepted
-	// event. Its buffer becomes the job's; on rejection it is dropped.
+	// through the cache probe, queue-full checks and the journal fsync,
+	// to the accepted event. Its buffer becomes the job's; on rejection
+	// it is dropped.
 	buf := s.newTraceBuf(remote)
 	submitSpan := buf.StartSpan(spanSubmit, remote.Span,
 		obs.Str("request_id", reqID), obs.U64("items", uint64(len(specs))))
+	hits := s.lookupAll(buf, submitSpan.ID(), specs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,7 +303,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		submitSpan.End(obs.Str("error", "draining"))
 		return JobView{}, ErrDraining
 	}
-	if s.queue.Full() {
+	if hits == nil && s.queue.Full() {
 		s.metrics.rejected.With("queue_full").Inc()
 		s.log.Warn("job rejected", "request_id", reqID, "reason", "queue_full")
 		submitSpan.End(obs.Str("error", "queue_full"))
@@ -310,6 +324,11 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	for i, sp := range specs {
 		j.items[i].Spec = sp
 	}
+	if hits != nil {
+		s.admitDoneLocked(j, reqID, hits)
+		submitSpan.End(obs.Str("job_id", j.id))
+		return j.view(s.opts.NodeName), nil
+	}
 	if jl := s.opts.Journal; jl != nil {
 		// Durability before acknowledgement: the fsynced accepted record
 		// is what makes the 202 a promise. If the journal cannot take
@@ -325,21 +344,65 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 			return JobView{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.acceptLocked(j, reqID)
 	s.evictLocked()
 	s.queue.push(j)
 	j.queueSpan = buf.StartSpan(spanQueueWait, j.root,
 		obs.Str("priority", strconv.Itoa(j.priority)),
 		obs.U64("queue_depth", uint64(s.queue.Len())))
-	j.appendEvent(EventQueued, map[string]any{"items": len(specs)})
-	s.metrics.submitted.Inc()
 	s.metrics.noteQueueDepth(s.queue.Len())
-	s.log.Info("job accepted", "request_id", reqID, "job_id", j.id, "trace_id", j.traceID(),
-		"items", len(specs), "priority", j.priority, "timeout", timeout.String())
 	s.cond.Signal()
 	submitSpan.End(obs.Str("job_id", j.id))
 	return j.view(s.opts.NodeName), nil
+}
+
+// lookupAll probes specs in order through Options.Lookup, under the
+// submit span root, and returns their results if every one hits. It
+// returns nil at the first miss, and when no hook is set.
+func (s *Server) lookupAll(buf *obs.SpanBuf, root obs.SpanID, specs []json.RawMessage) []json.RawMessage {
+	if s.opts.Lookup == nil {
+		return nil
+	}
+	ctx := obs.ContextWithSpanRef(s.baseCtx, obs.SpanRef{Buf: buf, Span: root})
+	results := make([]json.RawMessage, len(specs))
+	for i, spec := range specs {
+		r, ok := s.opts.Lookup(ctx, spec)
+		if !ok {
+			return nil
+		}
+		results[i] = r
+	}
+	return results
+}
+
+// acceptLocked publishes an admitted job: it enters the job table with
+// its queued event, counts as submitted and logs its acceptance.
+// Caller holds the lock.
+func (s *Server) acceptLocked(j *job, reqID string) {
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	j.appendEvent(EventQueued, map[string]any{"items": len(j.items)})
+	s.metrics.submitted.Inc()
+	s.log.Info("job accepted", "request_id", reqID, "job_id", j.id, "trace_id", j.traceID(),
+		"items", len(j.items), "priority", j.priority, "timeout", j.timeout.String())
+}
+
+// admitDoneLocked admits j, whose every item hit at the probe, as a job
+// born done: the started event, one item_done per item and the done
+// transition follow its acceptance at once, through the helpers the
+// worker uses, so the job reads exactly as a worker-run hit does.
+// created, started and finished are all its admission time. Such a job
+// needs no journal record: like any finished job it is not recovered
+// after a restart, and its results are in the cache. Caller holds the
+// lock.
+func (s *Server) admitDoneLocked(j *job, reqID string, results []json.RawMessage) {
+	s.acceptLocked(j, reqID)
+	j.started = j.created
+	j.appendEvent(EventStarted, nil)
+	for i, r := range results {
+		s.finishItemLocked(j, i, r, true, nil)
+	}
+	s.finishLocked(j, j.created, nil)
 }
 
 // Job returns a snapshot of one job.
@@ -463,73 +526,87 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 			s.mu.Unlock()
 			break
 		}
-		it := &j.items[i]
-		it.Done = true
-		if err != nil {
-			it.Error = err.Error()
-			s.metrics.items.With("error").Inc()
-		} else {
-			it.Result = result
-			it.CacheHit = hit
-			s.metrics.items.With("ok").Inc()
-			if hit {
-				s.metrics.itemCache.With("hit").Inc()
-			} else {
-				s.metrics.itemCache.With("miss").Inc()
-			}
-		}
-		j.appendEvent(EventItemDone, map[string]any{
-			"index":     i,
-			"cache_hit": hit,
-			"error":     it.Error,
-		})
+		s.finishItemLocked(j, i, result, hit, err)
 		s.mu.Unlock()
-		s.log.Info("item done", "job_id", j.id, "item", i, "cache_hit", hit, "error", errText(err))
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	// LIFO defers: eviction runs before the unlock, after the terminal
-	// state below is set, so every terminal transition enforces the
-	// RetainJobs bound.
-	defer s.evictLocked()
-	j.finished = time.Now()
-	dur := j.finished.Sub(j.started)
-	if err := ctx.Err(); err != nil {
-		j.state = StateCancelled
-		j.err = fmt.Sprintf("job cancelled: %v", err)
-		j.endRunSpanLocked("cancelled")
-		j.appendEvent(EventCancelled, map[string]any{"reason": err.Error()})
-		s.journalTerminalLocked(j)
-		s.metrics.finishJob(StateCancelled, dur)
-		s.log.Warn("job cancelled", "job_id", j.id, "trace_id", j.traceID(),
-			"reason", err.Error(), "duration_ms", dur.Milliseconds())
-		return
+	s.finishLocked(j, time.Now(), ctx.Err())
+	s.mu.Unlock()
+	// The terminal record is fsynced outside the lock, so job views,
+	// submissions and SSE reads never wait behind it. Only the job's
+	// worker writes it, and a record lost to a crash here is safe (see
+	// journalTerminal).
+	s.journalTerminal(j)
+}
+
+// finishItemLocked records the outcome of item i of j: the item's
+// view, the item metrics, its item_done event and its log record.
+// Caller holds the lock.
+func (s *Server) finishItemLocked(j *job, i int, result json.RawMessage, hit bool, err error) {
+	it := &j.items[i]
+	it.Done = true
+	if err != nil {
+		it.Error = err.Error()
+		s.metrics.items.With("error").Inc()
+	} else {
+		it.Result = result
+		it.CacheHit = hit
+		s.metrics.items.With("ok").Inc()
+		if hit {
+			s.metrics.itemCache.With("hit").Inc()
+		} else {
+			s.metrics.itemCache.With("miss").Inc()
+		}
 	}
+	j.appendEvent(EventItemDone, map[string]any{
+		"index":     i,
+		"cache_hit": hit,
+		"error":     it.Error,
+	})
+	s.log.Info("item done", "job_id", j.id, "item", i, "cache_hit", hit, "error", errText(err))
+}
+
+// finishLocked is the terminal transition of a started job: cancelled
+// if cause (the job context's error) is set, else failed if any item
+// failed, else done. It stamps finished, ends the run span, appends
+// the terminal event, counts and logs the outcome, and enforces the
+// RetainJobs bound. The worker and a job born done at admission both
+// end here; the worker journals the terminal record after releasing
+// the lock, and a job born done has none. Caller holds the lock.
+func (s *Server) finishLocked(j *job, finished time.Time, cause error) {
+	j.finished = finished
+	dur := finished.Sub(j.started)
 	failed := 0
 	for i := range j.items {
 		if j.items[i].Error != "" {
 			failed++
 		}
 	}
-	if failed > 0 {
+	switch {
+	case cause != nil:
+		j.state = StateCancelled
+		j.err = fmt.Sprintf("job cancelled: %v", cause)
+		j.endRunSpanLocked("cancelled")
+		j.appendEvent(EventCancelled, map[string]any{"reason": cause.Error()})
+		s.log.Warn("job cancelled", "job_id", j.id, "trace_id", j.traceID(),
+			"reason", cause.Error(), "duration_ms", dur.Milliseconds())
+	case failed > 0:
 		j.state = StateFailed
 		j.err = fmt.Sprintf("%d of %d items failed", failed, len(j.items))
 		j.endRunSpanLocked("failed")
 		j.appendEvent(EventFailed, map[string]any{"failed": failed})
-		s.journalTerminalLocked(j)
-		s.metrics.finishJob(StateFailed, dur)
 		s.log.Warn("job failed", "job_id", j.id, "trace_id", j.traceID(),
 			"failed_items", failed, "duration_ms", dur.Milliseconds())
-		return
+	default:
+		j.state = StateDone
+		j.endRunSpanLocked("done")
+		j.appendEvent(EventDone, nil)
+		s.log.Info("job done", "job_id", j.id, "trace_id", j.traceID(),
+			"items", len(j.items), "duration_ms", dur.Milliseconds())
 	}
-	j.state = StateDone
-	j.endRunSpanLocked("done")
-	j.appendEvent(EventDone, nil)
-	s.journalTerminalLocked(j)
-	s.metrics.finishJob(StateDone, dur)
-	s.log.Info("job done", "job_id", j.id, "trace_id", j.traceID(),
-		"items", len(j.items), "duration_ms", dur.Milliseconds())
+	s.metrics.finishJob(j.state, dur)
+	s.evictLocked()
 }
 
 // endRunSpanLocked closes the job.run span with its outcome. Caller
@@ -550,9 +627,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// cancelPendingLocked moves a queued job to cancelled, with the event,
-// journal record and metrics every terminal transition gets. Caller
-// holds the lock.
+// cancelPendingLocked moves a queued job to cancelled, with the event
+// and metrics every terminal transition gets; the caller journals its
+// terminal record after releasing the lock. Caller holds the lock.
 func (s *Server) cancelPendingLocked(j *job, reason string) {
 	j.state = StateCancelled
 	j.err = "job cancelled: " + reason
@@ -562,16 +639,17 @@ func (s *Server) cancelPendingLocked(j *job, reason string) {
 		j.queueSpan = nil
 	}
 	j.appendEvent(EventCancelled, map[string]any{"reason": reason})
-	s.journalTerminalLocked(j)
 	s.metrics.finishJob(StateCancelled, 0)
 	s.log.Warn("job cancelled", "job_id", j.id, "reason", reason)
 }
 
-// journalTerminalLocked records a terminal transition in the journal,
-// if one is configured. Losing a terminal record is safe — the job
-// would be re-run on recovery and resolve from the result cache — so
-// failures are logged, not propagated. Caller holds the lock.
-func (s *Server) journalTerminalLocked(j *job) {
+// journalTerminal records a terminal job in the journal, if one is
+// configured. Losing a terminal record is safe — the job would be
+// re-run on recovery and resolve from the result cache — so failures
+// are logged, not propagated. A terminal job's fields never change
+// again, so the caller need not hold the lock, and should not: the
+// append is an fsync.
+func (s *Server) journalTerminal(j *job) {
 	jl := s.opts.Journal
 	if jl == nil {
 		return
@@ -635,6 +713,7 @@ func errText(err error) string {
 // completion. If ctx expires first, in-flight jobs are aborted via
 // their contexts and Drain returns ctx's error once the pool exits.
 func (s *Server) Drain(ctx context.Context) error {
+	var cancelled []*job
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
@@ -645,11 +724,15 @@ func (s *Server) Drain(ctx context.Context) error {
 				break
 			}
 			s.cancelPendingLocked(j, "server draining")
+			cancelled = append(cancelled, j)
 		}
 		s.metrics.queued.Set(0)
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
+	for _, j := range cancelled {
+		s.journalTerminal(j)
+	}
 
 	done := make(chan struct{})
 	go func() {

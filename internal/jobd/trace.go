@@ -2,10 +2,10 @@ package jobd
 
 // Request tracing for the job service: every job carries a bounded
 // obs.SpanBuf recording the wall-clock stages it passes through —
-// submit (HTTP handling + journal fsync), queue wait, the run,
-// per-item execution (with cache/sim child spans hung off the context
-// by the runner) — all under one W3C trace ID continued from the
-// caller's traceparent header. The completed timeline is served by
+// submit (HTTP handling, the cache probe, the journal fsync), queue
+// wait, the run, per-item execution (with cache/sim child spans hung
+// off the context by the runner) — all under one W3C trace ID
+// continued from the caller's traceparent header. The completed timeline is served by
 // GET /v1/jobs/{id}/trace as Chrome trace_event JSON (or raw spans
 // with ?format=spans, which the cluster gateway merges with its own
 // routing spans).

@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -251,6 +252,99 @@ func TestAddressSpaceEnsure(t *testing.T) {
 	}
 	if pa&(PageSize-1) != 0x1234567&(PageSize-1) {
 		t.Error("page offset not preserved")
+	}
+}
+
+// ensureTwoWalks is the Ensure that the one-descent Ensure replaced:
+// Translate to learn the page is unmapped, then a data frame, then Map,
+// which walks the same levels again.
+func ensureTwoWalks(as *AddressSpace, vaddr uint64) (uint64, error) {
+	vpn := vaddr >> PageBits
+	if _, ok := as.PT.Translate(vpn); ok {
+		return vpn, nil
+	}
+	pfn, ok := as.alloc.Alloc()
+	if !ok {
+		return 0, fmt.Errorf("mmu: out of physical memory mapping vaddr %#x", vaddr)
+	}
+	return vpn, as.PT.Map(vpn, pfn)
+}
+
+// TestEnsureMatchesTwoWalks: Ensure takes the same frames in the same
+// order, builds the same tables and counts the same mappings as a
+// Translate followed by a Map. The addresses cluster (shared tables),
+// scatter (new tables at every level) and repeat; the table also holds
+// a 2 MB page and a paged-out leaf. The small memory runs out midway,
+// so the two must also fail alike.
+func TestEnsureMatchesTwoWalks(t *testing.T) {
+	type side struct {
+		as    *AddressSpace
+		alloc *Allocator
+	}
+	build := func() side {
+		pm := NewPhysMem(1 << 22) // 1,024 frames
+		alloc := NewAllocator(pm, 7)
+		as := NewAddressSpace(pm, alloc)
+		base, _ := alloc.AllocRun(FramesPerLarge)
+		if err := as.PT.MapLarge(0x5, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.PT.Map(0x7777, 3); err != nil {
+			t.Fatal(err)
+		}
+		as.PT.SetPresent(0x7777, false)
+		return side{as, alloc}
+	}
+	got, want := build(), build()
+	rng := xrand.New(3)
+	var seen []uint64
+	failed := 0
+	for i := 0; i < 2000; i++ {
+		var vaddr uint64
+		switch i % 4 {
+		case 0:
+			vaddr = rng.Uint64n(1 << 47) // anywhere
+		case 1:
+			vaddr = 0x40000000 + rng.Uint64n(1<<24) // one 16 MB region
+		case 2:
+			vaddr = 0x5<<LargePageBits + rng.Uint64n(1<<LargePageBits) // the 2 MB page
+		default:
+			if len(seen) > 0 {
+				vaddr = seen[rng.Uint64n(uint64(len(seen)))] // a repeat
+			} else {
+				vaddr = 0x7777 << PageBits // the paged-out leaf
+			}
+		}
+		if i == 3 {
+			vaddr = 0x7777 << PageBits
+		}
+		gv, gerr := got.as.Ensure(vaddr)
+		wv, werr := ensureTwoWalks(want.as, vaddr)
+		if gv != wv || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("Ensure(%#x) = %#x, %v; two walks give %#x, %v", vaddr, gv, gerr, wv, werr)
+		}
+		if gerr != nil {
+			failed++
+		} else {
+			seen = append(seen, vaddr)
+		}
+		if got.alloc.Allocated() != want.alloc.Allocated() || got.as.PT.Mappings() != want.as.PT.Mappings() {
+			t.Fatalf("after Ensure(%#x): %d frames and %d mappings, two walks %d and %d", vaddr,
+				got.alloc.Allocated(), got.as.PT.Mappings(), want.alloc.Allocated(), want.as.PT.Mappings())
+		}
+	}
+	if failed == 0 || len(seen) == 0 {
+		t.Fatalf("%d failed and %d mapped Ensures: the memory must run out midway", failed, len(seen))
+	}
+	for _, vaddr := range seen {
+		vpn := vaddr >> PageBits
+		gp, gf := got.as.PT.WalkPathFault(vpn)
+		wp, wf := want.as.PT.WalkPathFault(vpn)
+		gpa, _ := got.as.TranslateAddr(vaddr)
+		wpa, _ := want.as.TranslateAddr(vaddr)
+		if fmt.Sprint(gp, gf) != fmt.Sprint(wp, wf) || gpa != wpa {
+			t.Fatalf("vaddr %#x: walk %v (fault %v) to %#x, two walks %v (fault %v) to %#x", vaddr, gp, gf, gpa, wp, wf, wpa)
+		}
 	}
 }
 

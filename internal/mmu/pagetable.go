@@ -228,19 +228,48 @@ func NewAddressSpace(mem *PhysMem, alloc *Allocator) *AddressSpace {
 
 // Ensure maps the page containing vaddr if it is not already mapped and
 // returns its vpn (at the address space's page granularity).
+//
+// A 4 KB page is found or mapped in one descent of the table: the walk
+// stops at the first entry that is not present, or at a 2 MB leaf
+// covering the page. A new mapping then takes its frames in the order
+// Translate followed by Map would: the data frame first, then each
+// missing table from the top level down.
 func (as *AddressSpace) Ensure(vaddr uint64) (uint64, error) {
 	if as.PageBits >= LargePageBits {
 		return as.ensureLarge(vaddr)
 	}
 	vpn := vaddr >> PageBits
-	if _, ok := as.PT.Translate(vpn); ok {
+	pt := as.PT
+	tbl := pt.root
+	level := 0
+	for ; level < Levels; level++ {
+		pte := pt.mem.ReadWord(tbl + levelIndex(vpn, level)*PTESize)
+		if pte&FlagPresent == 0 {
+			break
+		}
+		if level == Levels-2 && pte&FlagPS != 0 {
+			return vpn, nil // inside a 2 MB page
+		}
+		tbl = pte &^ (PageSize - 1)
+	}
+	if level == Levels {
 		return vpn, nil
 	}
 	pfn, ok := as.alloc.Alloc()
 	if !ok {
 		return 0, fmt.Errorf("mmu: out of physical memory mapping vaddr %#x", vaddr)
 	}
-	return vpn, as.PT.Map(vpn, pfn)
+	for ; level < Levels-1; level++ {
+		newPFN, ok := as.alloc.Alloc()
+		if !ok {
+			return vpn, fmt.Errorf("mmu: out of physical memory at level %d for vpn %#x", level, vpn)
+		}
+		pt.mem.WriteWord(tbl+levelIndex(vpn, level)*PTESize, newPFN<<PageBits|FlagPresent|FlagWritable|FlagUser)
+		tbl = newPFN << PageBits
+	}
+	pt.mem.WriteWord(tbl+levelIndex(vpn, Levels-1)*PTESize, pfn<<PageBits|FlagPresent|FlagWritable|FlagUser)
+	pt.maps++
+	return vpn, nil
 }
 
 func (as *AddressSpace) ensureLarge(vaddr uint64) (uint64, error) {

@@ -318,29 +318,48 @@ func (c *Cache) GetContext(ctx context.Context, key string) (payload []byte, ok 
 func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	b, ok := c.readLocked(key)
+	if !ok {
+		c.stats.Misses++
+	}
+	return b, ok, nil
+}
+
+// Probe is GetLocal for a caller that looks key up again on a miss: a
+// hit counts as GetLocal's does, but a miss is left for that later
+// lookup to count, so one missed key counts one miss. gpuwalkd's
+// admission probe uses it ahead of the job's own lookup.
+func (c *Cache) Probe(key string) (payload []byte, ok bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b, ok := c.readLocked(key)
+	return b, ok, nil
+}
+
+// readLocked reads key's object and checks its digest; on a hit it
+// makes the entry the most recently used and counts the hit. The caller
+// holds c.mu, and counts a miss if it counts one.
+func (c *Cache) readLocked(key string) ([]byte, bool) {
 	e, found := c.entries[key]
 	if !found {
-		c.stats.Misses++
-		return nil, false, nil
+		return nil, false
 	}
 	b, err := os.ReadFile(c.objectPath(e.key, e.digest))
 	if err != nil {
 		// Object vanished out from under the index (partial cleanup,
 		// concurrent eviction by another process): treat as a miss.
 		c.dropLocked(e)
-		c.stats.Misses++
-		return nil, false, nil
+		return nil, false
 	}
 	if PayloadDigest(b) != e.digest {
 		c.dropLocked(e)
 		c.stats.Corrupt++
-		c.stats.Misses++
-		return nil, false, nil
+		return nil, false
 	}
 	e.unlink()
 	c.pushBack(e)
 	c.stats.Hits++
-	return e.share(b), true, nil
+	return e.share(b), true
 }
 
 // Put stores payload under key with one atomic write of its object,

@@ -123,17 +123,6 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 	return 0, false
 }
 
-// Probe reports whether vpn is resident without updating LRU or stats.
-func (t *TLB) Probe(vpn uint64) bool {
-	s := &t.sets[vpn&t.setMask]
-	for i := range s.entries {
-		if s.entries[i].valid && s.entries[i].vpn == vpn {
-			return true
-		}
-	}
-	return false
-}
-
 // Insert installs vpn→pfn, evicting the set's least-recently-used
 // entry if the set is full. Inserting an already-present vpn refreshes
 // its pfn and its recency.
@@ -166,38 +155,4 @@ func (t *TLB) Insert(vpn, pfn uint64) {
 	}
 	s.entries[victim] = entry{vpn: vpn, pfn: pfn, valid: true, used: t.clock}
 	t.stats.Fills++
-}
-
-// Invalidate removes vpn if present, reporting whether it was resident.
-func (t *TLB) Invalidate(vpn uint64) bool {
-	s := &t.sets[vpn&t.setMask]
-	for i := range s.entries {
-		if s.entries[i].valid && s.entries[i].vpn == vpn {
-			s.entries[i] = entry{}
-			return true
-		}
-	}
-	return false
-}
-
-// Flush empties the TLB.
-func (t *TLB) Flush() {
-	for i := range t.sets {
-		for j := range t.sets[i].entries {
-			t.sets[i].entries[j] = entry{}
-		}
-	}
-}
-
-// Occupancy returns the number of valid entries.
-func (t *TLB) Occupancy() int {
-	n := 0
-	for i := range t.sets {
-		for j := range t.sets[i].entries {
-			if t.sets[i].entries[j].valid {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -93,12 +93,20 @@ func TestRunCachedJSONByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The lookup alone misses without counting the miss: the run's own
+	// lookup counts it.
+	if _, hit := gpuwalk.LookupCachedJSON(ctx, cache, cfg); hit || cache.Stats().Misses != 0 {
+		t.Fatalf("lookup before any run: hit=%v, %d misses counted", hit, cache.Stats().Misses)
+	}
 	miss, hit, err := gpuwalk.RunCachedJSON(ctx, cache, cfg)
 	if err != nil || hit {
 		t.Fatalf("first run: hit=%v err=%v", hit, err)
 	}
 	if !bytes.Equal(miss, want) {
 		t.Fatal("miss payload differs from json.Marshal of a fresh Run")
+	}
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Fatalf("a probed miss then run counted %d misses, want 1", st.Misses)
 	}
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
@@ -123,6 +131,10 @@ func TestRunCachedJSONByteIdentity(t *testing.T) {
 	if &second[0] != &first[0] {
 		t.Fatal("two hits on one key returned separate copies")
 	}
+	probed, hit := gpuwalk.LookupCachedJSON(ctx, cache, cfg)
+	if !hit || &probed[0] != &first[0] {
+		t.Fatalf("lookup after the hits: hit=%v, shared=%v", hit, hit && &probed[0] == &first[0])
+	}
 	runtime.KeepAlive(first)
 
 	res, hit, err := gpuwalk.RunCached(ctx, cache, cfg)
@@ -136,6 +148,9 @@ func TestRunCachedJSONByteIdentity(t *testing.T) {
 	uncached, hit, err := gpuwalk.RunCachedJSON(ctx, nil, cfg)
 	if err != nil || hit || !bytes.Equal(uncached, want) {
 		t.Fatalf("nil-cache payload: hit=%v err=%v equal=%v", hit, err, bytes.Equal(uncached, want))
+	}
+	if _, hit := gpuwalk.LookupCachedJSON(ctx, nil, cfg); hit {
+		t.Fatal("lookup in a nil cache hit")
 	}
 }
 
@@ -220,6 +235,21 @@ func TestRunCachedTracedByteIdentity(t *testing.T) {
 	}
 	if enc(hitRes) != enc(plain) {
 		t.Fatal("traced hit-path result differs")
+	}
+
+	// So is the lookup alone: one more cache.lookup span under root.
+	lookups := func() int {
+		n := 0
+		for _, s := range buf.Spans() {
+			if s.Name == "cache.lookup" && s.Parent == root.ID() {
+				n++
+			}
+		}
+		return n
+	}
+	before := lookups()
+	if _, hit := gpuwalk.LookupCachedJSON(ctx, cache, cfg); !hit || lookups() != before+1 {
+		t.Fatalf("traced lookup: hit=%v, cache.lookup spans %d → %d", hit, before, lookups())
 	}
 }
 
