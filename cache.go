@@ -126,23 +126,23 @@ func runCached(ctx context.Context, c *ResultCache, cfg Config) (res Result, pay
 	return res, payload, false, nil
 }
 
-// LookupCachedJSON is RunCachedJSON's lookup alone, in c's local
-// store: it returns cfg's stored payload on a hit, and never simulates
-// or asks c's peer. A nil cache and a config that cannot be hashed
-// report a miss. A miss is not counted in c's Stats: a caller probes
-// with it before running the config, and the run's own lookup counts
-// the miss. gpuwalkd answers cache hits at admission with it. The
-// payload is shared and read-only, as RunCachedJSON's hits are.
-func LookupCachedJSON(ctx context.Context, c *ResultCache, cfg Config) (payload []byte, hit bool) {
-	key, err := cacheKey(c, cfg)
-	if err != nil {
+// LookupCachedJSON is RunCachedJSON's lookup alone, by key, in c's
+// local store: it returns the payload stored under key, a config's
+// ConfigHash, on a hit, and never simulates or asks c's peer. A nil
+// cache reports a miss. A miss is not counted in c's Stats: a caller
+// probes with it before running the config, and the run's own lookup
+// counts the miss. gpuwalkd answers cache hits at admission with it,
+// keying each spec once per process. The payload is shared and
+// read-only, as RunCachedJSON's hits are.
+func LookupCachedJSON(ctx context.Context, c *ResultCache, key string) (payload []byte, hit bool) {
+	if c == nil {
 		return nil, false
 	}
 	payload, hit, _ = lookup(ctx, key, c.Probe)
 	return payload, hit
 }
 
-// cacheKey is the key step of every cache access: cfg's ConfigHash, or
+// cacheKey is runCached's key step: cfg's ConfigHash, or
 // ErrUncacheable when cfg bypasses the cache, because c is nil or cfg
 // cannot be hashed (custom schedulers).
 func cacheKey(c *ResultCache, cfg Config) (string, error) {

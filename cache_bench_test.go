@@ -48,8 +48,8 @@ func BenchmarkRunCachedWarm(b *testing.B) {
 }
 
 // BenchmarkConfigHash measures the content address of one config, which
-// the gateway computes to route a submission and the backend again to
-// look up its result.
+// the gateway computes to route a spec and the backend again to look up
+// its result, each once per distinct spec it sees.
 func BenchmarkConfigHash(b *testing.B) {
 	cfg := benchBaseConfig("MVT", gpuwalk.FCFS)
 	b.ReportAllocs()

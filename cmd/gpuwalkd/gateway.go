@@ -5,9 +5,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,7 +58,7 @@ func runGateway(cfg gatewayConfig, stdout, stderr io.Writer) int {
 	}
 	gw, err := cluster.NewGateway(cluster.GatewayOptions{
 		Membership: member,
-		KeyFunc:    specKey,
+		KeyFunc:    newSpecKeys().key,
 		Logger:     logger,
 		SpanLimit:  cfg.traceSpans,
 	})
@@ -110,22 +108,4 @@ func runGateway(cfg gatewayConfig, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "gpuwalkd: gateway exiting")
 	return code
-}
-
-// specKey maps a raw job spec to its routing key: the ConfigHash of
-// the spec merged over DefaultConfig — exactly the key the backend's
-// result cache will store the result under, so routing and cache
-// ownership agree by construction. Specs that fail to decode or hash
-// (uncacheable custom schedulers can't arrive as JSON, but bad specs
-// can) return an error and the gateway routes by raw-byte digest
-// instead — deterministically, to the node that will produce the
-// authoritative 400.
-func specKey(spec json.RawMessage) (string, error) {
-	cfg := gpuwalk.DefaultConfig()
-	dec := json.NewDecoder(bytes.NewReader(spec))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		return "", fmt.Errorf("bad spec: %w", err)
-	}
-	return gpuwalk.ConfigHash(cfg)
 }

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -169,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := jobd.Options{
 		Runner:           newRunner(cache, *progCycles),
-		Lookup:           newLookup(cache),
+		Lookup:           newLookup(cache, newSpecKeys()),
 		Workers:          *workers,
 		QueueSize:        *queueSize,
 		RetainJobs:       *retainJobs,
@@ -316,27 +315,17 @@ func newRunner(cache *gpuwalk.ResultCache, progCycles uint64) jobd.Runner {
 	}
 }
 
-// newLookup is jobd's admission probe: it decodes a spec as the runner
-// does and looks its result up in the local store only
+// newLookup is jobd's admission probe: it keys a spec through the
+// process's memo and looks the key up in the local store only
 // (gpuwalk.LookupCachedJSON). A spec that does not decode or hash is a
 // miss, so its job is admitted and the runner meets it as it would
 // without the probe: a spec that does not decode fails as a bad spec.
-func newLookup(cache *gpuwalk.ResultCache) func(context.Context, json.RawMessage) (json.RawMessage, bool) {
+func newLookup(cache *gpuwalk.ResultCache, keys *specKeys) func(context.Context, json.RawMessage) (json.RawMessage, bool) {
 	return func(ctx context.Context, spec json.RawMessage) (json.RawMessage, bool) {
-		cfg, err := decodeSpec(spec)
+		key, err := keys.key(spec)
 		if err != nil {
 			return nil, false
 		}
-		return gpuwalk.LookupCachedJSON(ctx, cache, cfg)
+		return gpuwalk.LookupCachedJSON(ctx, cache, key)
 	}
-}
-
-// decodeSpec merges a job spec over DefaultConfig, rejecting unknown
-// fields.
-func decodeSpec(spec json.RawMessage) (gpuwalk.Config, error) {
-	cfg := gpuwalk.DefaultConfig()
-	dec := json.NewDecoder(bytes.NewReader(spec))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&cfg)
-	return cfg, err
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -156,6 +157,9 @@ func TestEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			msg, _ := io.ReadAll(resp.Body)
 			t.Fatalf("submit status = %d: %s", resp.StatusCode, msg)
+		}
+		if resp.ContentLength <= 0 {
+			t.Fatalf("the 202 went out without a Content-Length (%d)", resp.ContentLength)
 		}
 		var v jobd.JobView
 		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
@@ -415,7 +419,7 @@ func TestRunnerRejectsBadSpec(t *testing.T) {
 	}
 	defer cache.Close()
 	r := newRunner(cache, 500)
-	lookup := newLookup(cache)
+	lookup := newLookup(cache, newSpecKeys())
 	for _, spec := range []string{`{"Workloud":"MVT"}`, `{"GPU":{"CUs":"two"}}`, `not json`} {
 		if _, ok := lookup(context.Background(), json.RawMessage(spec)); ok {
 			t.Errorf("admission probe hit on bad spec %s", spec)
@@ -436,7 +440,7 @@ func TestAdmissionProbeCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cache.Close()
-	srv, err := jobd.NewServer(jobd.Options{Runner: newRunner(cache, 0), Lookup: newLookup(cache)})
+	srv, err := jobd.NewServer(jobd.Options{Runner: newRunner(cache, 0), Lookup: newLookup(cache, newSpecKeys())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,6 +471,71 @@ func TestAdmissionProbeCountsOnce(t *testing.T) {
 	}
 	if !bytes.Equal(again.Items[0].Result, v.Items[0].Result) {
 		t.Fatal("the hit served other bytes than the run stored")
+	}
+}
+
+// TestSweepReadsCachedPrefixOnce: a sweep whose leading item is cached
+// and whose next is not is admitted with the probed result, and the
+// worker finishes that item from it: one read and one hit for the
+// cached item, one miss for the new one, and the usual events.
+func TestSweepReadsCachedPrefixOnce(t *testing.T) {
+	cache, err := gpuwalk.OpenResultCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	srv, err := jobd.NewServer(jobd.Options{Runner: newRunner(cache, 0), Lookup: newLookup(cache, newSpecKeys())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wait := func(v jobd.JobView) jobd.JobView {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !v.State.Terminal(); {
+			if time.Now().After(deadline) {
+				t.Fatalf("job stuck in %s", v.State)
+			}
+			time.Sleep(5 * time.Millisecond)
+			v, _ = srv.Job(v.ID)
+		}
+		return v
+	}
+	stored, fresh := tinySpec(t, gpuwalk.FCFS), tinySpec(t, gpuwalk.SIMTAware)
+	first, err := srv.Submit(jobd.SubmitRequest{Spec: stored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first = wait(first)
+
+	before := cache.Stats()
+	v, err := srv.Submit(jobd.SubmitRequest{Specs: []json.RawMessage{stored, fresh}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = wait(v)
+	st := cache.Stats()
+	if v.State != jobd.StateDone || v.CacheHits != 1 || st.Hits-before.Hits != 1 || st.Misses-before.Misses != 1 {
+		t.Fatalf("sweep %s with %d cache hits, cache hits +%d misses +%d; want done, 1, +1, +1",
+			v.State, v.CacheHits, st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+	if !bytes.Equal(v.Items[0].Result, first.Items[0].Result) {
+		t.Fatal("the probed item served other bytes than the run stored")
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var events []string
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		if typ, ok := strings.CutPrefix(sc.Text(), "event: "); ok && typ != jobd.EventProgress {
+			events = append(events, typ)
+		}
+	}
+	if got := strings.Join(events, ","); got != "queued,started,item_done,item_done,done" {
+		t.Fatalf("events %s", got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -209,18 +210,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	proxySpan.End(obs.U64("code", uint64(resp.StatusCode)))
 	var jobID string
 	if resp.StatusCode == http.StatusAccepted {
-		var v struct {
-			ID string `json:"id"`
-		}
-		if json.Unmarshal(rbody, &v) == nil {
-			jobID = v.ID
-			if buf != nil {
-				g.traces.bindJob(v.ID, buf.Trace())
-			}
+		var ok bool
+		if jobID, ok = acceptedJobID(rbody); ok && buf != nil {
+			g.traces.bindJob(jobID, buf.Trace())
 		}
 		g.metrics.routedJobs.With(NodeName(owner)).Inc()
 		logArgs := []any{"request_id", reqID,
-			"node", NodeName(owner), "job_id", v.ID, "key", shortKey(key)}
+			"node", NodeName(owner), "job_id", jobID, "key", shortKey(key)}
 		if buf != nil {
 			logArgs = append(logArgs, "trace_id", buf.Trace().String())
 		}
@@ -228,6 +224,27 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	gwSpan.End(obs.Str("job_id", jobID), obs.U64("code", uint64(resp.StatusCode)))
 	g.relay(w, owner, resp, rbody)
+}
+
+// acceptedJobID returns the job ID of a backend's 202 body. jobd writes
+// the "id" member first, so a json.Decoder reads it from the body's
+// first bytes and leaves the rest, a finished job's results included,
+// unscanned. A body shaped otherwise is decoded whole. ok is false when
+// neither finds the ID.
+func acceptedJobID(body []byte) (id string, ok bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if t, err := dec.Token(); err == nil && t == json.Delim('{') {
+		if t, err := dec.Token(); err == nil && t == "id" && dec.Decode(&id) == nil {
+			return id, true
+		}
+	}
+	var v struct {
+		ID string `json:"id"`
+	}
+	if json.Unmarshal(body, &v) != nil {
+		return "", false
+	}
+	return v.ID, true
 }
 
 // handleJob proxies GET /v1/jobs/{id} to the node named in the ID. The
@@ -369,7 +386,7 @@ func (g *Gateway) exchange(r *http.Request, node, method, path string, body []by
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	b, err := readBody(resp)
 	if err != nil {
 		g.metrics.proxyErrors.With(NodeName(node)).Inc()
 		return nil, nil, err
@@ -378,11 +395,27 @@ func (g *Gateway) exchange(r *http.Request, node, method, path string, body []by
 	return resp, b, nil
 }
 
+// maxProxiedBody bounds a buffered backend response body.
+const maxProxiedBody = 64 << 20
+
+// readBody reads a backend response body whole: into one buffer of its
+// Content-Length when the backend sent one, as jobd's views carry, and
+// otherwise up to maxProxiedBody bytes.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxProxiedBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxProxiedBody))
+}
+
 // relay copies a buffered backend response to the client, preserving
 // the headers that carry API semantics across the extra hop:
 // Retry-After keeps client backoff working, X-Request-Id keeps logs
 // correlated, Content-Type keeps bodies parseable. X-Gpuwalkd-Node
-// names the backend that actually served the request.
+// names the backend that actually served the request. The body goes
+// out with its Content-Length.
 func (g *Gateway) relay(w http.ResponseWriter, node string, resp *http.Response, body []byte) {
 	for _, h := range []string{"Content-Type", "Retry-After", "X-Request-Id", "Cache-Control"} {
 		if v := resp.Header.Get(h); v != "" {
@@ -390,6 +423,7 @@ func (g *Gateway) relay(w http.ResponseWriter, node string, resp *http.Response,
 		}
 	}
 	w.Header().Set("X-Gpuwalkd-Node", NodeName(node))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(body)
 }

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -698,5 +700,109 @@ func TestGatewayFallbackKeyRouting(t *testing.T) {
 		} else if node != first {
 			t.Fatalf("fallback routing not deterministic: %q then %q", first, node)
 		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to write from handler goroutines.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestGatewaySubmitAnswerShapes: whatever the backend's answer to a
+// submission looks like, the gateway relays it byte for byte with its
+// Content-Length, though it came chunked. A 202 logs "job routed" and
+// binds the job's trace under the ID it carries, whether or not "id"
+// leads the body; a 202 too broken to name a job logs an empty ID and
+// binds nothing, and any other answer does neither.
+func TestGatewaySubmitAnswerShapes(t *testing.T) {
+	node := newFakeNode(t)
+	m, err := NewMembership(MemberOptions{Peers: []string{node.srv.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	var logs lockedBuffer
+	gw, err := NewGateway(GatewayOptions{Membership: m, KeyFunc: keyFromSpec,
+		Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gw.Handler())
+	t.Cleanup(srv.Close)
+
+	id := node.name + "-j7"
+	for _, tc := range []struct {
+		name   string
+		code   int
+		body   string
+		wantID string // "" binds nothing
+	}{
+		{"id leads", http.StatusAccepted, `{"id":"` + id + `","state":"done","items":[{"spec":{},"result":{"a":"<"},"done":true}]}` + "\n", id},
+		{"id later", http.StatusAccepted, `{"state":"queued","id":"` + id + `1"}`, id + "1"},
+		{"truncated", http.StatusAccepted, `{"state":"queued","id":"` + id, ""},
+		{"truncated in the id", http.StatusAccepted, `{"id":"` + id, ""},
+		{"not a 202", http.StatusTooManyRequests, `{"error":"jobd: job queue is full"}` + "\n", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			node.mu.Lock()
+			node.nextResp = func(w http.ResponseWriter, r *http.Request) bool {
+				// Half, a flush, then the rest: the answer goes out
+				// chunked, without a Content-Length.
+				w.WriteHeader(tc.code)
+				io.WriteString(w, tc.body[:len(tc.body)/2])
+				w.(http.Flusher).Flush()
+				io.WriteString(w, tc.body[len(tc.body)/2:])
+				return true
+			}
+			node.mu.Unlock()
+			logged := len(logs.String())
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(submitBody("k")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.code || string(body) != tc.body || resp.ContentLength != int64(len(body)) {
+				t.Fatalf("relayed %d %q with Content-Length %d, want %d %q", resp.StatusCode, body, resp.ContentLength, tc.code, tc.body)
+			}
+			var routed []map[string]any
+			for _, line := range strings.Split(strings.TrimSpace(logs.String()[logged:]), "\n") {
+				var rec map[string]any
+				if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "job routed" {
+					routed = append(routed, rec)
+				}
+			}
+			switch {
+			case tc.code != http.StatusAccepted && len(routed) != 0:
+				t.Fatalf("a %d answer logged %v", tc.code, routed)
+			case tc.code == http.StatusAccepted && (len(routed) != 1 || routed[0]["job_id"] != tc.wantID || routed[0]["node"] != node.name):
+				t.Fatalf("logged %v, want one job routed with job_id %q", routed, tc.wantID)
+			}
+			if tc.wantID != "" && gw.traces.spansForJob(tc.wantID) == nil {
+				t.Fatalf("no trace bound to %s", tc.wantID)
+			}
+		})
+	}
+	gw.traces.mu.Lock()
+	bound := len(gw.traces.byJob)
+	gw.traces.mu.Unlock()
+	if bound != 2 {
+		t.Fatalf("%d jobs bound a trace, want the 2 whose 202 names them", bound)
 	}
 }

@@ -208,8 +208,10 @@ func TestAdmissionAnswersHits(t *testing.T) {
 }
 
 // TestAdmissionMissAdmitsWholeJob: one miss among hits admits the job
-// as before the probe existed. The probe stops at the miss, the runner
-// runs every item, and the journal holds the job's two records.
+// as before the probe existed, carrying the results of the leading
+// items that hit. The probe stops at the miss, the worker finishes the
+// probed items without running them and runs the rest, and the journal
+// holds the job's two records.
 func TestAdmissionMissAdmitsWholeJob(t *testing.T) {
 	fc := newFakeCache(`{"i":0}`, `{"i":2}`)
 	jl := openTestJournal(t, t.TempDir())
@@ -227,8 +229,20 @@ func TestAdmissionMissAdmitsWholeJob(t *testing.T) {
 		t.Fatalf("%d probes, want 2: the probe stops at the first miss", got)
 	}
 	v = waitTerminal(t, s, v.ID)
-	if v.State != StateDone || v.CacheHits != 2 || calls.Load() != 3 {
-		t.Fatalf("job %s with %d cache hits after %d runner calls, want done, 2, 3", v.State, v.CacheHits, calls.Load())
+	if v.State != StateDone || v.CacheHits != 2 || calls.Load() != 2 {
+		t.Fatalf("job %s with %d cache hits after %d runner calls, want done, 2, 2", v.State, v.CacheHits, calls.Load())
+	}
+	for i, it := range v.Items {
+		want := fc.results[string(it.Spec)]
+		if i == 1 {
+			want = it.Spec // the runner echoes a miss
+		}
+		if !it.Done || it.CacheHit != (i != 1) || !bytes.Equal(it.Result, want) {
+			t.Fatalf("item %d = %+v, want result %s", i, it, want)
+		}
+	}
+	if got := eventTypes(jobEvents(s, v.ID)); got != "queued,started,item_done,item_done,item_done,done" {
+		t.Fatalf("events %s", got)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)

@@ -37,9 +37,11 @@ func (s State) Terminal() bool {
 // Item is one unit of work within a job: a single spec for a plain
 // submission, one point of the grid for a sweep.
 type Item struct {
-	// Spec is the opaque payload handed to the Runner.
+	// Spec is the opaque payload handed to the Runner, compacted and
+	// HTML-escaped as encoding/json writes it.
 	Spec json.RawMessage `json:"spec"`
-	// Result is the Runner's output once the item has run.
+	// Result is the Runner's output once the item has run, in the same
+	// form.
 	Result json.RawMessage `json:"result,omitempty"`
 	// CacheHit reports whether the Runner served this item from its
 	// result cache rather than computing it.
@@ -103,6 +105,10 @@ type job struct {
 	err      string
 	items    []Item
 	events   []Event
+	// probed holds the results of the job's leading items that the
+	// admission probe found cached, in wire form; the worker finishes
+	// those items with them instead of running them again.
+	probed []json.RawMessage
 	// recovered marks a job re-enqueued from the journal after a
 	// restart rather than submitted over the API.
 	recovered bool

@@ -20,12 +20,15 @@ import (
 )
 
 // Runner executes one job item. It receives the item's opaque spec and
-// returns the result payload plus whether it came from a result cache.
-// The context carries the job's deadline and the server's lifetime;
-// runners must return promptly once it is cancelled. Runners that can
-// report live progress should fetch the sink with ProgressSink(ctx)
-// and call it as they go. The server never modifies a returned result,
-// so runners may return bytes shared with other jobs.
+// returns the result payload, a JSON value, plus whether it came from a
+// result cache. The context carries the job's deadline and the server's
+// lifetime; runners must return promptly once it is cancelled. Runners
+// that can report live progress should fetch the sink with
+// ProgressSink(ctx) and call it as they go. The server never modifies
+// a returned result, so runners may return bytes shared with other
+// jobs. The server checks each result once: one that is not JSON fails
+// its item, and one that is not compact is kept compacted, as job
+// views carry it.
 type Runner func(ctx context.Context, spec json.RawMessage) (result json.RawMessage, cacheHit bool, err error)
 
 // Options configures a Server.
@@ -218,6 +221,8 @@ func (s *Server) recoverJobs() {
 			created:   r.Created,
 			recovered: true,
 		}
+		// The journal wrote each spec with json.Marshal, so each is in
+		// the wire form views copy (wireJSON).
 		for i, sp := range r.Specs {
 			j.items[i].Spec = sp
 		}
@@ -285,6 +290,18 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		}
 		timeout = d
 	}
+	// Specs are kept, probed, run and journaled in wire form, so views
+	// copy them. A spec decoded from a request body is valid JSON, and
+	// usually already in that form.
+	wire := make([]json.RawMessage, len(specs))
+	for i, sp := range specs {
+		w, err := wireJSON(sp)
+		if err != nil {
+			return JobView{}, fmt.Errorf("jobd: spec %d is not JSON: %v", i, err)
+		}
+		wire[i] = w
+	}
+	specs = wire
 
 	// The submit span covers admission end to end — validation done,
 	// through the cache probe, queue-full checks and the journal fsync,
@@ -294,6 +311,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	submitSpan := buf.StartSpan(spanSubmit, remote.Span,
 		obs.Str("request_id", reqID), obs.U64("items", uint64(len(specs))))
 	hits := s.lookupAll(buf, submitSpan.ID(), specs)
+	bornDone := len(hits) == len(specs)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,7 +321,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		submitSpan.End(obs.Str("error", "draining"))
 		return JobView{}, ErrDraining
 	}
-	if hits == nil && s.queue.Full() {
+	if !bornDone && s.queue.Full() {
 		s.metrics.rejected.With("queue_full").Inc()
 		s.log.Warn("job rejected", "request_id", reqID, "reason", "queue_full")
 		submitSpan.End(obs.Str("error", "queue_full"))
@@ -324,7 +342,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	for i, sp := range specs {
 		j.items[i].Spec = sp
 	}
-	if hits != nil {
+	if bornDone {
 		s.admitDoneLocked(j, reqID, hits)
 		submitSpan.End(obs.Str("job_id", j.id))
 		return j.view(s.opts.NodeName), nil
@@ -344,6 +362,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 			return JobView{}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
+	j.probed = hits
 	s.acceptLocked(j, reqID)
 	s.evictLocked()
 	s.queue.push(j)
@@ -357,20 +376,26 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 }
 
 // lookupAll probes specs in order through Options.Lookup, under the
-// submit span root, and returns their results if every one hits. It
-// returns nil at the first miss, and when no hook is set.
+// submit span root, and returns the results of the leading specs that
+// hit, in wire form: all of them when every spec hits, none when no
+// hook is set. It stops at the first miss; a result that is not JSON
+// counts as one.
 func (s *Server) lookupAll(buf *obs.SpanBuf, root obs.SpanID, specs []json.RawMessage) []json.RawMessage {
 	if s.opts.Lookup == nil {
 		return nil
 	}
 	ctx := obs.ContextWithSpanRef(s.baseCtx, obs.SpanRef{Buf: buf, Span: root})
-	results := make([]json.RawMessage, len(specs))
-	for i, spec := range specs {
+	var results []json.RawMessage
+	for _, spec := range specs {
 		r, ok := s.opts.Lookup(ctx, spec)
 		if !ok {
-			return nil
+			break
 		}
-		results[i] = r
+		r, err := wireJSON(r)
+		if err != nil {
+			break
+		}
+		results = append(results, r)
 	}
 	return results
 }
@@ -479,7 +504,9 @@ func (s *Server) worker() {
 // runItem executes one item's Runner call with the job's progress sink
 // attached, converting a panic into a *PanicError instead of letting
 // it unwind the worker goroutine: one poisonous spec must fail its own
-// job, never take down the daemon and every other job with it.
+// job, never take down the daemon and every other job with it. It
+// returns the result in wire form, and fails the item when the result
+// is not JSON.
 func (s *Server) runItem(ctx context.Context, j *job, spec json.RawMessage) (result json.RawMessage, hit bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -488,7 +515,13 @@ func (s *Server) runItem(ctx context.Context, j *job, spec json.RawMessage) (res
 			s.log.Error("runner panic recovered", "job_id", j.id, "panic", fmt.Sprint(r))
 		}
 	}()
-	return s.opts.Runner(withProgress(ctx, j.prog.sink), spec)
+	result, hit, err = s.opts.Runner(withProgress(ctx, j.prog.sink), spec)
+	if err == nil && len(result) > 0 {
+		if result, err = wireJSON(result); err != nil {
+			err = fmt.Errorf("jobd: result is not JSON: %v", err)
+		}
+	}
+	return result, hit, err
 }
 
 // runJob executes every item of j under ctx and moves j to a terminal
@@ -512,7 +545,15 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 		// the identity on ctx).
 		itemSpan := j.trace.StartSpan(spanItem, runParent, obs.U64("index", uint64(i)))
 		itemCtx := obs.ContextWithSpanRef(ctx, obs.SpanRef{Buf: j.trace, Span: itemSpan.ID()})
-		result, hit, err := s.runItem(itemCtx, j, spec)
+		var result json.RawMessage
+		var hit bool
+		var err error
+		if i < len(j.probed) {
+			// The admission probe already read this item's result.
+			result, hit = j.probed[i], true
+		} else {
+			result, hit, err = s.runItem(itemCtx, j, spec)
+		}
 		itemArgs := []obs.Arg{obs.U64("cache_hit", b2u(hit))}
 		if err != nil {
 			itemArgs = append(itemArgs, obs.Str("error", truncateErr(err.Error())))
@@ -845,12 +886,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		httpError(w, http.StatusBadRequest, err.Error())
 	default:
-		writeJSON(w, http.StatusAccepted, v)
+		writeView(w, http.StatusAccepted, &v)
 	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
+	writeJobList(w, s.Jobs())
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -859,7 +900,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeView(w, http.StatusOK, &v)
 }
 
 // progressEvent is the payload of a `progress` SSE event: the job's
@@ -1026,8 +1067,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.fams.WriteText(w)
 }
 
-// writeJSON writes v as compact JSON, so the raw results in a job view
-// go out as the bytes the cache stored.
+// writeJSON writes v as compact JSON. Job views go out through
+// writeView, which writes the same bytes.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

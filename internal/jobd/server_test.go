@@ -140,6 +140,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Spec: json.RawMessage(`{}`), Specs: []json.RawMessage{json.RawMessage(`{}`)}},
 		{Spec: json.RawMessage(`{}`), Timeout: "not-a-duration"},
 		{Spec: json.RawMessage(`{}`), Timeout: "-3s"},
+		{Specs: []json.RawMessage{json.RawMessage(`{}`), json.RawMessage(`{"cut`)}},
 	}
 	for i, req := range cases {
 		if _, err := s.Submit(req); err == nil {

@@ -60,6 +60,9 @@ func Wrap(mux *http.ServeMux, requests *obs.Family, log *slog.Logger, idPrefix s
 			code = http.StatusOK
 		}
 		requests.With(route, strconv.Itoa(code)).Inc()
+		if !log.Enabled(r.Context(), slog.LevelDebug) {
+			return // the access log's fields cost allocations; build them only for a record
+		}
 		logArgs := []any{"request_id", id, "route", route, "path", r.URL.Path}
 		if tpErr == nil {
 			logArgs = append(logArgs, "trace_id", remote.Trace.String(), "span_id", remote.Span.String())

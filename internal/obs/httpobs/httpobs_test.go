@@ -131,15 +131,56 @@ func TestWrap(t *testing.T) {
 					t.Errorf("access log %s = %v, want %v", k, entry[k], want)
 				}
 			}
-			wantTrace := ""
+			wantTrace, wantSpan := "", ""
+			wantKeys := "time,level,msg,request_id,route,path,code,duration_ms"
 			if tc.wantRemote.Valid() {
-				wantTrace = tc.wantRemote.Trace.String()
+				wantTrace, wantSpan = tc.wantRemote.Trace.String(), tc.wantRemote.Span.String()
+				wantKeys = "time,level,msg,request_id,route,path,trace_id,span_id,code,duration_ms"
 			}
 			if got, _ := entry["trace_id"].(string); got != wantTrace {
 				t.Errorf("access log trace_id = %q, want %q", got, wantTrace)
 			}
+			if got, _ := entry["span_id"].(string); got != wantSpan {
+				t.Errorf("access log span_id = %q, want %q", got, wantSpan)
+			}
+			if _, ok := entry["duration_ms"].(float64); !ok {
+				t.Errorf("access log duration_ms = %v, want a number", entry["duration_ms"])
+			}
+			if got := recordKeys(t, logBuf.Bytes()); got != wantKeys {
+				t.Errorf("access log keys %s, want %s", got, wantKeys)
+			}
+
+			// Above debug level the request is counted but not logged.
+			logBuf.Reset()
+			quiet := Wrap(newMux(func(*http.Request) {}), reqs, slog.New(slog.NewJSONHandler(&logBuf, nil)), "x")
+			quiet.ServeHTTP(httptest.NewRecorder(), req)
+			if logBuf.Len() != 0 || reqs.With(tc.wantRoute, fmt.Sprint(tc.wantCode)).Count() != 2 {
+				t.Errorf("at info level: logged %q, counted %d requests", logBuf.String(), reqs.With(tc.wantRoute, fmt.Sprint(tc.wantCode)).Count())
+			}
 		})
 	}
+}
+
+// recordKeys lists a JSON log record's top-level keys in order.
+func recordKeys(t *testing.T, record []byte) string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(record))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("log record %s does not open an object", record)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return strings.Join(keys, ",")
 }
 
 // TestWrapConcurrent sends requests from several goroutines at once:

@@ -336,22 +336,22 @@ func (c *Cache) Probe(key string) (payload []byte, ok bool, err error) {
 	return b, ok, nil
 }
 
-// readLocked reads key's object and checks its digest; on a hit it
-// makes the entry the most recently used and counts the hit. The caller
-// holds c.mu, and counts a miss if it counts one.
+// readLocked reads key's object and checks its size and digest; on a
+// hit it makes the entry the most recently used and counts the hit. The
+// caller holds c.mu, and counts a miss if it counts one.
 func (c *Cache) readLocked(key string) ([]byte, bool) {
 	e, found := c.entries[key]
 	if !found {
 		return nil, false
 	}
-	b, err := os.ReadFile(c.objectPath(e.key, e.digest))
+	b, err := readObject(c.objectPath(e.key, e.digest), e.size)
 	if err != nil {
 		// Object vanished out from under the index (partial cleanup,
 		// concurrent eviction by another process): treat as a miss.
 		c.dropLocked(e)
 		return nil, false
 	}
-	if PayloadDigest(b) != e.digest {
+	if int64(len(b)) != e.size || PayloadDigest(b) != e.digest {
 		c.dropLocked(e)
 		c.stats.Corrupt++
 		return nil, false
@@ -360,6 +360,24 @@ func (c *Cache) readLocked(key string) ([]byte, bool) {
 	c.pushBack(e)
 	c.stats.Hits++
 	return e.share(b), true
+}
+
+// readObject reads the object at path, which the index says holds size
+// bytes. It asks for size+1 bytes in one read, so a whole object takes
+// one read call, and one that has grown reads long; a short object
+// reads short.
+func readObject(path string, size int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	b := make([]byte, size+1)
+	n, err := io.ReadAtLeast(f, b, int(max(size, 1)))
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return b[:n], err
 }
 
 // Put stores payload under key with one atomic write of its object,

@@ -97,25 +97,29 @@ func TestPersistenceAcrossOpens(t *testing.T) {
 }
 
 func TestCorruptPayloadIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	c := open(t, dir, Options{})
-	key := mustKey(t, "x")
-	if err := c.Put(key, []byte("payload-v1")); err != nil {
-		t.Fatal(err)
-	}
-	// Flip bytes behind the cache's back.
-	path := objectFile(t, c, key)
-	if err := os.WriteFile(path, []byte("tampered!!"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := c.Get(key); ok || err != nil {
-		t.Fatalf("tampered Get = ok=%v err=%v, want miss", ok, err)
-	}
-	if st := c.Stats(); st.Corrupt != 1 {
-		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt object not removed: %v", err)
+	// Flipped, short, long and emptied objects. The long one starts
+	// with the whole payload: only its length gives it away.
+	for _, tampered := range []string{"tampered!!", "payload-v", "payload-v1x", ""} {
+		dir := t.TempDir()
+		c := open(t, dir, Options{})
+		key := mustKey(t, "x")
+		if err := c.Put(key, []byte("payload-v1")); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite the object behind the cache's back.
+		path := objectFile(t, c, key)
+		if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := c.Get(key); ok || err != nil {
+			t.Fatalf("%q: tampered Get = ok=%v err=%v, want miss", tampered, ok, err)
+		}
+		if st := c.Stats(); st.Corrupt != 1 {
+			t.Fatalf("%q: Corrupt = %d, want 1", tampered, st.Corrupt)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%q: corrupt object not removed: %v", tampered, err)
+		}
 	}
 }
 

@@ -79,6 +79,10 @@ func TestRunCachedDifferential(t *testing.T) {
 // form decodes those bytes back to the same Result.
 func TestRunCachedJSONByteIdentity(t *testing.T) {
 	cfg := tinyCachedConfig()
+	key, err := gpuwalk.ConfigHash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := gpuwalk.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +99,7 @@ func TestRunCachedJSONByteIdentity(t *testing.T) {
 	}
 	// The lookup alone misses without counting the miss: the run's own
 	// lookup counts it.
-	if _, hit := gpuwalk.LookupCachedJSON(ctx, cache, cfg); hit || cache.Stats().Misses != 0 {
+	if _, hit := gpuwalk.LookupCachedJSON(ctx, cache, key); hit || cache.Stats().Misses != 0 {
 		t.Fatalf("lookup before any run: hit=%v, %d misses counted", hit, cache.Stats().Misses)
 	}
 	miss, hit, err := gpuwalk.RunCachedJSON(ctx, cache, cfg)
@@ -131,7 +135,7 @@ func TestRunCachedJSONByteIdentity(t *testing.T) {
 	if &second[0] != &first[0] {
 		t.Fatal("two hits on one key returned separate copies")
 	}
-	probed, hit := gpuwalk.LookupCachedJSON(ctx, cache, cfg)
+	probed, hit := gpuwalk.LookupCachedJSON(ctx, cache, key)
 	if !hit || &probed[0] != &first[0] {
 		t.Fatalf("lookup after the hits: hit=%v, shared=%v", hit, hit && &probed[0] == &first[0])
 	}
@@ -149,7 +153,7 @@ func TestRunCachedJSONByteIdentity(t *testing.T) {
 	if err != nil || hit || !bytes.Equal(uncached, want) {
 		t.Fatalf("nil-cache payload: hit=%v err=%v equal=%v", hit, err, bytes.Equal(uncached, want))
 	}
-	if _, hit := gpuwalk.LookupCachedJSON(ctx, nil, cfg); hit {
+	if _, hit := gpuwalk.LookupCachedJSON(ctx, nil, key); hit {
 		t.Fatal("lookup in a nil cache hit")
 	}
 }
@@ -238,6 +242,10 @@ func TestRunCachedTracedByteIdentity(t *testing.T) {
 	}
 
 	// So is the lookup alone: one more cache.lookup span under root.
+	key, err := gpuwalk.ConfigHash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lookups := func() int {
 		n := 0
 		for _, s := range buf.Spans() {
@@ -248,7 +256,7 @@ func TestRunCachedTracedByteIdentity(t *testing.T) {
 		return n
 	}
 	before := lookups()
-	if _, hit := gpuwalk.LookupCachedJSON(ctx, cache, cfg); !hit || lookups() != before+1 {
+	if _, hit := gpuwalk.LookupCachedJSON(ctx, cache, key); !hit || lookups() != before+1 {
 		t.Fatalf("traced lookup: hit=%v, cache.lookup spans %d → %d", hit, before, lookups())
 	}
 }
