@@ -16,7 +16,7 @@ import (
 // simulation of the same config would produce.
 //
 // Hits are served verbatim: RunCachedJSON returns the stored payload
-// as read and digest-checked, without decoding and re-encoding it. The
+// as digest-checked, without decoding and re-encoding it. The
 // payload slices hits return are shared by every caller that holds a
 // hit on the same key, and are read-only. Because stored payloads are
 // never re-encoded, any change to Result's JSON shape must bump
@@ -33,7 +33,7 @@ type ResultCacheStats = simcache.Stats
 // OpenResultCache opens (creating if needed) a result cache rooted at
 // dir. maxBytes caps the store's payload size with LRU eviction;
 // 0 means unlimited. Entries are written atomically and digest-checked
-// on every read, so a crashed writer can never corrupt later runs.
+// when read from disk, so a crashed writer can never corrupt later runs.
 func OpenResultCache(dir string, maxBytes int64) (*ResultCache, error) {
 	return simcache.Open(dir, simcache.Options{MaxBytes: maxBytes})
 }

@@ -58,6 +58,9 @@ type (
 	MemInstr = workload.MemInstr
 	// Result carries every metric a run produces.
 	Result = gpu.Result
+	// System is one simulated machine built around a trace, ready to
+	// run once (see NewSystem).
+	System = gpu.System
 	// Scheduler is the page-walk scheduling interface; implement it to
 	// plug in a custom policy (see examples/customsched).
 	Scheduler = core.Scheduler
@@ -237,7 +240,19 @@ func RunTrace(cfg Config, tr *Trace) (Result, error) {
 
 // RunTraceContext is RunTrace with cancellation (see RunContext).
 func RunTraceContext(ctx context.Context, cfg Config, tr *Trace) (Result, error) {
-	sys, err := gpu.NewSystem(gpu.Params{
+	sys, err := NewSystem(cfg, tr)
+	if err != nil {
+		return Result{}, err
+	}
+	return sys.RunContext(ctx)
+}
+
+// NewSystem builds the system cfg describes around tr (ignoring
+// cfg.Workload and cfg.Gen) without running it, so that a caller can
+// time the set-up apart from the run. Its RunContext returns what
+// RunTraceContext would.
+func NewSystem(cfg Config, tr *Trace) (*System, error) {
+	return gpu.NewSystem(gpu.Params{
 		GPU:              cfg.GPU,
 		DRAM:             cfg.DRAM,
 		IOMMU:            cfg.IOMMU,
@@ -253,10 +268,6 @@ func RunTraceContext(ctx context.Context, cfg Config, tr *Trace) (Result, error)
 		Progress:         cfg.Obs.Progress,
 		ProgressEvery:    cfg.Obs.ProgressEvery,
 	}, tr)
-	if err != nil {
-		return Result{}, err
-	}
-	return sys.RunContext(ctx)
 }
 
 // Speedup returns how much faster b is than a (a.Cycles / b.Cycles).

@@ -1,6 +1,9 @@
 package gpuwalk_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -134,6 +137,36 @@ func TestRunTraceCustom(t *testing.T) {
 	}
 	if res.Instructions != 4 {
 		t.Errorf("Instructions = %d, want 4", res.Instructions)
+	}
+}
+
+// TestNewSystemMatchesRunTrace: building a system with NewSystem and
+// running it gives RunTrace's Result, JSON byte for byte.
+func TestNewSystemMatchesRunTrace(t *testing.T) {
+	for _, sched := range []gpuwalk.SchedulerKind{gpuwalk.FCFS, gpuwalk.SIMTAware} {
+		cfg := microConfig()
+		cfg.Scheduler = sched
+		tr, err := gpuwalk.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := gpuwalk.RunTrace(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := gpuwalk.NewSystem(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sys.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := json.Marshal(want)
+		gotJSON, _ := json.Marshal(got)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%s: NewSystem's run differs from RunTrace's:\n%s\n%s", sched, gotJSON, wantJSON)
+		}
 	}
 }
 

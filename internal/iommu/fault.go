@@ -120,10 +120,6 @@ func (io *IOMMU) faultModeled() bool {
 	return io.faultHandler != nil || io.inj != nil
 }
 
-// InjectorStats returns the fault injector's counters (zero when no
-// injector is attached).
-func (io *IOMMU) InjectorStats() faultinject.Stats { return io.inj.Stats() }
-
 // FaultQueueLen returns queued plus in-service faults (for tests and
 // the watchdog dump).
 func (io *IOMMU) FaultQueueLen() int { return len(io.faultQ) + io.inService }

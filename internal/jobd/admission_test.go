@@ -61,11 +61,12 @@ func rawSpecs(specs ...string) []json.RawMessage {
 	return out
 }
 
-// jobEvents returns a copy of job id's event log.
+// jobEvents returns job id's event log.
 func jobEvents(s *Server, id string) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.jobs[id].events...)
+	evs, _ := s.jobs[id].events(0)
+	return evs
 }
 
 func eventTypes(evs []Event) string {

@@ -12,6 +12,8 @@ package jobd
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"time"
 
 	"gpuwalk/internal/obs"
@@ -52,9 +54,9 @@ type Item struct {
 	Done bool `json:"done"`
 }
 
-// Event is one entry in a job's event log. Events are totally ordered
-// per job by Seq; the SSE endpoint replays the log from the start and
-// then streams new entries as they are appended.
+// Event is one entry in a job's event log, which is derived from the
+// job's state (job.events). Events are totally ordered per job by Seq;
+// the SSE endpoint replays the log and then streams it as the job moves.
 type Event struct {
 	Seq  int             `json:"seq"`
 	Type string          `json:"type"`
@@ -104,7 +106,6 @@ type job struct {
 	state    State
 	err      string
 	items    []Item
-	events   []Event
 	// probed holds the results of the job's leading items that the
 	// admission probe found cached, in wire form; the worker finishes
 	// those items with them instead of running them again.
@@ -112,10 +113,9 @@ type job struct {
 	// recovered marks a job re-enqueued from the journal after a
 	// restart rather than submitted over the API.
 	recovered bool
-	// waiters are signal channels for SSE streams blocked on new
-	// events; each is closed (once) when an event is appended or the
-	// job reaches a terminal state.
-	waiters map[chan struct{}]struct{}
+	// changed is closed, and cleared, at the job's next transition;
+	// SSE streams blocked on new events wait on it (subscribe).
+	changed chan struct{}
 
 	// prog is the job's live telemetry. Unlike every other field it is
 	// NOT guarded by the server mutex: it is all atomics, written by
@@ -211,35 +211,66 @@ func (j *job) traceID() string {
 	return j.trace.Trace().String()
 }
 
-// appendEvent logs an event and wakes any blocked SSE streams.
-// Caller holds the server lock.
-func (j *job) appendEvent(typ string, data any) {
-	ev := Event{Seq: len(j.events), Type: typ}
-	if data != nil {
-		if b, err := json.Marshal(data); err == nil {
-			ev.Data = b
+// cancelledPrefix starts a cancelled job's error; the reason follows.
+const cancelledPrefix = "job cancelled: "
+
+// events returns the job's event log from seq from on, and its length,
+// derived from the job's state: queued {items[, recovered]}; started;
+// item_done {cache_hit, error, index} per finished item, in the index
+// order items finish in (a failed item reports no hit, as its view
+// does); then done, failed {failed} or cancelled {reason}. Caller holds
+// the server lock.
+func (j *job) events(from int) (log []Event, n int) {
+	add := func(typ string, data []byte) {
+		if n >= from {
+			log = append(log, Event{Seq: n, Type: typ, Data: data})
+		}
+		n++
+	}
+	recovered := ""
+	if j.recovered {
+		recovered = `,"recovered":true`
+	}
+	add(EventQueued, fmt.Appendf(nil, `{"items":%d%s}`, len(j.items), recovered))
+	if !j.started.IsZero() {
+		add(EventStarted, nil)
+	}
+	failed := 0
+	for i, it := range j.items {
+		if it.Error != "" {
+			failed++
+		}
+		if it.Done {
+			d := appendString(fmt.Appendf(nil, `{"cache_hit":%t,"error":`, it.CacheHit), it.Error)
+			add(EventItemDone, fmt.Appendf(d, `,"index":%d}`, i))
 		}
 	}
-	j.events = append(j.events, ev)
-	for ch := range j.waiters {
-		close(ch)
-		delete(j.waiters, ch)
+	switch j.state {
+	case StateDone:
+		add(EventDone, nil)
+	case StateFailed:
+		add(EventFailed, fmt.Appendf(nil, `{"failed":%d}`, failed))
+	case StateCancelled:
+		reason := strings.TrimPrefix(j.err, cancelledPrefix)
+		add(EventCancelled, append(appendString([]byte(`{"reason":`), reason), '}'))
+	}
+	return log, n
+}
+
+// notify wakes the SSE streams waiting for the job's next transition.
+// Caller holds the server lock.
+func (j *job) notify() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
 	}
 }
 
-// subscribe returns a channel closed at the next event append.
-// Caller holds the server lock.
-func (j *job) subscribe() chan struct{} {
-	ch := make(chan struct{})
-	if j.waiters == nil {
-		j.waiters = make(map[chan struct{}]struct{})
+// subscribe returns a channel closed at the job's next transition. A
+// stream that stops waiting just drops it. Caller holds the server lock.
+func (j *job) subscribe() <-chan struct{} {
+	if j.changed == nil {
+		j.changed = make(chan struct{})
 	}
-	j.waiters[ch] = struct{}{}
-	return ch
-}
-
-// unsubscribe drops a waiter that is no longer listening.
-// Caller holds the server lock.
-func (j *job) unsubscribe(ch chan struct{}) {
-	delete(j.waiters, ch)
+	return j.changed
 }

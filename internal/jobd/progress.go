@@ -71,9 +71,6 @@ func (p *progressTracker) sink(pr ItemProgress) {
 	p.updated.Store(time.Now().UnixNano())
 }
 
-// reported reports whether the tracker ever received a sink call.
-func (p *progressTracker) reported() bool { return p.updated.Load() != 0 }
-
 // ProgressView is the wire representation of a job's live telemetry,
 // surfaced on GET /v1/jobs/{id} while the job runs and in `progress`
 // SSE events. Rates are since-item-start averages, not instantaneous.

@@ -78,7 +78,8 @@ func TestNoRetryForPermanentError(t *testing.T) {
 	}
 	s.mu.Lock()
 	var types []string
-	for _, ev := range s.jobs[v.ID].events {
+	evs, _ := s.jobs[v.ID].events(0)
+	for _, ev := range evs {
 		types = append(types, ev.Type)
 	}
 	s.mu.Unlock()

@@ -229,7 +229,6 @@ func (s *Server) recoverJobs() {
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		s.queue.push(j)
-		j.appendEvent(EventQueued, map[string]any{"items": len(j.items), "recovered": true})
 		s.metrics.recovered.Inc()
 		s.log.Info("job recovered", "job_id", j.id, "items", len(j.items),
 			"priority", j.priority)
@@ -260,33 +259,40 @@ type SubmitRequest struct {
 	Timeout string `json:"timeout,omitempty"`
 }
 
+// invalidSubmit ends the submit span of a submission that fails
+// validation.
+var invalidSubmit = []obs.Arg{obs.Str("error", "invalid")}
+
 // Submit validates and admits a job, returning its view: queued, or
 // done when Options.Lookup answered every item at admission.
 func (s *Server) Submit(req SubmitRequest) (JobView, error) {
-	return s.submit(req, "", obs.SpanContext{})
+	buf, span := s.startSubmit(obs.SpanContext{}, "")
+	v, end, err := s.submit(req, "", buf, span)
+	span.End(end...)
+	return v, err
 }
 
-// submit is Submit with the originating HTTP request ID (empty for
-// programmatic submissions) attached to the lifecycle logs and the
-// caller's traceparent context (zero to start a fresh trace) parenting
-// the job's span timeline.
-func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext) (JobView, error) {
+// submit is Submit under the submission's trace (startSubmit), with the
+// originating HTTP request ID (empty for programmatic submissions) on
+// the lifecycle logs. It returns the attributes the submit span ends
+// with once its caller has answered the submission.
+func (s *Server) submit(req SubmitRequest, reqID string, buf *obs.SpanBuf, submitSpan *obs.ActiveSpan) (JobView, []obs.Arg, error) {
 	var specs []json.RawMessage
 	switch {
 	case req.Spec != nil && len(req.Specs) > 0:
-		return JobView{}, errors.New("jobd: set spec or specs, not both")
+		return JobView{}, invalidSubmit, errors.New("jobd: set spec or specs, not both")
 	case req.Spec != nil:
 		specs = []json.RawMessage{req.Spec}
 	case len(req.Specs) > 0:
 		specs = req.Specs
 	default:
-		return JobView{}, errors.New("jobd: empty submission: set spec or specs")
+		return JobView{}, invalidSubmit, errors.New("jobd: empty submission: set spec or specs")
 	}
 	timeout := s.opts.DefaultTimeout
 	if req.Timeout != "" {
 		d, err := time.ParseDuration(req.Timeout)
 		if err != nil || d <= 0 {
-			return JobView{}, fmt.Errorf("jobd: bad timeout %q", req.Timeout)
+			return JobView{}, invalidSubmit, fmt.Errorf("jobd: bad timeout %q", req.Timeout)
 		}
 		timeout = d
 	}
@@ -297,19 +303,16 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	for i, sp := range specs {
 		w, err := wireJSON(sp)
 		if err != nil {
-			return JobView{}, fmt.Errorf("jobd: spec %d is not JSON: %v", i, err)
+			return JobView{}, invalidSubmit, fmt.Errorf("jobd: spec %d is not JSON: %v", i, err)
 		}
 		wire[i] = w
 	}
 	specs = wire
 
-	// The submit span covers admission end to end — validation done,
-	// through the cache probe, queue-full checks and the journal fsync,
-	// to the accepted event. Its buffer becomes the job's; on rejection
-	// it is dropped.
-	buf := s.newTraceBuf(remote)
-	submitSpan := buf.StartSpan(spanSubmit, remote.Span,
-		obs.Str("request_id", reqID), obs.U64("items", uint64(len(specs))))
+	// Admission runs under the submit span: the cache probe, the
+	// queue-full checks and the journal fsync. On rejection the buffer
+	// is dropped.
+	items := obs.U64("items", uint64(len(specs)))
 	hits := s.lookupAll(buf, submitSpan.ID(), specs)
 	bornDone := len(hits) == len(specs)
 
@@ -318,14 +321,12 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	if s.draining {
 		s.metrics.rejected.With("draining").Inc()
 		s.log.Warn("job rejected", "request_id", reqID, "reason", "draining")
-		submitSpan.End(obs.Str("error", "draining"))
-		return JobView{}, ErrDraining
+		return JobView{}, []obs.Arg{items, obs.Str("error", "draining")}, ErrDraining
 	}
 	if !bornDone && s.queue.Full() {
 		s.metrics.rejected.With("queue_full").Inc()
 		s.log.Warn("job rejected", "request_id", reqID, "reason", "queue_full")
-		submitSpan.End(obs.Str("error", "queue_full"))
-		return JobView{}, ErrQueueFull
+		return JobView{}, []obs.Arg{items, obs.Str("error", "queue_full")}, ErrQueueFull
 	}
 	s.nextSeq++
 	j := &job{
@@ -342,10 +343,10 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 	for i, sp := range specs {
 		j.items[i].Spec = sp
 	}
+	admitted := []obs.Arg{items, obs.Str("job_id", j.id)}
 	if bornDone {
 		s.admitDoneLocked(j, reqID, hits)
-		submitSpan.End(obs.Str("job_id", j.id))
-		return j.view(s.opts.NodeName), nil
+		return j.view(s.opts.NodeName), admitted, nil
 	}
 	if jl := s.opts.Journal; jl != nil {
 		// Durability before acknowledgement: the fsynced accepted record
@@ -358,8 +359,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		if err != nil {
 			s.metrics.rejected.With("journal").Inc()
 			s.log.Error("job rejected", "request_id", reqID, "reason", "journal", "error", err.Error())
-			submitSpan.End(obs.Str("error", "journal"))
-			return JobView{}, fmt.Errorf("%w: %v", ErrJournal, err)
+			return JobView{}, []obs.Arg{items, obs.Str("error", "journal")}, fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
 	j.probed = hits
@@ -371,8 +371,7 @@ func (s *Server) submit(req SubmitRequest, reqID string, remote obs.SpanContext)
 		obs.U64("queue_depth", uint64(s.queue.Len())))
 	s.metrics.noteQueueDepth(s.queue.Len())
 	s.cond.Signal()
-	submitSpan.End(obs.Str("job_id", j.id))
-	return j.view(s.opts.NodeName), nil
+	return j.view(s.opts.NodeName), admitted, nil
 }
 
 // lookupAll probes specs in order through Options.Lookup, under the
@@ -400,22 +399,21 @@ func (s *Server) lookupAll(buf *obs.SpanBuf, root obs.SpanID, specs []json.RawMe
 	return results
 }
 
-// acceptLocked publishes an admitted job: it enters the job table with
-// its queued event, counts as submitted and logs its acceptance.
+// acceptLocked publishes an admitted job: it enters the job table,
+// queued, counts as submitted and logs its acceptance.
 // Caller holds the lock.
 func (s *Server) acceptLocked(j *job, reqID string) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	j.appendEvent(EventQueued, map[string]any{"items": len(j.items)})
 	s.metrics.submitted.Inc()
 	s.log.Info("job accepted", "request_id", reqID, "job_id", j.id, "trace_id", j.traceID(),
 		"items", len(j.items), "priority", j.priority, "timeout", j.timeout.String())
 }
 
 // admitDoneLocked admits j, whose every item hit at the probe, as a job
-// born done: the started event, one item_done per item and the done
-// transition follow its acceptance at once, through the helpers the
-// worker uses, so the job reads exactly as a worker-run hit does.
+// born done: its start, each item's finish and the done transition
+// follow its acceptance at once, through the helpers the worker uses,
+// so the job reads exactly as a worker-run hit does.
 // created, started and finished are all its admission time. Such a job
 // needs no journal record: like any finished job it is not recovered
 // after a restart, and its results are in the cache. Caller holds the
@@ -423,7 +421,6 @@ func (s *Server) acceptLocked(j *job, reqID string) {
 func (s *Server) admitDoneLocked(j *job, reqID string, results []json.RawMessage) {
 	s.acceptLocked(j, reqID)
 	j.started = j.created
-	j.appendEvent(EventStarted, nil)
 	for i, r := range results {
 		s.finishItemLocked(j, i, r, true, nil)
 	}
@@ -484,7 +481,7 @@ func (s *Server) worker() {
 		j.queueSpan.End()
 		j.queueSpan = nil
 		j.runSpan = j.trace.StartSpan(spanJobRun, j.root)
-		j.appendEvent(EventStarted, nil)
+		j.notify()
 		s.metrics.queued.Set(float64(s.queue.Len()))
 		s.metrics.running.Set(float64(len(s.running)))
 		s.mu.Unlock()
@@ -582,8 +579,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 }
 
 // finishItemLocked records the outcome of item i of j: the item's
-// view, the item metrics, its item_done event and its log record.
-// Caller holds the lock.
+// view, the item metrics and its log record, and wakes the job's event
+// streams. Caller holds the lock.
 func (s *Server) finishItemLocked(j *job, i int, result json.RawMessage, hit bool, err error) {
 	it := &j.items[i]
 	it.Done = true
@@ -600,18 +597,14 @@ func (s *Server) finishItemLocked(j *job, i int, result json.RawMessage, hit boo
 			s.metrics.itemCache.With("miss").Inc()
 		}
 	}
-	j.appendEvent(EventItemDone, map[string]any{
-		"index":     i,
-		"cache_hit": hit,
-		"error":     it.Error,
-	})
-	s.log.Info("item done", "job_id", j.id, "item", i, "cache_hit", hit, "error", errText(err))
+	j.notify()
+	s.log.Info("item done", "job_id", j.id, "item", i, "cache_hit", hit, "error", it.Error)
 }
 
 // finishLocked is the terminal transition of a started job: cancelled
 // if cause (the job context's error) is set, else failed if any item
-// failed, else done. It stamps finished, ends the run span, appends
-// the terminal event, counts and logs the outcome, and enforces the
+// failed, else done. It stamps finished, ends the run span, wakes the
+// job's event streams, counts and logs the outcome, and enforces the
 // RetainJobs bound. The worker and a job born done at admission both
 // end here; the worker journals the terminal record after releasing
 // the lock, and a job born done has none. Caller holds the lock.
@@ -627,25 +620,23 @@ func (s *Server) finishLocked(j *job, finished time.Time, cause error) {
 	switch {
 	case cause != nil:
 		j.state = StateCancelled
-		j.err = fmt.Sprintf("job cancelled: %v", cause)
+		j.err = cancelledPrefix + cause.Error()
 		j.endRunSpanLocked("cancelled")
-		j.appendEvent(EventCancelled, map[string]any{"reason": cause.Error()})
 		s.log.Warn("job cancelled", "job_id", j.id, "trace_id", j.traceID(),
 			"reason", cause.Error(), "duration_ms", dur.Milliseconds())
 	case failed > 0:
 		j.state = StateFailed
 		j.err = fmt.Sprintf("%d of %d items failed", failed, len(j.items))
 		j.endRunSpanLocked("failed")
-		j.appendEvent(EventFailed, map[string]any{"failed": failed})
 		s.log.Warn("job failed", "job_id", j.id, "trace_id", j.traceID(),
 			"failed_items", failed, "duration_ms", dur.Milliseconds())
 	default:
 		j.state = StateDone
 		j.endRunSpanLocked("done")
-		j.appendEvent(EventDone, nil)
 		s.log.Info("job done", "job_id", j.id, "trace_id", j.traceID(),
 			"items", len(j.items), "duration_ms", dur.Milliseconds())
 	}
+	j.notify()
 	s.metrics.finishJob(j.state, dur)
 	s.evictLocked()
 }
@@ -668,18 +659,18 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// cancelPendingLocked moves a queued job to cancelled, with the event
+// cancelPendingLocked moves a queued job to cancelled, with the wake-up
 // and metrics every terminal transition gets; the caller journals its
 // terminal record after releasing the lock. Caller holds the lock.
 func (s *Server) cancelPendingLocked(j *job, reason string) {
 	j.state = StateCancelled
-	j.err = "job cancelled: " + reason
+	j.err = cancelledPrefix + reason
 	j.finished = time.Now()
 	if j.queueSpan != nil {
 		j.queueSpan.End(obs.Str("error", reason))
 		j.queueSpan = nil
 	}
-	j.appendEvent(EventCancelled, map[string]any{"reason": reason})
+	j.notify()
 	s.metrics.finishJob(StateCancelled, 0)
 	s.log.Warn("job cancelled", "job_id", j.id, "reason", reason)
 }
@@ -740,13 +731,6 @@ func (s *Server) evictLocked() {
 		s.order[i] = ""
 	}
 	s.order = kept
-}
-
-func errText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // Drain gracefully shuts the server down: new submissions are
@@ -860,15 +844,20 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
+// handleSubmit answers POST /v1/jobs under a submit span that covers it all.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	reqID := httpobs.RequestID(r.Context())
+	buf, span := s.startSubmit(httpobs.RemoteSpan(r.Context()), reqID)
 	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		span.End(obs.Str("error", "bad request body"))
 		return
 	}
-	v, err := s.submit(req, httpobs.RequestID(r.Context()), httpobs.RemoteSpan(r.Context()))
+	v, end, err := s.submit(req, reqID, buf, span)
+	defer span.End(end...)
 	switch {
 	case errors.Is(err, ErrDraining):
 		// Retry-After tells well-behaved open-loop clients to back off
@@ -912,7 +901,7 @@ type progressEvent struct {
 
 // handleEvents streams a job's event log as server-sent events: the
 // log so far is replayed immediately, then new events are pushed as
-// they are appended, until the job reaches a terminal state or the
+// the job moves, until the job reaches a terminal state or the
 // client goes away. While the job runs and its runner reports
 // progress, synthetic `progress` events (never stored in the log, no
 // id line) interleave at Options.ProgressInterval, with one final
@@ -937,15 +926,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.sseClients.AddGauge(1)
 	defer s.metrics.sseClients.AddGauge(-1)
-	next := 0
-	resumed := false
+	next := 0 // above 0 when the client resumes
 	if lei := strings.TrimSpace(r.Header.Get("Last-Event-ID")); lei != "" {
 		if n, err := strconv.Atoi(lei); err == nil && n >= 0 {
 			next = n + 1
-			resumed = true
 		}
 	}
-	fl, canFlush := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -973,36 +960,32 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return err == nil
 	}
 
-	if resumed {
+	if next > 0 {
 		// A reconnecting client replays from where it left off; give it
 		// the latest progress snapshot up front so its telemetry is
 		// fresh before the log resumes.
 		if !writeProgress() {
 			return
 		}
-		if canFlush {
-			fl.Flush()
-		}
+		_ = rc.Flush()
 	}
 
 	for {
 		s.mu.Lock()
-		if next > len(j.events) {
-			// Last-Event-ID beyond this log (e.g. from before a daemon
-			// restart rebuilt it): clamp rather than slice out of range.
-			next = len(j.events)
-		}
-		events := j.events[next:]
-		next = len(j.events)
+		// A Last-Event-ID beyond the log (one from before a restart)
+		// yields no events and moves next back to the log's end.
+		var events []Event
+		events, next = j.events(next)
 		terminal := j.state.Terminal()
-		var wake chan struct{}
+		var wake <-chan struct{}
 		if len(events) == 0 && !terminal {
 			wake = j.subscribe()
 		}
 		s.mu.Unlock()
 
-		for _, ev := range events {
-			if terminalEvent(ev.Type) && !writeProgress() {
+		for i, ev := range events {
+			// A terminal job's log ends with its terminal event.
+			if terminal && i == len(events)-1 && !writeProgress() {
 				return
 			}
 			b, err := json.Marshal(ev)
@@ -1013,9 +996,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if canFlush {
-			fl.Flush()
-		}
+		_ = rc.Flush()
 		if terminal && len(events) == 0 {
 			return
 		}
@@ -1027,28 +1008,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-wake:
 			timer.Stop()
 		case <-timer.C:
-			s.mu.Lock()
-			j.unsubscribe(wake)
-			s.mu.Unlock()
 			if !writeProgress() {
 				return
 			}
-			if canFlush {
-				fl.Flush()
-			}
+			_ = rc.Flush()
 		case <-r.Context().Done():
 			timer.Stop()
-			s.mu.Lock()
-			j.unsubscribe(wake)
-			s.mu.Unlock()
 			return
 		}
 	}
-}
-
-// terminalEvent reports whether an event type ends the job's log.
-func terminalEvent(typ string) bool {
-	return typ == EventDone || typ == EventFailed || typ == EventCancelled
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -59,12 +59,12 @@ func stageForSpan(name string) string {
 // tracingEnabled reports whether new jobs get span buffers.
 func (s *Server) tracingEnabled() bool { return s.opts.SpanLimit >= 0 }
 
-// newTraceBuf builds the span buffer for one job, continuing the
-// remote trace when the submitter sent a valid traceparent. Returns
-// nil when tracing is disabled.
-func (s *Server) newTraceBuf(remote obs.SpanContext) *obs.SpanBuf {
+// startSubmit opens a submission's trace: the span buffer that becomes
+// its job's, continuing the remote trace when the traceparent is valid,
+// and the submit span, which the caller ends. Both are nil untraced.
+func (s *Server) startSubmit(remote obs.SpanContext, reqID string) (*obs.SpanBuf, *obs.ActiveSpan) {
 	if !s.tracingEnabled() {
-		return nil
+		return nil, nil
 	}
 	traceID := remote.Trace
 	if traceID.IsZero() {
@@ -76,7 +76,7 @@ func (s *Server) newTraceBuf(remote obs.SpanContext) *obs.SpanBuf {
 	}
 	buf := obs.NewSpanBuf(service, traceID, s.opts.SpanLimit)
 	buf.OnEnd(s.metrics.observeStage)
-	return buf
+	return buf, buf.StartSpan(spanSubmit, remote.Span, obs.Str("request_id", reqID))
 }
 
 // journalSpan wraps one journal append in a journal.append span.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpuwalk/internal/obs"
 )
@@ -130,6 +131,48 @@ func TestJobTraceEndpoint(t *testing.T) {
 			t.Fatalf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestSubmitSpanCoversSlowBody: the submit span opens before the
+// request body is read, so a body that arrives slowly is time the
+// backend's trace accounts for, not time outside every span.
+func TestSubmitSpanCoversSlowBody(t *testing.T) {
+	var calls atomic.Int64
+	s := newTestServer(t, Options{Runner: echoRunner(&calls), Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const wait = 100 * time.Millisecond
+	body, w := io.Pipe()
+	go func() {
+		io.WriteString(w, `{"spec":`)
+		time.Sleep(wait)
+		io.WriteString(w, `{"x":1}}`)
+		w.Close()
+	}()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v JobView
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit answered %d: %v", resp.StatusCode, err)
+	}
+	waitTerminal(t, s, v.ID)
+	s.mu.Lock()
+	buf := s.jobs[v.ID].trace
+	s.mu.Unlock()
+	for _, sp := range buf.Spans() {
+		if sp.Name == spanSubmit {
+			if sp.Dur < wait {
+				t.Fatalf("submit span lasts %v, less than the %v its body took to arrive", sp.Dur, wait)
+			}
+			return
+		}
+	}
+	t.Fatalf("no submit span in %v", names(buf.Spans()))
 }
 
 func names(spans []obs.Span) []string {

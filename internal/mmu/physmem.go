@@ -35,7 +35,6 @@ const (
 // Large-page geometry: a 2 MB page spans 512 base frames.
 const (
 	LargePageBits  = PageBits + LevelBits // 21
-	LargePageSize  = 1 << LargePageBits
 	FramesPerLarge = 1 << LevelBits
 )
 

@@ -63,7 +63,6 @@ const (
 	PhaseInstant  = 'i' // point event on a track
 	PhaseComplete = 'X' // duration event (start + dur)
 	PhaseCounter  = 'C' // sampled counter series
-	PhaseMeta     = 'M' // metadata (track names; emitted by the writer)
 )
 
 // Event is one recorded trace event.

@@ -21,6 +21,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -125,14 +126,28 @@ type Span struct {
 // request. All methods are nil-safe: a nil *SpanBuf is "tracing
 // disabled" and every operation on it — and on the ActiveSpans and
 // SpanRefs it hands out — is a no-op.
+//
+// A buffer lives as long as its retained job or trace, so it keeps each
+// span as a compact record: the trace ID and service once per buffer,
+// the start as Unix nanoseconds, and a store grown one record at a time
+// while it holds the few spans a trace has. Spans builds full Spans.
 type SpanBuf struct {
 	mu      sync.Mutex
 	service string
 	trace   TraceID
 	limit   int
-	spans   []Span
-	dropped uint64
+	spans   []spanRecord
 	onEnd   func(name string, d time.Duration)
+}
+
+// spanRecord is a completed span as a SpanBuf keeps it.
+type spanRecord struct {
+	name   string
+	id     SpanID
+	parent SpanID
+	start  int64 // Unix nanoseconds
+	dur    time.Duration
+	attrs  []Arg
 }
 
 // DefaultSpanLimit bounds a SpanBuf unless overridden. A job passes
@@ -176,7 +191,8 @@ func (b *SpanBuf) Service() string {
 	return b.service
 }
 
-// Spans returns a copy of the completed spans in end order.
+// Spans returns the completed spans in end order. Each Start is in
+// local time, as time.Now reads it.
 func (b *SpanBuf) Spans() []Span {
 	if b == nil {
 		return nil
@@ -184,42 +200,26 @@ func (b *SpanBuf) Spans() []Span {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]Span, len(b.spans))
-	copy(out, b.spans)
+	for i, r := range b.spans {
+		out[i] = Span{Name: r.name, Service: b.service, Trace: b.trace, ID: r.id, Parent: r.parent,
+			Start: time.Unix(0, r.start), Dur: r.dur, Attrs: r.attrs}
+	}
 	return out
 }
 
-// Len returns the number of completed spans.
-func (b *SpanBuf) Len() int {
-	if b == nil {
-		return 0
-	}
+// add appends a completed span, dropping it past the limit, and fires
+// onEnd.
+func (b *SpanBuf) add(r spanRecord) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.spans)
-}
-
-// Dropped returns how many spans were discarded at the limit.
-func (b *SpanBuf) Dropped() uint64 {
-	if b == nil {
-		return 0
+	if n := len(b.spans); n < b.limit {
+		if n == cap(b.spans) && n < 8 { // a few spans: grow by one
+			b.spans = append(make([]spanRecord, 0, n+1), b.spans...)
+		}
+		b.spans = append(b.spans, r)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// add appends a completed span, honoring the limit, and fires onEnd.
-func (b *SpanBuf) add(s Span) {
-	b.mu.Lock()
-	if len(b.spans) >= b.limit {
-		b.dropped++
-		b.mu.Unlock()
-	} else {
-		b.spans = append(b.spans, s)
-		b.mu.Unlock()
-	}
+	b.mu.Unlock()
 	if b.onEnd != nil {
-		b.onEnd(s.Name, s.Dur)
+		b.onEnd(r.name, r.dur)
 	}
 }
 
@@ -231,27 +231,18 @@ func (b *SpanBuf) StartSpan(name string, parent SpanID, attrs ...Arg) *ActiveSpa
 		return nil
 	}
 	return &ActiveSpan{
-		buf:  b,
-		span: Span{Name: name, Service: b.service, Trace: b.trace, ID: NewSpanID(), Parent: parent, Start: time.Now(), Attrs: attrs},
+		buf:   b,
+		rec:   spanRecord{name: name, id: NewSpanID(), parent: parent, attrs: attrs},
+		start: time.Now(),
 	}
-}
-
-// AddSpan records an already-measured span (e.g. a backoff interval
-// reconstructed after the timer fired) and returns its ID.
-func (b *SpanBuf) AddSpan(name string, parent SpanID, start time.Time, dur time.Duration, attrs ...Arg) SpanID {
-	if b == nil {
-		return SpanID{}
-	}
-	id := NewSpanID()
-	b.add(Span{Name: name, Service: b.service, Trace: b.trace, ID: id, Parent: parent, Start: start, Dur: dur, Attrs: attrs})
-	return id
 }
 
 // ActiveSpan is an open span. End completes it; all methods tolerate a
 // nil receiver and double-End.
 type ActiveSpan struct {
 	buf   *SpanBuf
-	span  Span
+	rec   spanRecord
+	start time.Time // with the monotonic reading End measures from
 	ended bool
 	mu    sync.Mutex
 }
@@ -261,7 +252,7 @@ func (a *ActiveSpan) ID() SpanID {
 	if a == nil {
 		return SpanID{}
 	}
-	return a.span.ID
+	return a.rec.id
 }
 
 // Context returns the span's propagation context (for traceparent).
@@ -269,7 +260,7 @@ func (a *ActiveSpan) Context() SpanContext {
 	if a == nil {
 		return SpanContext{}
 	}
-	return SpanContext{Trace: a.span.Trace, Span: a.span.ID}
+	return SpanContext{Trace: a.buf.trace, Span: a.rec.id}
 }
 
 // End completes the span, appending any final attributes. Duration is
@@ -284,13 +275,13 @@ func (a *ActiveSpan) End(attrs ...Arg) {
 		return
 	}
 	a.ended = true
-	s := a.span
+	r := a.rec
 	a.mu.Unlock()
-	s.Dur = time.Since(s.Start)
+	r.start, r.dur = a.start.UnixNano(), time.Since(a.start)
 	if len(attrs) > 0 {
-		s.Attrs = append(s.Attrs[:len(s.Attrs):len(s.Attrs)], attrs...)
+		r.attrs = slices.Concat(r.attrs, attrs)
 	}
-	a.buf.add(s)
+	a.buf.add(r)
 }
 
 // SpanRef is the context-carried handle lower layers use to hang child

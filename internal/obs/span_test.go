@@ -80,16 +80,13 @@ func TestSpanBufParentageAndLimit(t *testing.T) {
 	child.End(U64("n", 7))
 	child.End() // double End is a no-op
 	root.End()
-	buf.AddSpan("measured", root.ID(), time.Now().Add(-time.Second), time.Second)
+	buf.StartSpan("measured", root.ID()).End()
 	// Limit is 3: the fourth completed span is dropped.
 	buf.StartSpan("overflow", SpanID{}).End()
 
 	spans := buf.Spans()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
-	}
-	if buf.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", buf.Dropped())
+	if len(spans) != 3 || spans[2].Name != "measured" {
+		t.Fatalf("got %d spans, want 3 ending with measured: %+v", len(spans), spans)
 	}
 	if spans[0].Name != "child" || spans[0].Parent != root.ID() {
 		t.Fatalf("child span wrong: %+v", spans[0])
@@ -112,7 +109,7 @@ func TestSpanBufOnEnd(t *testing.T) {
 	var names []string
 	buf.OnEnd(func(name string, d time.Duration) { names = append(names, name) })
 	buf.StartSpan("a", SpanID{}).End()
-	buf.AddSpan("b", SpanID{}, time.Now(), time.Millisecond)
+	buf.StartSpan("b", SpanID{}).End()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("onEnd saw %v, want [a b]", names)
 	}
@@ -124,10 +121,7 @@ func TestNilSafety(t *testing.T) {
 	if got := buf.StartSpan("x", SpanID{}); got != nil {
 		t.Fatalf("nil buf StartSpan returned %v", got)
 	}
-	if !buf.AddSpan("x", SpanID{}, time.Now(), 0).IsZero() {
-		t.Fatal("nil buf AddSpan returned non-zero ID")
-	}
-	if buf.Len() != 0 || buf.Dropped() != 0 || buf.Spans() != nil || !buf.Trace().IsZero() || buf.Service() != "" {
+	if buf.Spans() != nil || !buf.Trace().IsZero() || buf.Service() != "" {
 		t.Fatal("nil buf accessors not zero")
 	}
 	var as *ActiveSpan

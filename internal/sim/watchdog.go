@@ -28,7 +28,6 @@ type Watchdog struct {
 	eng     *Engine
 	cfg     WatchdogConfig
 	last    uint64
-	checks  uint64
 	tripped bool
 }
 
@@ -51,11 +50,7 @@ func StartWatchdog(eng *Engine, cfg WatchdogConfig) *Watchdog {
 // Tripped reports whether the watchdog has fired.
 func (w *Watchdog) Tripped() bool { return w.tripped }
 
-// Checks returns how many interval checks have run (for tests).
-func (w *Watchdog) Checks() uint64 { return w.checks }
-
 func (w *Watchdog) check() {
-	w.checks++
 	cur := w.cfg.Progress()
 	if cur == w.last && w.cfg.Pending() {
 		w.tripped = true

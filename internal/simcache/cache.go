@@ -1,7 +1,6 @@
 package simcache
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -65,11 +64,18 @@ type Peer interface {
 // rebuilds the in-memory index from the names; recency is kept in the
 // objects' mtimes, which Close stamps in LRU order.
 //
+// A hit never returns bytes that failed the digest check when they
+// entered memory: a Put's payload, or an object read and checked
+// against its name. While some caller still holds the payload a key
+// last returned or stored, hits on the key return it without reading
+// the object. An object corrupted on disk meanwhile counts as Corrupt,
+// and is dropped, at its first read after that payload is collected.
+//
 // A Cache is safe for concurrent use by multiple goroutines of one
 // process. Processes sharing a directory never observe a partial
 // object, since writes are atomic renames, but each indexes only the
 // objects present at its Open plus its own puts: an object another
-// process evicted or replaced is a miss.
+// process evicted or replaced is a miss once its payload is collected.
 type Cache struct {
 	dir  string
 	opts Options
@@ -92,30 +98,32 @@ type entry struct {
 
 	prev, next *entry
 
-	// shared is a weak pointer to the first byte of the payload slice the
-	// last verified read of this entry returned, sharedLen its length.
-	// While some caller still holds that slice, later reads return it
-	// instead of their own copy; once none does, the GC frees it. Put
-	// installs a fresh entry and dropLocked discards this one, so a slice
-	// is never shared across a change of the stored payload.
-	shared    weak.Pointer[byte]
-	sharedLen int
+	// held is a weak pointer to the first byte of the entry's payload as
+	// it last entered memory, stored by Put or read and verified, and
+	// heldLen its length. While some caller still holds that slice, hits
+	// return it; once none does, the GC frees it and the next hit reads
+	// the object again. Put installs a fresh entry and dropLocked
+	// discards this one, so a slice is never served across a change of
+	// the stored payload.
+	held    weak.Pointer[byte]
+	heldLen int
 }
 
-// share returns the slice an earlier verified read of e handed out if a
-// caller still holds it and its bytes equal b, the payload just read and
-// verified; otherwise it records b as the slice to share from now on.
+// payload returns e's held payload, or nil once it has been collected.
 // The caller holds c.mu.
-func (e *entry) share(b []byte) []byte {
-	if p := e.shared.Value(); p != nil {
-		if s := unsafe.Slice(p, e.sharedLen); bytes.Equal(s, b) {
-			return s
-		}
+func (e *entry) payload() []byte {
+	if p := e.held.Value(); p != nil {
+		return unsafe.Slice(p, e.heldLen)
 	}
+	return nil
+}
+
+// hold records b, whose digest is e's, as the payload hits return while
+// some caller holds it. The caller holds c.mu.
+func (e *entry) hold(b []byte) {
 	if len(b) > 0 {
-		e.shared, e.sharedLen = weak.Make(&b[0]), len(b)
+		e.held, e.heldLen = weak.Make(&b[0]), len(b)
 	}
-	return b
 }
 
 const objectsDir = "objects"
@@ -206,9 +214,6 @@ func Open(dir string, opts Options) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Dir returns the cache root directory.
-func (c *Cache) Dir() string { return c.dir }
 
 // objectPath names the object holding key's payload with the given
 // digest. Objects are sharded by the key's first byte so no directory
@@ -311,10 +316,10 @@ func (c *Cache) GetContext(ctx context.Context, key string) (payload []byte, ok 
 // process's store. The cluster cache-serving endpoint uses it so a
 // peer fetch can never recurse into another peer fetch.
 //
-// Every call reads the object and checks its digest. A hit returns the
-// same backing array as an earlier hit on the key while some caller
-// still holds that slice, so callers must treat the payload as
-// read-only.
+// A hit returns the payload the key last stored or returned while some
+// caller still holds it, and otherwise reads the object and checks its
+// digest (see Cache). Callers share the payload, so they must treat it
+// as read-only.
 func (c *Cache) GetLocal(key string) (payload []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -336,30 +341,35 @@ func (c *Cache) Probe(key string) (payload []byte, ok bool, err error) {
 	return b, ok, nil
 }
 
-// readLocked reads key's object and checks its size and digest; on a
-// hit it makes the entry the most recently used and counts the hit. The
-// caller holds c.mu, and counts a miss if it counts one.
+// readLocked returns key's held payload, or reads its object and checks
+// its size and digest; on a hit it makes the entry the most recently
+// used and counts the hit. The caller holds c.mu, and counts a miss if
+// it counts one.
 func (c *Cache) readLocked(key string) ([]byte, bool) {
 	e, found := c.entries[key]
 	if !found {
 		return nil, false
 	}
-	b, err := readObject(c.objectPath(e.key, e.digest), e.size)
-	if err != nil {
-		// Object vanished out from under the index (partial cleanup,
-		// concurrent eviction by another process): treat as a miss.
-		c.dropLocked(e)
-		return nil, false
-	}
-	if int64(len(b)) != e.size || PayloadDigest(b) != e.digest {
-		c.dropLocked(e)
-		c.stats.Corrupt++
-		return nil, false
+	b := e.payload()
+	if b == nil {
+		var err error
+		if b, err = readObject(c.objectPath(e.key, e.digest), e.size); err != nil {
+			// Object vanished out from under the index (partial cleanup,
+			// concurrent eviction by another process): treat as a miss.
+			c.dropLocked(e)
+			return nil, false
+		}
+		if int64(len(b)) != e.size || PayloadDigest(b) != e.digest {
+			c.dropLocked(e)
+			c.stats.Corrupt++
+			return nil, false
+		}
+		e.hold(b)
 	}
 	e.unlink()
 	c.pushBack(e)
 	c.stats.Hits++
-	return e.share(b), true
+	return b, true
 }
 
 // readObject reads the object at path, which the index says holds size
@@ -384,7 +394,9 @@ func readObject(path string, size int64) ([]byte, error) {
 // fsynced with its directory before Put returns, and evicts least
 // recently used entries if the store exceeds its byte cap. Re-putting
 // an existing key refreshes its payload and LRU position. A key is at
-// least two bytes long and contains no '/' or '.'.
+// least two bytes long and contains no '/' or '.'. Hits return payload
+// itself while some caller holds it, so the caller must not modify it
+// once Put returns.
 func (c *Cache) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("simcache: invalid key %q", key)
@@ -409,6 +421,7 @@ func (c *Cache) Put(key string, payload []byte) error {
 			c.dropLocked(old)
 		}
 	}
+	e.hold(payload)
 	c.entries[key] = e
 	c.size += e.size
 	c.pushBack(e)

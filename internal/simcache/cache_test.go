@@ -106,11 +106,13 @@ func TestCorruptPayloadIsAMiss(t *testing.T) {
 		if err := c.Put(key, []byte("payload-v1")); err != nil {
 			t.Fatal(err)
 		}
-		// Rewrite the object behind the cache's back.
+		// Rewrite the object behind the cache's back, and read it through
+		// a fresh handle, which holds no payload in memory.
 		path := objectFile(t, c, key)
 		if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		c = open(t, dir, Options{})
 		if _, ok, err := c.Get(key); ok || err != nil {
 			t.Fatalf("%q: tampered Get = ok=%v err=%v, want miss", tampered, ok, err)
 		}
@@ -214,7 +216,7 @@ func TestConcurrentPutGet(t *testing.T) {
 
 // TestGetSharesHeldPayload: while the slice one Get returned is still
 // held, a second Get of the same key returns the same backing array
-// instead of a private copy, and both count as verified hits.
+// instead of a private copy, and both count as hits.
 func TestGetSharesHeldPayload(t *testing.T) {
 	c := open(t, t.TempDir(), Options{})
 	key := mustKey(t, "shared")
@@ -263,30 +265,36 @@ func TestPutReplacesSharedPayload(t *testing.T) {
 	}
 }
 
-// TestCorruptObjectMissesWhileShared: sharing never skips verification.
-// With a verified slice of the key still held, a corrupted object file
-// makes the next Get a miss.
-func TestCorruptObjectMissesWhileShared(t *testing.T) {
+// TestHeldPayloadServedUntilCollected: a hit returns the payload held
+// in memory, which was verified when it entered, without reading the
+// object. An object corrupted meanwhile counts as Corrupt, and misses,
+// at the first read after the payload is collected.
+func TestHeldPayloadServedUntilCollected(t *testing.T) {
 	c := open(t, t.TempDir(), Options{})
-	key := mustKey(t, "corrupt-shared")
-	if err := c.Put(key, []byte("payload-v1")); err != nil {
+	key := mustKey(t, "held")
+	want := strings.Repeat("payload-v1;", 8) // too long for the tiny allocator
+	if err := c.Put(key, []byte(want)); err != nil {
 		t.Fatal(err)
 	}
 	held, ok, err := c.Get(key)
-	if err != nil || !ok {
-		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	if err != nil || !ok || string(held) != want {
+		t.Fatalf("Get = %q, %v, %v", held, ok, err)
 	}
-	if err := os.WriteFile(objectFile(t, c, key), []byte("tampered!!"), 0o644); err != nil {
+	if err := os.WriteFile(objectFile(t, c, key), []byte(strings.Repeat("tampered!!;", 8)), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	got, ok, err := c.Get(key)
+	if err != nil || !ok || &got[0] != &held[0] {
+		t.Fatalf("Get while the payload is held = %q, %v, %v; want the held bytes", got, ok, err)
+	}
+	runtime.KeepAlive(held)
+	held, got = nil, nil
+	runtime.GC()
 	if got, ok, err := c.Get(key); ok || err != nil {
-		t.Fatalf("Get of corrupted object = %q, %v, %v; want a miss", got, ok, err)
+		t.Fatalf("Get after the payload was collected = %q, %v, %v; want a miss", got, ok, err)
 	}
-	if st := c.Stats(); st.Corrupt != 1 {
-		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
-	}
-	if string(held) != "payload-v1" {
-		t.Fatalf("held slice changed to %q", held)
+	if st := c.Stats(); st.Corrupt != 1 || st.Hits != 2 {
+		t.Fatalf("stats %+v, want 2 hits and Corrupt 1", st)
 	}
 }
 

@@ -4,10 +4,12 @@
 // opaque payloads (in practice the JSON encoding of a gpu.Result).
 //
 // The store is durable and crash-safe: every write goes through
-// internal/atomicio (temp file + rename), every read verifies the
-// payload's digest before returning it, and a corrupted or truncated
-// entry is treated as a miss and dropped. An index file tracks entry
-// sizes and last-use order so the store can enforce an LRU byte cap.
+// internal/atomicio (temp file + rename), every read from disk verifies
+// the payload's digest before returning it, and a corrupted or
+// truncated entry is treated as a miss and dropped; a hit on a payload
+// still held in memory returns it as verified when it entered (see
+// Cache). Each object's name carries its digest, and the store keeps
+// entry sizes and last-use order in memory to enforce an LRU byte cap.
 //
 // See docs/SERVER.md for the on-disk layout and the services built on
 // top of it (cmd/gpuwalkd, examples/sensitivity).

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -179,6 +180,9 @@ func TestKillAfterPuts(t *testing.T) {
 			c.Len(), c.Size(), objects, onDisk)
 	}
 
+	// Tamper with an object whose payload the reads above returned,
+	// once it is collected: a held payload is served without a read.
+	runtime.GC()
 	path := objectFile(t, c, crashKey(0))
 	if err := os.WriteFile(path, []byte("tampered"), 0o644); err != nil {
 		t.Fatal(err)
@@ -308,6 +312,9 @@ func TestOpenAdoptsLegacyLayout(t *testing.T) {
 			t.Fatalf("adopted Get %d = %q, %v, %v", i, b, ok, err)
 		}
 	}
+	// Once the payloads the reads returned are collected, the next read
+	// checks the object again.
+	runtime.GC()
 	if err := os.WriteFile(objectFile(t, c, keys[1]), []byte(`{"cycles":9999}`), 0o644); err != nil {
 		t.Fatal(err)
 	}

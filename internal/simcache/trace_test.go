@@ -65,8 +65,8 @@ func TestGetContextRecordsPeerFetchSpan(t *testing.T) {
 	if _, ok, _ := c.GetContext(ctx, key); !ok {
 		t.Fatal("adopted payload not stored locally")
 	}
-	if peer.calls != 1 || buf.Len() != 1 {
-		t.Fatalf("local hit went back to the peer (calls=%d, spans=%d)", peer.calls, buf.Len())
+	if peer.calls != 1 || len(buf.Spans()) != 1 {
+		t.Fatalf("local hit went back to the peer (calls=%d, spans=%d)", peer.calls, len(buf.Spans()))
 	}
 
 	// A bare context (no span ref) traces nothing and still works.

@@ -61,7 +61,6 @@ type Stats struct {
 
 // TLB is one translation lookaside buffer.
 type TLB struct {
-	cfg     Config
 	sets    []set
 	setMask uint64
 	clock   uint64
@@ -82,7 +81,7 @@ func New(cfg Config) *TLB {
 		ways = cfg.Entries
 	}
 	nsets := cfg.Entries / ways
-	t := &TLB{cfg: cfg, sets: make([]set, nsets), setMask: uint64(nsets - 1)}
+	t := &TLB{sets: make([]set, nsets), setMask: uint64(nsets - 1)}
 	// Every set's ways are carved from one backing array.
 	entries := make([]entry, nsets*ways)
 	for i := range t.sets {
@@ -99,9 +98,6 @@ func (t *TLB) Stats() Stats { return t.stats }
 func (t *TLB) SetTracer(tr *obs.Tracer, trk obs.Track) {
 	t.tr, t.trk = tr, trk
 }
-
-// Config returns the TLB configuration.
-func (t *TLB) Config() Config { return t.cfg }
 
 // Lookup searches for vpn. On a hit it returns the cached pfn, updates
 // its recency, and records a hit; on a miss it records a miss.
