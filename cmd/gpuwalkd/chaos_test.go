@@ -178,7 +178,7 @@ func TestChaosKillRestart(t *testing.T) {
 	client2 := &jobd.Client{BaseURL: s2.base}
 	recoveredIDs := make(map[string]bool)
 	for _, id := range ids {
-		v, err := client2.WaitTerminal(ctx, id, 10*time.Millisecond)
+		v, err := waitTerminal(ctx, client2, id)
 		if errors.Is(err, jobd.ErrNotFound) {
 			continue // finished before the kill; cache sweep covers it
 		}

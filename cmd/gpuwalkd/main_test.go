@@ -113,6 +113,22 @@ func (d *daemon) stop(t *testing.T) {
 	}
 }
 
+// waitTerminal polls a job through c until it reaches a terminal
+// state, ctx expires, or the server no longer retains it.
+func waitTerminal(ctx context.Context, c *jobd.Client, id string) (jobd.JobView, error) {
+	for {
+		v, err := c.Job(ctx, id)
+		if err != nil || v.State.Terminal() {
+			return v, err
+		}
+		select {
+		case <-time.After(10 * time.Millisecond):
+		case <-ctx.Done():
+			return v, ctx.Err()
+		}
+	}
+}
+
 // TestEndToEnd drives a real gpuwalkd: start the server on an
 // ephemeral port, submit a sweep over HTTP, follow its SSE stream,
 // resubmit it and require cache hits with byte-identical results,
@@ -366,7 +382,7 @@ func TestStallFailsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = c.WaitTerminal(ctx, v.ID, 10*time.Millisecond)
+	v, err = waitTerminal(ctx, c, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

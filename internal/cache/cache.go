@@ -141,9 +141,6 @@ func New(eng *sim.Engine, cfg Config, lower AccessFn) *Cache {
 // Stats returns a snapshot of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // lineAddr returns the line-aligned address of addr.
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (c.cfg.LineBytes - 1) }
 
@@ -261,13 +258,6 @@ func (c *Cache) getMSHR() *mshr {
 	m.fetchFn = m.fetch
 	m.fillFn = m.fill
 	return m
-}
-
-// Probe reports whether the line containing addr is resident, without
-// touching replacement state or statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	idx, tag := c.indexTag(c.lineAddr(addr))
-	return findWay(c.ways(idx), tag) >= 0
 }
 
 // fetch sends the miss to the lower level, retrying on rejection.

@@ -48,6 +48,13 @@ func newPair(t *testing.T) (*sim.Engine, *Cache, *backing) {
 	return eng, c, lower
 }
 
+// resident reports whether the line containing addr is in the tag
+// store, without touching replacement state or statistics.
+func resident(c *Cache, addr uint64) bool {
+	idx, tag := c.indexTag(c.lineAddr(addr))
+	return findWay(c.ways(idx), tag) >= 0
+}
+
 func TestMissThenHit(t *testing.T) {
 	eng, c, lower := newPair(t)
 	var missAt, hitAt sim.Cycle
@@ -111,7 +118,7 @@ func TestMSHRExhaustionParks(t *testing.T) {
 
 func TestEvictionLRU(t *testing.T) {
 	eng, c, _ := newPair(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	sets := cfg.SizeBytes / (cfg.LineBytes * uint64(cfg.Ways))
 	setStride := sets * cfg.LineBytes // same-set stride
 
@@ -124,14 +131,14 @@ func TestEvictionLRU(t *testing.T) {
 		t.Errorf("Evictions = %d, want 1", c.Stats().Evictions)
 	}
 	// The newest line must be resident.
-	if !c.Probe(4 * setStride) {
+	if !resident(c, 4*setStride) {
 		t.Error("just-filled line not resident")
 	}
 }
 
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	eng, c, lower := newPair(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	sets := cfg.SizeBytes / (cfg.LineBytes * uint64(cfg.Ways))
 	setStride := sets * cfg.LineBytes
 
@@ -152,7 +159,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 
 func TestPseudoLRUPrefersUntouched(t *testing.T) {
 	eng, c, _ := newPair(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	sets := cfg.SizeBytes / (cfg.LineBytes * uint64(cfg.Ways))
 	setStride := sets * cfg.LineBytes
 
@@ -168,11 +175,11 @@ func TestPseudoLRUPrefersUntouched(t *testing.T) {
 	}
 	c.Access(9*setStride, false, func() {})
 	eng.Run()
-	if c.Probe(0) {
+	if resident(c, 0) {
 		t.Error("least-recently-used line survived eviction")
 	}
 	for i := 1; i < 4; i++ {
-		if !c.Probe(uint64(i) * setStride) {
+		if !resident(c, uint64(i)*setStride) {
 			t.Errorf("recently-touched line %d was evicted", i)
 		}
 	}
@@ -185,18 +192,18 @@ func TestPseudoLRUPrefersUntouched(t *testing.T) {
 func TestTagStoreHighAddresses(t *testing.T) {
 	for _, la := range []uint64{64<<30 - 64, 64 << 30, 1 << 48, 1<<62 - 64, 1 << 62, 1 << 63, ^uint64(0) &^ 63} {
 		eng, c, lower := newPair(t)
-		cfg := c.Config()
+		cfg := c.cfg
 		setStride := cfg.SizeBytes / uint64(cfg.Ways) // same set, next tag down
 		c.Access(la+8, true, nil)
 		eng.Run()
-		if !c.Probe(la) {
+		if !resident(c, la) {
 			t.Fatalf("line %#x: not resident after its write fill", la)
 		}
 		for k := uint64(1); k <= uint64(cfg.Ways); k++ {
 			c.Access(la-k*setStride, false, nil)
 			eng.Run()
 		}
-		if c.Probe(la) || !c.Probe(la-uint64(cfg.Ways)*setStride) {
+		if resident(c, la) || !resident(c, la-uint64(cfg.Ways)*setStride) {
 			t.Fatalf("line %#x: still resident after %d conflicting fills", la, cfg.Ways)
 		}
 		if len(lower.written) != 1 || lower.written[0] != la {
@@ -207,7 +214,7 @@ func TestTagStoreHighAddresses(t *testing.T) {
 
 func TestWriteHitMarksDirty(t *testing.T) {
 	eng, c, lower := newPair(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	sets := cfg.SizeBytes / (cfg.LineBytes * uint64(cfg.Ways))
 	setStride := sets * cfg.LineBytes
 
@@ -299,22 +306,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestProbeDoesNotTouch(t *testing.T) {
-	eng, c, _ := newPair(t)
-	c.Access(0x100, false, func() {})
-	eng.Run()
-	before := c.Stats().Lookups.Total
-	if !c.Probe(0x100) {
-		t.Error("Probe missed a resident line")
-	}
-	if c.Probe(0x999000) {
-		t.Error("Probe hit an absent line")
-	}
-	if c.Stats().Lookups.Total != before {
-		t.Error("Probe changed lookup statistics")
-	}
-}
-
 func TestFuzzCallbackConservation(t *testing.T) {
 	// Any access sequence: every done callback fires exactly once, and
 	// only lines that were accessed can be resident.
@@ -352,7 +343,7 @@ func TestFuzzCallbackConservation(t *testing.T) {
 			}
 		}
 		for la := uint64(0); la < 64*64; la += 64 {
-			if c.Probe(la) && !touched[la] {
+			if resident(c, la) && !touched[la] {
 				t.Fatalf("seed %d: untouched line %#x resident", seed, la)
 			}
 		}

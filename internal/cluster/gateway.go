@@ -181,7 +181,8 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	key := g.routeKey(body)
 	owner := g.m.Owner(key)
-	routeSpan.End(obs.Str("key", shortKey(key)), obs.Str("node", NodeName(owner)))
+	node := g.m.names[owner]
+	routeSpan.End(obs.Str("key", shortKey(key)), obs.Str("node", node))
 	if owner == "" {
 		g.metrics.noOwner.Inc()
 		gwSpan.End(obs.Str("error", "no healthy nodes"))
@@ -196,7 +197,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// backend.
 	var proxySpan *obs.ActiveSpan
 	if buf != nil {
-		proxySpan = buf.StartSpan("gateway.proxy", gwSpan.ID(), obs.Str("node", NodeName(owner)))
+		proxySpan = buf.StartSpan("gateway.proxy", gwSpan.ID(), obs.Str("node", node))
 		r.Header.Set(obs.TraceparentHeader,
 			obs.SpanContext{Trace: buf.Trace(), Span: proxySpan.ID()}.Traceparent())
 	}
@@ -214,9 +215,9 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if jobID, ok = acceptedJobID(rbody); ok && buf != nil {
 			g.traces.bindJob(jobID, buf.Trace())
 		}
-		g.metrics.routedJobs.With(NodeName(owner)).Inc()
+		g.metrics.routedJobs.With(node).Inc()
 		logArgs := []any{"request_id", reqID,
-			"node", NodeName(owner), "job_id", jobID, "key", shortKey(key)}
+			"node", node, "job_id", jobID, "key", shortKey(key)}
 		if buf != nil {
 			logArgs = append(logArgs, "trace_id", buf.Trace().String())
 		}
@@ -292,7 +293,7 @@ func (g *Gateway) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Gpuwalkd-Node", NodeName(node))
+	w.Header().Set("X-Gpuwalkd-Node", g.m.names[node])
 	_ = obs.WriteChromeSpans(w, spans)
 }
 
@@ -305,12 +306,7 @@ func (g *Gateway) owner(jobID string) string {
 	if i < 0 {
 		return ""
 	}
-	for _, p := range g.m.Peers() {
-		if NodeName(p) == jobID[:i] {
-			return p
-		}
-	}
-	return ""
+	return g.m.byName[jobID[:i]]
 }
 
 // readJob GETs path from the member holding jobID: its owner, or for an
@@ -382,16 +378,16 @@ func (g *Gateway) exchange(r *http.Request, node, method, path string, body []by
 	}
 	resp, err := g.hc.Do(req)
 	if err != nil {
-		g.metrics.proxyErrors.With(NodeName(node)).Inc()
+		g.metrics.proxyErrors.With(g.m.names[node]).Inc()
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	b, err := readBody(resp)
 	if err != nil {
-		g.metrics.proxyErrors.With(NodeName(node)).Inc()
+		g.metrics.proxyErrors.With(g.m.names[node]).Inc()
 		return nil, nil, err
 	}
-	g.metrics.proxied.With(NodeName(node)).Inc()
+	g.metrics.proxied.With(g.m.names[node]).Inc()
 	return resp, b, nil
 }
 
@@ -422,7 +418,7 @@ func (g *Gateway) relay(w http.ResponseWriter, node string, resp *http.Response,
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set("X-Gpuwalkd-Node", NodeName(node))
+	w.Header().Set("X-Gpuwalkd-Node", g.m.names[node])
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(body)
@@ -434,7 +430,7 @@ func (g *Gateway) relay(w http.ResponseWriter, node string, resp *http.Response,
 // retry instead of failing the caller.
 func (g *Gateway) proxyFailure(w http.ResponseWriter, node string, err error) {
 	if node != "" {
-		g.log.Warn("proxy failure", "node", NodeName(node), "error", err.Error())
+		g.log.Warn("proxy failure", "node", g.m.names[node], "error", err.Error())
 	}
 	w.Header().Set("Retry-After", "1")
 	gwError(w, http.StatusBadGateway, fmt.Sprintf("cluster: backend unreachable: %v", err))
@@ -451,14 +447,14 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, node := range members {
 		resp, body, err := g.exchange(r, node, http.MethodGet, "/v1/jobs", nil)
 		if err != nil || resp.StatusCode != http.StatusOK {
-			unreachable = append(unreachable, NodeName(node))
+			unreachable = append(unreachable, g.m.names[node])
 			continue
 		}
 		var out struct {
 			Jobs []json.RawMessage `json:"jobs"`
 		}
 		if json.Unmarshal(body, &out) != nil {
-			unreachable = append(unreachable, NodeName(node))
+			unreachable = append(unreachable, g.m.names[node])
 			continue
 		}
 		merged = append(merged, out.Jobs...)
@@ -516,12 +512,12 @@ func (g *Gateway) streamProxy(w http.ResponseWriter, r *http.Request, node, path
 	}
 	resp, err := g.sse.Do(req)
 	if err != nil {
-		g.metrics.proxyErrors.With(NodeName(node)).Inc()
+		g.metrics.proxyErrors.With(g.m.names[node]).Inc()
 		g.proxyFailure(w, node, err)
 		return
 	}
 	defer resp.Body.Close()
-	g.metrics.proxied.With(NodeName(node)).Inc()
+	g.metrics.proxied.With(g.m.names[node]).Inc()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 		g.relay(w, node, resp, body)
@@ -533,7 +529,7 @@ func (g *Gateway) streamProxy(w http.ResponseWriter, r *http.Request, node, path
 			w.Header().Set(h, v)
 		}
 	}
-	w.Header().Set("X-Gpuwalkd-Node", NodeName(node))
+	w.Header().Set("X-Gpuwalkd-Node", g.m.names[node])
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl, canFlush := w.(http.Flusher)
@@ -590,10 +586,10 @@ func (g *Gateway) streamProxy(w http.ResponseWriter, r *http.Request, node, path
 			// The backend died mid-stream: turn the silent close into an
 			// explicit terminal event the client can act on.
 			g.metrics.sseDrops.Inc()
-			g.log.Warn("sse upstream dropped", "node", NodeName(node), "error", errString(err))
+			g.log.Warn("sse upstream dropped", "node", g.m.names[node], "error", errString(err))
 			payload, _ := json.Marshal(map[string]string{
-				"error": fmt.Sprintf("upstream connection to %s lost: %v", NodeName(node), errString(err)),
-				"node":  NodeName(node),
+				"error": fmt.Sprintf("upstream connection to %s lost: %v", g.m.names[node], errString(err)),
+				"node":  g.m.names[node],
 			})
 			fmt.Fprintf(w, "event: error\ndata: %s\n\n", payload)
 			if canFlush {
@@ -645,7 +641,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			doc, err := g.scrapeOne(p)
 			if err != nil {
-				g.metrics.rollupErrors.With(NodeName(p)).Inc()
+				g.metrics.rollupErrors.With(g.m.names[p]).Inc()
 				return
 			}
 			docs[i] = doc
@@ -655,7 +651,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	byNode := make(map[string]*obs.PromText, len(peers))
 	for i, p := range peers {
 		if docs[i] != nil {
-			byNode[NodeName(p)] = docs[i]
+			byNode[g.m.names[p]] = docs[i]
 		}
 	}
 	_ = g.metrics.fams.WriteRollup(w, byNode)
@@ -781,13 +777,4 @@ func writeGwJSON(w http.ResponseWriter, code int, v any) {
 
 func gwError(w http.ResponseWriter, code int, msg string) {
 	writeGwJSON(w, code, map[string]string{"error": msg})
-}
-
-// decodeJSONBody decodes a bounded JSON response body.
-func decodeJSONBody(r io.Reader, out any) error {
-	b, err := io.ReadAll(io.LimitReader(r, 8<<20))
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(b, out)
 }

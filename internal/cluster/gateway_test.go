@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -380,7 +379,7 @@ func TestGatewayOwnerDownFreshGateway(t *testing.T) {
 	_, m, srv := newTestGateway(t, nodes...)
 	nodes[0].srv.Close()
 	m.probeAll()
-	if m.Healthy(nodes[0].srv.URL) {
+	if healthyIn(m, nodes[0].srv.URL) {
 		t.Fatal("closed owner still healthy after a probe")
 	}
 
@@ -554,9 +553,25 @@ func TestGatewaySSEProxyCleanStream(t *testing.T) {
 	if fmt.Sprint(events) != fmt.Sprint(want) {
 		t.Fatalf("events = %v, want %v", events, want)
 	}
-	if gw.metrics.sseDrops.Count() != 0 {
+	if n := sseDrops(t, gw); n != 0 {
 		t.Fatal("clean stream counted as an upstream drop")
 	}
+}
+
+// sseDrops reads gateway_sse_upstream_drops_total from the gateway's
+// own families, as /metrics serves them.
+func sseDrops(t *testing.T, gw *Gateway) float64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gw.Metrics().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := obs.ParsePromText(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := doc.Sample("gateway_sse_upstream_drops_total")
+	return n
 }
 
 // TestGatewaySSESyntheticErrorOnDrop: when the backend connection dies
@@ -581,8 +596,8 @@ func TestGatewaySSESyntheticErrorOnDrop(t *testing.T) {
 	if !strings.Contains(raw, "lost") {
 		t.Fatalf("synthetic error data does not explain the drop:\n%s", raw)
 	}
-	if gw.metrics.sseDrops.Count() != 1 {
-		t.Fatalf("sse drop counter = %d, want 1", gw.metrics.sseDrops.Count())
+	if n := sseDrops(t, gw); n != 1 {
+		t.Fatalf("sse drop counter = %v, want 1", n)
 	}
 }
 
@@ -593,9 +608,15 @@ func TestGatewayClusterStatus(t *testing.T) {
 	_, m, srv := newTestGateway(t, nodes...)
 	m.probeAll()
 
-	st, err := FetchStatus(context.Background(), nil, srv.URL)
+	resp, err := http.Get(srv.URL + "/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
+	}
+	var st Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cluster = %d, %v", resp.StatusCode, err)
 	}
 	if st.Self != "gateway" || len(st.Members) != 2 || st.Healthy != 2 {
 		t.Fatalf("status = %+v", st)

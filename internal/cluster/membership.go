@@ -51,6 +51,11 @@ type Membership struct {
 	log   *slog.Logger
 	hc    *http.Client
 	peers []string // normalized, sorted, deduped
+	// names maps each peer URL to its NodeName, derived once, and
+	// byName maps back. Both are fixed at construction, so reads take
+	// no lock; a URL outside peers (or "") names no one.
+	names  map[string]string
+	byName map[string]string
 
 	mu       sync.RWMutex
 	state    map[string]*nodeState
@@ -119,14 +124,21 @@ func NewMembership(opts MemberOptions) (*Membership, error) {
 	}
 	peers = dedupSorted(peers)
 	m := &Membership{
-		opts:  opts,
-		log:   log,
-		hc:    &http.Client{},
-		peers: peers,
-		state: make(map[string]*nodeState, len(peers)),
-		stop:  make(chan struct{}),
+		opts:   opts,
+		log:    log,
+		hc:     &http.Client{},
+		peers:  peers,
+		names:  make(map[string]string, len(peers)),
+		byName: make(map[string]string, len(peers)),
+		state:  make(map[string]*nodeState, len(peers)),
+		stop:   make(chan struct{}),
 	}
 	for _, p := range peers {
+		name := NodeName(p)
+		m.names[p] = name
+		if _, dup := m.byName[name]; !dup {
+			m.byName[name] = p
+		}
 		m.state[p] = &nodeState{url: p, healthy: true}
 	}
 	m.ring = BuildRing(peers, opts.VNodes)
@@ -201,9 +213,9 @@ func (m *Membership) probeAll() {
 			st.transitions++
 			changed = true
 			if v.healthy {
-				m.log.Info("cluster node up", "node", NodeName(v.url))
+				m.log.Info("cluster node up", "node", m.names[v.url])
 			} else {
-				m.log.Warn("cluster node down", "node", NodeName(v.url), "error", v.errText)
+				m.log.Warn("cluster node down", "node", m.names[v.url], "error", v.errText)
 			}
 		}
 	}
@@ -259,15 +271,6 @@ func (m *Membership) Ring() *Ring {
 // Owner returns the healthy node owning key, or "" when none is.
 func (m *Membership) Owner(key string) string {
 	return m.Ring().Owner(key)
-}
-
-// Healthy reports whether the given (normalized) peer URL is healthy.
-// Unknown URLs are unhealthy.
-func (m *Membership) Healthy(peerURL string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	st, ok := m.state[peerURL]
-	return ok && st.healthy
 }
 
 // HealthyCount returns how many members are currently healthy.
@@ -331,7 +334,7 @@ func (m *Membership) Snapshot(self string) Status {
 	for _, p := range m.peers {
 		st := m.state[p]
 		ns := NodeStatus{
-			Node:          NodeName(p),
+			Node:          m.names[p],
 			URL:           p,
 			Healthy:       st.healthy,
 			LastError:     st.lastErr,
@@ -348,33 +351,6 @@ func (m *Membership) Snapshot(self string) Status {
 		out.Members = append(out.Members, ns)
 	}
 	return out
-}
-
-// FetchStatus retrieves a gateway's (or peered node's) /v1/cluster
-// view — the typed client half of the status endpoint, which the
-// cluster chaos test polls until the ring is healthy.
-func FetchStatus(ctx context.Context, hc *http.Client, baseURL string) (Status, error) {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(baseURL, "/")+"/v1/cluster", nil)
-	if err != nil {
-		return Status{}, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return Status{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, fmt.Errorf("cluster: status endpoint returned %s", resp.Status)
-	}
-	var st Status
-	if err := decodeJSONBody(resp.Body, &st); err != nil {
-		return Status{}, err
-	}
-	return st, nil
 }
 
 // discardHandler is a slog.Handler that drops everything (slog's

@@ -47,7 +47,7 @@ func TestMembershipHealthTransitions(t *testing.T) {
 			t.Fatalf("Owner(%q) = %q with only a healthy", k, got)
 		}
 	}
-	if m.Healthy(NormalizeMust(t, b.srv.URL)) {
+	if healthyIn(m, NormalizeMust(t, b.srv.URL)) {
 		t.Fatal("b still reported healthy")
 	}
 
@@ -82,6 +82,16 @@ func NormalizeMust(t *testing.T, raw string) string {
 		t.Fatal(err)
 	}
 	return u
+}
+
+// healthyIn reports whether peerURL is healthy in m's status view.
+func healthyIn(m *Membership, peerURL string) bool {
+	for _, ns := range m.Snapshot("test").Members {
+		if ns.URL == peerURL {
+			return ns.Healthy
+		}
+	}
+	return false
 }
 
 func TestNormalizeURL(t *testing.T) {

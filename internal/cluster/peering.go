@@ -75,7 +75,7 @@ func (p *Peering) Fetch(key string) ([]byte, bool) {
 	resp, err := p.hc.Get(owner + "/v1/cache/" + url.PathEscape(key))
 	if err != nil {
 		p.errors.Add(1)
-		p.log.Debug("peer fetch failed", "peer", NodeName(owner), "error", err.Error())
+		p.log.Debug("peer fetch failed", "peer", p.m.names[owner], "error", err.Error())
 		return nil, false
 	}
 	defer resp.Body.Close()
@@ -85,11 +85,11 @@ func (p *Peering) Fetch(key string) ([]byte, bool) {
 	b, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
 		p.errors.Add(1)
-		p.log.Debug("peer fetch body failed", "peer", NodeName(owner), "error", err.Error())
+		p.log.Debug("peer fetch body failed", "peer", p.m.names[owner], "error", err.Error())
 		return nil, false
 	}
 	p.hits.Add(1)
-	p.log.Debug("peer fetch hit", "peer", NodeName(owner), "key", shortKey(key), "bytes", len(b))
+	p.log.Debug("peer fetch hit", "peer", p.m.names[owner], "key", shortKey(key), "bytes", len(b))
 	return b, true
 }
 

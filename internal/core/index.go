@@ -91,7 +91,6 @@ func (l *reqList) remove(r *Request) {
 // instrGroup is one instruction's pending requests: a seq-ordered FIFO
 // (via Request.gnext) plus the instruction's running score.
 type instrGroup struct {
-	instr InstrID
 	head  *Request
 	tail  *Request
 	count int
@@ -310,7 +309,7 @@ func (s *IndexedSIMT) Admit(r *Request) {
 		} else {
 			g = &instrGroup{}
 		}
-		*g = instrGroup{instr: r.Instr, hpos: -1}
+		*g = instrGroup{hpos: -1}
 		s.groups[r.Instr] = g
 	}
 	g.score += r.Est

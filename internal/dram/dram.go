@@ -212,9 +212,6 @@ func (m *Memory) traceQueue(c *channel) {
 // Stats returns a snapshot of accumulated statistics.
 func (m *Memory) Stats() Stats { return m.stats }
 
-// Config returns the memory configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // decode maps a physical address to (channel, flat bank, row).
 func (m *Memory) decode(addr uint64) (ch, bk int, row uint64) {
 	block := addr / m.cfg.LineBytes

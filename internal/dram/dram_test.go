@@ -215,7 +215,7 @@ func TestQuickDecodeRoundtrip(t *testing.T) {
 	f := func(addr uint64) bool {
 		addr %= 1 << 40
 		ch, bk, _ := m.decode(addr)
-		cfg := m.Config()
+		cfg := m.cfg
 		return ch >= 0 && ch < cfg.Channels &&
 			bk >= 0 && bk < cfg.RanksPerChan*cfg.BanksPerRank
 	}

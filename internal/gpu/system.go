@@ -495,7 +495,6 @@ func addCache(dst *cache.Stats, s cache.Stats) {
 
 func (s *System) collect() Result {
 	now := s.eng.Now()
-	s.io.FinishStats()
 	s.epoch.Finish()
 	if s.met != nil {
 		// Final sample; overwrites a periodic row landing on the same

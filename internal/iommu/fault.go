@@ -144,7 +144,6 @@ func (io *IOMMU) pageFault(r *request, accesses int) {
 	}
 	io.releaseWalker(r, "walk-fault", accesses)
 	io.idleWalkers++
-	io.busyInt.Add(io.eng.Now(), -1)
 	io.stats.Faults++
 	r.faultAt = io.eng.Now()
 	if tr := io.tr; tr != nil {
@@ -252,7 +251,6 @@ func (io *IOMMU) retryWalk(r *request) {
 func (io *IOMMU) abortWalk(r *request, wasted int) {
 	io.releaseWalker(r, "walk-killed", wasted)
 	io.idleWalkers++
-	io.busyInt.Add(io.eng.Now(), -1)
 	io.stats.WalkerKills++
 	if tr := io.tr; tr != nil {
 		tr.Instant(io.trkFault, "fault", "walker-kill",

@@ -231,8 +231,6 @@ type IOMMU struct {
 	reqSlab  []request
 	walkPool []*walkState
 
-	busyInt sim.Integrator // busy walkers over time
-
 	// freeWalkers tracks walker identities whenever the schedule log or
 	// the tracer needs them (trackWalkers).
 	freeWalkers  []int
@@ -356,13 +354,6 @@ func (io *IOMMU) PWCStats() pwc.Stats { return io.pwc.Stats() }
 
 // Scheduler returns the scheduler in use.
 func (io *IOMMU) Scheduler() core.IndexedScheduler { return io.sched }
-
-// BusyWalkerIntegral returns the time-integral of busy walkers, for
-// utilization reporting.
-func (io *IOMMU) BusyWalkerIntegral() uint64 { return io.busyInt.Total() }
-
-// FinishStats closes time integrators at the end of a run.
-func (io *IOMMU) FinishStats() { io.busyInt.Finish(io.eng.Now()) }
 
 // Pending returns buffered plus overflow requests (for tests).
 func (io *IOMMU) Pending() int { return io.sched.PendingLen() + len(io.preQueue) }
@@ -564,7 +555,6 @@ func (io *IOMMU) walkerFreed() {
 // lookup, then 1-4 dependent DRAM reads of page-table entries (2-b).
 func (io *IOMMU) startWalk(r *request) {
 	io.idleWalkers--
-	io.busyInt.Add(io.eng.Now(), 1)
 	if io.trackWalkers {
 		r.walker = io.freeWalkers[len(io.freeWalkers)-1]
 		r.start = io.eng.Now()
@@ -797,7 +787,6 @@ func (io *IOMMU) finishWalk(r *request, accesses int) {
 	io.reply(r, pfn)
 
 	io.idleWalkers++
-	io.busyInt.Add(io.eng.Now(), -1)
 	io.walkerFreed()
 }
 

@@ -287,9 +287,6 @@ func TestWalkLatencyAccounting(t *testing.T) {
 	if st.WalkLatency.Value() < 400 {
 		t.Errorf("walk latency %.0f < 400 (4 dependent reads)", st.WalkLatency.Value())
 	}
-	if r.io.BusyWalkerIntegral() == 0 {
-		r.io.FinishStats()
-	}
 }
 
 // TestOverflowAdmissionStrictFIFO checks that a new arrival cannot jump

@@ -77,8 +77,9 @@ func eventTypes(evs []Event) string {
 	return strings.Join(types, ",")
 }
 
-// itemCounters reads the counters a finished job moves.
-func itemCounters(t *testing.T, s *Server) map[string]float64 {
+// exposition parses the server's metric families as /metrics serves
+// them.
+func exposition(t *testing.T, s *Server) *obs.PromText {
 	t.Helper()
 	var b bytes.Buffer
 	if err := s.Metrics().WriteText(&b); err != nil {
@@ -88,6 +89,13 @@ func itemCounters(t *testing.T, s *Server) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return doc
+}
+
+// itemCounters reads the counters a finished job moves.
+func itemCounters(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	doc := exposition(t, s)
 	out := map[string]float64{}
 	for _, key := range []string{
 		`jobd_jobs_submitted_total`,

@@ -39,7 +39,6 @@ import (
 // Methods are safe for concurrent use.
 type Journal struct {
 	path string
-	dir  string
 
 	mu         sync.Mutex
 	f          *os.File
@@ -114,7 +113,6 @@ func OpenJournal(dir string) (*Journal, error) {
 	}
 	jl := &Journal{
 		path:       filepath.Join(dir, journalFile),
-		dir:        dir,
 		live:       make(map[string]*RecoveredJob),
 		compactMin: defaultCompactMin,
 	}

@@ -45,7 +45,7 @@ func TestPanicIsolation(t *testing.T) {
 	if !strings.Contains(got.Items[0].Error, "goroutine") {
 		t.Errorf("item error carries no stack trace: %.120q", got.Items[0].Error)
 	}
-	if n := s.metrics.panics.Count(); n != 1 {
+	if n, _ := exposition(t, s).Sample("jobd_worker_panics_total"); n != 1 {
 		t.Errorf("jobd_worker_panics_total = %v, want 1", n)
 	}
 
@@ -200,93 +200,37 @@ func TestSSEResumeFromLastEventID(t *testing.T) {
 	}
 }
 
-// TestClientRetryBackpressure: a client with a RetryPolicy rides out
-// 429s and lands the submission when the queue opens up.
-func TestClientRetryBackpressure(t *testing.T) {
-	var rejections atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		if rejections.Add(1) <= 2 {
+// TestClientOneRequestPerCall: a Client makes exactly one request per
+// call and returns each backpressure rejection as the server's
+// sentinel error. TestOverloadRejectionsSeparate and the benchmark's
+// failed_frac count every rejection, so a retry would hide one.
+func TestClientOneRequestPerCall(t *testing.T) {
+	for code, sentinel := range map[int]error{
+		http.StatusTooManyRequests:    ErrQueueFull,
+		http.StatusServiceUnavailable: ErrDraining,
+	} {
+		var tries atomic.Int64
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+			tries.Add(1)
 			w.Header().Set("Retry-After", "0")
-			httpError(w, http.StatusTooManyRequests, ErrQueueFull.Error())
-			return
+			httpError(w, code, sentinel.Error())
+		})
+		ts := httptest.NewServer(mux)
+		c := &Client{BaseURL: ts.URL}
+		_, err := c.Submit(context.Background(), SubmitRequest{Spec: json.RawMessage(`{}`)})
+		ts.Close()
+		if !errors.Is(err, sentinel) {
+			t.Errorf("%d: err = %v, want %v", code, err, sentinel)
 		}
-		writeJSON(w, http.StatusAccepted, JobView{ID: "j000001", State: StateQueued})
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL, Retry: &RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   time.Millisecond,
-		jitter:      func() float64 { return 0 },
-	}}
-	v, err := c.Submit(context.Background(), SubmitRequest{Spec: json.RawMessage(`{}`)})
-	if err != nil {
-		t.Fatalf("submit through backpressure: %v", err)
-	}
-	if v.ID != "j000001" {
-		t.Fatalf("got job %q", v.ID)
-	}
-	if rejections.Load() != 3 {
-		t.Fatalf("server saw %d requests, want 3 (2 rejections + success)", rejections.Load())
+		if n := tries.Load(); n != 1 {
+			t.Errorf("%d: server saw %d requests, want exactly 1", code, n)
+		}
 	}
 }
 
-// TestClientRetryExhaustion: when the server never relents, the final
-// error still matches the sentinel so callers can errors.Is it.
-func TestClientRetryExhaustion(t *testing.T) {
-	var tries atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		tries.Add(1)
-		w.Header().Set("Retry-After", "0")
-		httpError(w, http.StatusTooManyRequests, ErrQueueFull.Error())
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL, Retry: &RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   time.Millisecond,
-		jitter:      func() float64 { return 0 },
-	}}
-	_, err := c.Submit(context.Background(), SubmitRequest{Spec: json.RawMessage(`{}`)})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("exhausted retries: err = %v, want ErrQueueFull", err)
-	}
-	if tries.Load() != 3 {
-		t.Fatalf("server saw %d tries, want 3", tries.Load())
-	}
-}
-
-// TestClientNoRetryWithoutPolicy: the zero-value client keeps the
-// single-try contract — rejections surface immediately, which
-// TestOverloadRejectionsSeparate depends on to count them as
-// rejections.
-func TestClientNoRetryWithoutPolicy(t *testing.T) {
-	var tries atomic.Int64
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		tries.Add(1)
-		w.Header().Set("Retry-After", "0")
-		httpError(w, http.StatusTooManyRequests, ErrQueueFull.Error())
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL}
-	_, err := c.Submit(context.Background(), SubmitRequest{Spec: json.RawMessage(`{}`)})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	if tries.Load() != 1 {
-		t.Fatalf("server saw %d tries, want exactly 1", tries.Load())
-	}
-}
-
-// TestClientNoRetryForBadRequest: a 400 (bad spec) must not retry —
-// resubmitting a malformed job N times is pure waste.
+// TestClientNoRetryForBadRequest: a 400 (bad spec) is one request, and
+// its error carries the server's message.
 func TestClientNoRetryForBadRequest(t *testing.T) {
 	var tries atomic.Int64
 	mux := http.NewServeMux()
@@ -297,62 +241,12 @@ func TestClientNoRetryForBadRequest(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	c := &Client{BaseURL: ts.URL, Retry: &RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond}}
+	c := &Client{BaseURL: ts.URL}
 	_, err := c.Submit(context.Background(), SubmitRequest{Spec: json.RawMessage(`{}`)})
 	if err == nil || !strings.Contains(err.Error(), "bad spec") {
 		t.Fatalf("err = %v", err)
 	}
 	if tries.Load() != 1 {
 		t.Fatalf("server saw %d tries for a 400, want 1", tries.Load())
-	}
-}
-
-// TestClientRetryContextCancel: a cancelled context aborts the backoff
-// sleep promptly and the error names both the cause and the last
-// server response.
-func TestClientRetryContextCancel(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		httpError(w, http.StatusServiceUnavailable, ErrDraining.Error())
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	c := &Client{BaseURL: ts.URL, Retry: &RetryPolicy{
-		MaxAttempts: 10,
-		BaseDelay:   time.Hour, // the sleep must be cut short by ctx
-	}}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Submit(ctx, SubmitRequest{Spec: json.RawMessage(`{}`)})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("ctx cancel took %v to abort the backoff", elapsed)
-	}
-	if !errors.Is(err, ErrDraining) {
-		t.Fatalf("err = %v, want to match ErrDraining", err)
-	}
-}
-
-// TestClientRetryAfterHonored: the server's Retry-After drives the
-// delay rather than the exponential schedule.
-func TestClientRetryAfterHonored(t *testing.T) {
-	p := &RetryPolicy{BaseDelay: time.Hour, MaxDelay: 10 * time.Second}
-	if d := p.delay(1, "2"); d != 2*time.Second {
-		t.Errorf("Retry-After: 2 gave delay %v, want 2s", d)
-	}
-	// Retry-After beyond MaxDelay clamps.
-	if d := p.delay(1, "60"); d != 10*time.Second {
-		t.Errorf("Retry-After: 60 gave delay %v, want the 10s cap", d)
-	}
-	// No header: exponential with full jitter in [d/2, d).
-	p2 := &RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
-	for attempt, want := range map[int]time.Duration{1: 100 * time.Millisecond, 2: 200 * time.Millisecond, 4: 800 * time.Millisecond, 8: time.Second} {
-		for i := 0; i < 20; i++ {
-			d := p2.delay(attempt, "")
-			if d < want/2 || d >= want {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, d, want/2, want)
-			}
-		}
 	}
 }

@@ -726,7 +726,7 @@ func openLoop(ctx context.Context, t *testing.T, c *Client, baseURL string) (map
 // with ErrQueueFull, never another error, and every accepted job
 // still finishes.
 func TestOverloadRejectionsSeparate(t *testing.T) {
-	_, ts := overloadServer(t)
+	s, ts := overloadServer(t)
 	c := &Client{BaseURL: ts.URL}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -739,9 +739,8 @@ func TestOverloadRejectionsSeparate(t *testing.T) {
 		t.Fatalf("open-loop overload of a 2-slot queue rejected none of %d submits", openLoopSubmits)
 	}
 	for id := range accepted {
-		v, err := c.WaitTerminal(ctx, id, 0)
-		if err != nil || v.State != StateDone {
-			t.Errorf("job %s ended %s (%v), want done", id, v.State, err)
+		if v := waitTerminal(t, s, id); v.State != StateDone {
+			t.Errorf("job %s ended %s, want done", id, v.State)
 		}
 	}
 }

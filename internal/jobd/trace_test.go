@@ -266,13 +266,19 @@ func TestClientSubmitInjectsTraceparent(t *testing.T) {
 	if v.TraceID == "" {
 		t.Fatal("client submit did not propagate a trace")
 	}
-	c2 := &Client{BaseURL: ts.URL, DisableTrace: true}
-	v2, err := c2.Submit(t.Context(), SubmitRequest{Spec: json.RawMessage(`{"x":10}`)})
+	// A request without a traceparent: the server mints its own trace,
+	// which is not the client's.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"spec":{"x":10}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The server still mints its own trace; it just isn't the client's.
-	if v2.TraceID == v.TraceID {
-		t.Fatal("DisableTrace client reused a trace")
+	var v2 JobView
+	err = json.NewDecoder(resp.Body).Decode(&v2)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v2.TraceID == "" || v2.TraceID == v.TraceID {
+		t.Fatalf("request without a traceparent got trace %q (the client's was %q)", v2.TraceID, v.TraceID)
 	}
 }

@@ -32,9 +32,9 @@ func TestSetPresentRoundTrip(t *testing.T) {
 	if _, ok := as.PT.Translate(vpn); ok {
 		t.Fatal("vpn still translates after present bit cleared")
 	}
-	path, fault := as.PT.WalkPathFault(vpn)
+	path, fault := as.PT.WalkPathFaultInto(vpn, nil)
 	if !fault {
-		t.Fatal("WalkPathFault did not report a fault")
+		t.Fatal("walk did not report a fault")
 	}
 	if len(path) != Levels {
 		t.Fatalf("leaf-level fault path has %d reads, want %d", len(path), Levels)
@@ -47,7 +47,7 @@ func TestSetPresentRoundTrip(t *testing.T) {
 	if !ok || pfn2 != pfn {
 		t.Fatalf("restored translation = (%#x, %v), want (%#x, true)", pfn2, ok, pfn)
 	}
-	if path2, fault := as.PT.WalkPathFault(vpn); fault {
+	if path2, fault := as.PT.WalkPathFaultInto(vpn, nil); fault {
 		t.Fatal("restored vpn still faults")
 	} else if len(path2) != Levels {
 		t.Fatalf("restored path has %d reads, want %d", len(path2), Levels)
@@ -68,7 +68,7 @@ func TestSetPresentLargePage(t *testing.T) {
 	if !as.PT.SetPresent(vpn, false) {
 		t.Fatal("SetPresent(false) on a large page reported no leaf")
 	}
-	path, fault := as.PT.WalkPathFault(vpn)
+	path, fault := as.PT.WalkPathFaultInto(vpn, nil)
 	if !fault || len(path) != Levels-1 {
 		t.Fatalf("large-page fault = (%d reads, %v), want (%d, true)", len(path), fault, Levels-1)
 	}
@@ -87,30 +87,5 @@ func TestSetPresentUnmapped(t *testing.T) {
 	}
 	if as.PT.SetPresent(0xdead, false) {
 		t.Fatal("SetPresent(false) on a never-mapped vpn reported a leaf")
-	}
-}
-
-// TestWalkPathFaultMatchesWalkPath pins that the fault-tolerant walk
-// returns exactly the same read sequence as the panicking one for
-// mapped pages.
-func TestWalkPathFaultMatchesWalkPath(t *testing.T) {
-	as := newTestSpace(t, false)
-	for vpn := uint64(0); vpn < 64; vpn++ {
-		if _, err := as.Ensure(vpn << PageBits); err != nil {
-			t.Fatal(err)
-		}
-		want := as.PT.WalkPath(vpn)
-		got, fault := as.PT.WalkPathFault(vpn)
-		if fault {
-			t.Fatalf("vpn %#x: unexpected fault", vpn)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("vpn %#x: path lengths differ: %d vs %d", vpn, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("vpn %#x: path[%d] = %#x, want %#x", vpn, i, got[i], want[i])
-			}
-		}
 	}
 }

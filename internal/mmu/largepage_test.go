@@ -12,7 +12,7 @@ func TestAllocRun(t *testing.T) {
 	if base%FramesPerLarge != 0 {
 		t.Errorf("run base %#x not aligned", base)
 	}
-	if base < pm.Frames()/2 {
+	if base < pm.frames/2 {
 		t.Errorf("run base %#x below the huge-page pool floor", base)
 	}
 	base2, ok := alloc.AllocRun(FramesPerLarge)
@@ -106,21 +106,14 @@ func TestWalkPathLargeIsThreeLevels(t *testing.T) {
 	if err := pt.MapLarge(7, base); err != nil {
 		t.Fatal(err)
 	}
-	path := pt.WalkPath(7 << LevelBits)
-	if len(path) != 3 {
-		t.Fatalf("large-page walk path has %d levels, want 3", len(path))
+	path, fault := pt.WalkPathFaultInto(7<<LevelBits, nil)
+	if fault || len(path) != 3 {
+		t.Fatalf("large-page walk path has %d levels (fault %v), want 3", len(path), fault)
 	}
 	// The final entry is the PS-marked PDE.
 	if pte := pm.ReadWord(path[2]); pte&FlagPS == 0 {
 		t.Error("leaf of large-page path is not a PS entry")
 	}
-	// WalkAddrs (4 KB API) must refuse.
-	defer func() {
-		if recover() == nil {
-			t.Error("WalkAddrs on large page did not panic")
-		}
-	}()
-	pt.WalkAddrs(7 << LevelBits)
 }
 
 func TestAddressSpaceLargePages(t *testing.T) {
@@ -136,19 +129,21 @@ func TestAddressSpaceLargePages(t *testing.T) {
 		t.Errorf("lvpn = %#x", lvpn)
 	}
 	// Re-ensure within the same region does not allocate again.
-	before := alloc.Allocated()
+	before := alloc.n
 	if _, err := as.Ensure(0x4000_1234 + PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Allocated() != before {
+	if alloc.n != before {
 		t.Error("second Ensure in the same region allocated more frames")
 	}
-	pa, ok := as.TranslateAddr(0x4000_1234)
+	// The 4 KB frame of the address sits at its vpn's place in the run.
+	vpn := uint64(0x4000_1234 >> PageBits)
+	pfn, ok := as.PT.Translate(vpn)
 	if !ok {
-		t.Fatal("TranslateAddr missed")
+		t.Fatal("Translate missed")
 	}
-	if pa&(PageSize-1) != 0x234 {
-		t.Errorf("4 KB offset lost: pa = %#x", pa)
+	if pfn%FramesPerLarge != vpn%FramesPerLarge {
+		t.Errorf("frame %#x is not vpn %#x's frame in its 2 MB run", pfn, vpn)
 	}
 }
 
@@ -170,7 +165,7 @@ func TestMixedPageSizes(t *testing.T) {
 	if _, bits, _ := pt.TranslateAny(0x9000 << LevelBits); bits != LargePageBits {
 		t.Error("2 MB mapping broken")
 	}
-	if got := len(pt.WalkPath(0x42)); got != 4 {
-		t.Errorf("4 KB walk path = %d levels", got)
+	if path, fault := pt.WalkPathFaultInto(0x42, nil); fault || len(path) != 4 {
+		t.Errorf("4 KB walk path = %d levels (fault %v)", len(path), fault)
 	}
 }

@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,6 +14,28 @@ func newTestPT(t *testing.T) (*PhysMem, *Allocator, *PageTable) {
 	pm := NewPhysMem(1 << 30) // 1 GB
 	alloc := NewAllocator(pm, 42)
 	return pm, alloc, NewPageTable(pm, alloc)
+}
+
+// Map installs vpn -> pfn, allocating intermediate tables as needed.
+// Remapping an existing vpn overwrites the leaf PTE. It is the
+// reference that TestEnsureMatchesTwoWalks holds Ensure to.
+func (pt *PageTable) Map(vpn, pfn uint64) error {
+	tbl := pt.root
+	for level := 0; level < Levels-1; level++ {
+		pteAddr := tbl + levelIndex(vpn, level)*PTESize
+		pte := pt.mem.ReadWord(pteAddr)
+		if pte&FlagPresent == 0 {
+			newPFN, ok := pt.alloc.Alloc()
+			if !ok {
+				return fmt.Errorf("mmu: out of physical memory at level %d for vpn %#x", level, vpn)
+			}
+			pte = newPFN<<PageBits | FlagPresent | FlagWritable | FlagUser
+			pt.mem.WriteWord(pteAddr, pte)
+		}
+		tbl = pte &^ (PageSize - 1)
+	}
+	pt.mem.WriteWord(tbl+levelIndex(vpn, Levels-1)*PTESize, pfn<<PageBits|FlagPresent|FlagWritable|FlagUser)
+	return nil
 }
 
 func TestMapTranslate(t *testing.T) {
@@ -27,9 +50,6 @@ func TestMapTranslate(t *testing.T) {
 	if !ok || pfn != 0x777 {
 		t.Errorf("Translate = %#x,%v, want 0x777", pfn, ok)
 	}
-	if pt.Mappings() != 1 {
-		t.Errorf("Mappings = %d, want 1", pt.Mappings())
-	}
 }
 
 func TestRemapOverwrites(t *testing.T) {
@@ -39,9 +59,6 @@ func TestRemapOverwrites(t *testing.T) {
 	if pfn, _ := pt.Translate(7); pfn != 200 {
 		t.Errorf("remap: Translate = %#x, want 200", pfn)
 	}
-	if pt.Mappings() != 1 {
-		t.Errorf("Mappings = %d after remap, want 1", pt.Mappings())
-	}
 }
 
 func TestWalkAddrsStructure(t *testing.T) {
@@ -50,10 +67,13 @@ func TestWalkAddrsStructure(t *testing.T) {
 	if err := pt.Map(vpn, 42); err != nil {
 		t.Fatal(err)
 	}
-	addrs := pt.WalkAddrs(vpn)
+	addrs, fault := pt.WalkPathFaultInto(vpn, nil)
+	if fault || len(addrs) != Levels {
+		t.Fatalf("walk = %d reads, fault %v; want %d, no fault", len(addrs), fault, Levels)
+	}
 	// First address lies in the root frame.
-	if addrs[0]&^(PageSize-1) != pt.Root() {
-		t.Errorf("PML4E address %#x not in root frame %#x", addrs[0], pt.Root())
+	if addrs[0]&^(PageSize-1) != pt.root {
+		t.Errorf("PML4E address %#x not in root frame %#x", addrs[0], pt.root)
 	}
 	// Four distinct, 8-byte aligned addresses.
 	seen := map[uint64]bool{}
@@ -78,10 +98,17 @@ func TestWalkAddrsStructure(t *testing.T) {
 
 func TestWalkAddrsSharing(t *testing.T) {
 	_, _, pt := newTestPT(t)
+	walk := func(vpn uint64) []uint64 {
+		path, fault := pt.WalkPathFaultInto(vpn, nil)
+		if fault || len(path) != Levels {
+			t.Fatalf("walk of %#x = %d reads, fault %v", vpn, len(path), fault)
+		}
+		return path
+	}
 	// Two vpns in the same 2MB region share the first three levels.
 	pt.Map(0x1000, 1)
 	pt.Map(0x1001, 2)
-	a, b := pt.WalkAddrs(0x1000), pt.WalkAddrs(0x1001)
+	a, b := walk(0x1000), walk(0x1001)
 	for lvl := 0; lvl < 3; lvl++ {
 		if a[lvl] != b[lvl] {
 			t.Errorf("level %d differs for adjacent vpns", lvl)
@@ -93,20 +120,20 @@ func TestWalkAddrsSharing(t *testing.T) {
 	// A vpn in a different top-level region shares nothing.
 	far := uint64(1) << 35
 	pt.Map(far, 3)
-	c := pt.WalkAddrs(far)
+	c := walk(far)
 	if c[0] == a[0] {
 		t.Error("far vpn shares PML4E slot with near vpn")
 	}
 }
 
-func TestWalkAddrsUnmappedPanics(t *testing.T) {
+// TestWalkUnmappedFaults: a walk of a vpn in an empty table reads the
+// root entry, finds it not present, and faults there.
+func TestWalkUnmappedFaults(t *testing.T) {
 	_, _, pt := newTestPT(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("WalkAddrs on unmapped vpn did not panic")
-		}
-	}()
-	pt.WalkAddrs(0x5555)
+	path, fault := pt.WalkPathFaultInto(0x5555, nil)
+	if !fault || len(path) != 1 || path[0]&^(PageSize-1) != pt.root {
+		t.Errorf("walk of unmapped vpn = %#x, fault %v; want one read in the root frame, fault", path, fault)
+	}
 }
 
 func TestLevelIndex(t *testing.T) {
@@ -129,7 +156,7 @@ func TestAllocatorUnique(t *testing.T) {
 		if !ok {
 			t.Fatalf("allocation %d failed early", i)
 		}
-		if pfn == 0 || pfn >= pm.Frames() {
+		if pfn == 0 || pfn >= pm.frames {
 			t.Fatalf("pfn %#x out of range", pfn)
 		}
 		if seen[pfn] {
@@ -137,8 +164,8 @@ func TestAllocatorUnique(t *testing.T) {
 		}
 		seen[pfn] = true
 	}
-	if alloc.Allocated() != 2000 {
-		t.Errorf("Allocated = %d", alloc.Allocated())
+	if alloc.n != 2000 {
+		t.Errorf("allocated %d frames, want 2000", alloc.n)
 	}
 }
 
@@ -187,9 +214,9 @@ func TestPhysMemWords(t *testing.T) {
 	if pm.ReadWord(0x108) != 0 {
 		t.Error("unwritten word not zero")
 	}
-	pm.WriteWord(0x100, 0) // zero deletes
-	if pm.WordCount() != 0 {
-		t.Errorf("WordCount = %d after zeroing", pm.WordCount())
+	pm.WriteWord(0x100, 0)
+	if pm.ReadWord(0x100) != 0 {
+		t.Error("zeroed word not zero")
 	}
 }
 
@@ -239,19 +266,15 @@ func TestAddressSpaceEnsure(t *testing.T) {
 		t.Errorf("vpn = %#x", vpn)
 	}
 	// Second Ensure of the same page does not allocate again.
-	before := alloc.Allocated()
+	before := alloc.n
 	if _, err := as.Ensure(0x1234567); err != nil {
 		t.Fatal(err)
 	}
-	if alloc.Allocated() != before {
+	if alloc.n != before {
 		t.Error("double Ensure allocated a second frame")
 	}
-	pa, ok := as.TranslateAddr(0x1234567)
-	if !ok {
-		t.Fatal("TranslateAddr missed a mapped page")
-	}
-	if pa&(PageSize-1) != 0x1234567&(PageSize-1) {
-		t.Error("page offset not preserved")
+	if _, ok := as.PT.Translate(vpn); !ok {
+		t.Fatal("Translate missed a mapped page")
 	}
 }
 
@@ -271,13 +294,13 @@ func ensureTwoWalks(as *AddressSpace, vaddr uint64) (uint64, error) {
 }
 
 // TestEnsureMatchesTwoWalks: Ensure takes the same frames in the same
-// order, builds the same tables and counts the same mappings as a
-// Translate followed by a Map. The addresses cluster (shared tables),
+// order and builds the same tables as a Translate followed by a Map. The addresses cluster (shared tables),
 // scatter (new tables at every level) and repeat; the table also holds
 // a 2 MB page and a paged-out leaf. The small memory runs out midway,
 // so the two must also fail alike.
 func TestEnsureMatchesTwoWalks(t *testing.T) {
 	type side struct {
+		pm    *PhysMem
 		as    *AddressSpace
 		alloc *Allocator
 	}
@@ -293,7 +316,7 @@ func TestEnsureMatchesTwoWalks(t *testing.T) {
 			t.Fatal(err)
 		}
 		as.PT.SetPresent(0x7777, false)
-		return side{as, alloc}
+		return side{pm, as, alloc}
 	}
 	got, want := build(), build()
 	rng := xrand.New(3)
@@ -328,9 +351,8 @@ func TestEnsureMatchesTwoWalks(t *testing.T) {
 		} else {
 			seen = append(seen, vaddr)
 		}
-		if got.alloc.Allocated() != want.alloc.Allocated() || got.as.PT.Mappings() != want.as.PT.Mappings() {
-			t.Fatalf("after Ensure(%#x): %d frames and %d mappings, two walks %d and %d", vaddr,
-				got.alloc.Allocated(), got.as.PT.Mappings(), want.alloc.Allocated(), want.as.PT.Mappings())
+		if got.alloc.n != want.alloc.n {
+			t.Fatalf("after Ensure(%#x): %d frames, two walks %d", vaddr, got.alloc.n, want.alloc.n)
 		}
 	}
 	if failed == 0 || len(seen) == 0 {
@@ -338,30 +360,43 @@ func TestEnsureMatchesTwoWalks(t *testing.T) {
 	}
 	for _, vaddr := range seen {
 		vpn := vaddr >> PageBits
-		gp, gf := got.as.PT.WalkPathFault(vpn)
-		wp, wf := want.as.PT.WalkPathFault(vpn)
-		gpa, _ := got.as.TranslateAddr(vaddr)
-		wpa, _ := want.as.TranslateAddr(vaddr)
-		if fmt.Sprint(gp, gf) != fmt.Sprint(wp, wf) || gpa != wpa {
-			t.Fatalf("vaddr %#x: walk %v (fault %v) to %#x, two walks %v (fault %v) to %#x", vaddr, gp, gf, gpa, wp, wf, wpa)
+		gp, gf := got.as.PT.WalkPathFaultInto(vpn, nil)
+		wp, wf := want.as.PT.WalkPathFaultInto(vpn, nil)
+		gpfn, _ := got.as.PT.Translate(vpn)
+		wpfn, _ := want.as.PT.Translate(vpn)
+		if fmt.Sprint(gp, gf) != fmt.Sprint(wp, wf) || gpfn != wpfn {
+			t.Fatalf("vaddr %#x: walk %v (fault %v) to frame %#x, two walks %v (fault %v) to %#x", vaddr, gp, gf, gpfn, wp, wf, wpfn)
 		}
+	}
+	if !reflect.DeepEqual(got.pm.pages, want.pm.pages) {
+		t.Fatal("Ensure and two walks built different page tables")
 	}
 }
 
+// TestEnsureRange: ensuring each page of a range maps every one of
+// them; the first takes its three tables below the root and its data
+// frame, and the others, in the same tables, their data frames alone.
 func TestEnsureRange(t *testing.T) {
 	pm := NewPhysMem(1 << 28)
 	alloc := NewAllocator(pm, 9)
 	as := NewAddressSpace(pm, alloc)
-	if err := as.EnsureRange(0x10000, 3*PageSize); err != nil {
-		t.Fatal(err)
-	}
 	for off := uint64(0); off < 3*PageSize; off += PageSize {
-		if _, ok := as.TranslateAddr(0x10000 + off); !ok {
-			t.Errorf("page at +%#x not mapped", off)
+		before := alloc.n
+		if _, err := as.Ensure(0x10000 + off); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(1)
+		if off == 0 {
+			want = Levels
+		}
+		if alloc.n-before != want {
+			t.Errorf("page at +%#x took %d frames, want %d", off, alloc.n-before, want)
 		}
 	}
-	if err := as.EnsureRange(0x9000000, 0); err != nil {
-		t.Errorf("zero-size range: %v", err)
+	for off := uint64(0); off < 3*PageSize; off += PageSize {
+		if _, ok := as.PT.Translate((0x10000 + off) >> PageBits); !ok {
+			t.Errorf("page at +%#x not mapped", off)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ type PageTable struct {
 	mem   *PhysMem
 	alloc *Allocator
 	root  uint64 // physical address of the PML4 frame
-	maps  uint64 // number of leaf mappings installed
 }
 
 // NewPageTable creates an empty page table, allocating its root frame.
@@ -21,42 +20,11 @@ func NewPageTable(mem *PhysMem, alloc *Allocator) *PageTable {
 	return &PageTable{mem: mem, alloc: alloc, root: rootPFN << PageBits}
 }
 
-// Root returns the physical address of the PML4 table (CR3 equivalent).
-func (pt *PageTable) Root() uint64 { return pt.root }
-
-// Mappings returns the number of installed leaf (4 KB) mappings.
-func (pt *PageTable) Mappings() uint64 { return pt.maps }
-
 // levelIndex extracts the 9-bit table index of vpn at the given level,
 // where level 0 is the PML4 (root) and level 3 is the leaf PT.
 func levelIndex(vpn uint64, level int) uint64 {
 	shift := uint(LevelBits * (Levels - 1 - level))
 	return (vpn >> shift) & (1<<LevelBits - 1)
-}
-
-// Map installs vpn -> pfn, allocating intermediate tables as needed.
-// Remapping an existing vpn overwrites the leaf PTE.
-func (pt *PageTable) Map(vpn, pfn uint64) error {
-	tbl := pt.root
-	for level := 0; level < Levels-1; level++ {
-		pteAddr := tbl + levelIndex(vpn, level)*PTESize
-		pte := pt.mem.ReadWord(pteAddr)
-		if pte&FlagPresent == 0 {
-			newPFN, ok := pt.alloc.Alloc()
-			if !ok {
-				return fmt.Errorf("mmu: out of physical memory at level %d for vpn %#x", level, vpn)
-			}
-			pte = newPFN<<PageBits | FlagPresent | FlagWritable | FlagUser
-			pt.mem.WriteWord(pteAddr, pte)
-		}
-		tbl = pte &^ (PageSize - 1)
-	}
-	leafAddr := tbl + levelIndex(vpn, Levels-1)*PTESize
-	if pt.mem.ReadWord(leafAddr)&FlagPresent == 0 {
-		pt.maps++
-	}
-	pt.mem.WriteWord(leafAddr, pfn<<PageBits|FlagPresent|FlagWritable|FlagUser)
-	return nil
 }
 
 // MapLarge installs a 2 MB large-page mapping: lvpn is the virtual
@@ -83,9 +51,6 @@ func (pt *PageTable) MapLarge(lvpn, basePFN uint64) error {
 		tbl = pte &^ (PageSize - 1)
 	}
 	pdeAddr := tbl + levelIndex(vpn, Levels-2)*PTESize
-	if pt.mem.ReadWord(pdeAddr)&FlagPresent == 0 {
-		pt.maps++
-	}
 	pt.mem.WriteWord(pdeAddr, basePFN<<PageBits|FlagPresent|FlagWritable|FlagUser|FlagPS)
 	return nil
 }
@@ -117,46 +82,14 @@ func (pt *PageTable) TranslateAny(vpn uint64) (pfn uint64, pageBits uint, ok boo
 	return tbl >> PageBits, PageBits, true
 }
 
-// WalkAddrs returns the physical addresses of the four PTEs a full walk
-// of vpn reads, in walk order (PML4E, PDPTE, PDE, PTE). All four levels
-// must be present and the leaf must be a 4 KB page; it panics otherwise,
-// since the simulator premaps every page a workload touches (demand
-// paging is out of scope, as in the paper). For size-agnostic walks use
-// WalkPath.
-func (pt *PageTable) WalkAddrs(vpn uint64) [Levels]uint64 {
-	path := pt.WalkPath(vpn)
-	if len(path) != Levels {
-		panic(fmt.Sprintf("mmu: WalkAddrs on large-page vpn %#x", vpn))
-	}
-	var out [Levels]uint64
-	copy(out[:], path)
-	return out
-}
-
-// WalkPath returns the physical addresses of the PTEs a walk of vpn
-// reads: four for a 4 KB mapping, three for a 2 MB mapping (whose PD
-// entry is the leaf). It panics on an unmapped vpn (see WalkAddrs).
-func (pt *PageTable) WalkPath(vpn uint64) []uint64 {
-	path, fault := pt.WalkPathFault(vpn)
-	if fault {
-		panic(fmt.Sprintf("mmu: WalkPath on unmapped vpn %#x at level %d", vpn, len(path)-1))
-	}
-	return path
-}
-
-// WalkPathFault is the fault-tolerant WalkPath: it returns the PTE
-// addresses a walk of vpn reads, stopping at (and including) the first
-// non-present entry, and reports whether the walk faults. A hardware
-// walker issues exactly these reads; the last one is where it discovers
-// the fault. For a fully mapped vpn the path and semantics match
-// WalkPath exactly.
-func (pt *PageTable) WalkPathFault(vpn uint64) (path []uint64, fault bool) {
-	return pt.WalkPathFaultInto(vpn, make([]uint64, 0, Levels))
-}
-
-// WalkPathFaultInto is WalkPathFault appending into a caller-supplied
-// buffer (typically buf[:0] over a [Levels]uint64 array), so hot walk
-// paths reuse one buffer per walk instead of allocating.
+// WalkPathFaultInto appends to out the physical addresses of the PTEs
+// a walk of vpn reads, stopping at (and including) the first
+// non-present entry, and reports whether the walk faults. A fully
+// mapped vpn reads four entries for a 4 KB mapping and three for a
+// 2 MB mapping, whose PD entry is the leaf. A hardware walker issues
+// exactly these reads; the last one is where it discovers a fault. Hot
+// walk paths pass buf[:0] over a [Levels]uint64 array, so a walk
+// allocates nothing.
 func (pt *PageTable) WalkPathFaultInto(vpn uint64, out []uint64) (path []uint64, fault bool) {
 	tbl := pt.root
 	for level := 0; level < Levels; level++ {
@@ -231,9 +164,8 @@ func NewAddressSpace(mem *PhysMem, alloc *Allocator) *AddressSpace {
 //
 // A 4 KB page is found or mapped in one descent of the table: the walk
 // stops at the first entry that is not present, or at a 2 MB leaf
-// covering the page. A new mapping then takes its frames in the order
-// Translate followed by Map would: the data frame first, then each
-// missing table from the top level down.
+// covering the page. A new mapping then takes the data frame first,
+// then one frame for each missing table from the top level down.
 func (as *AddressSpace) Ensure(vaddr uint64) (uint64, error) {
 	if as.PageBits >= LargePageBits {
 		return as.ensureLarge(vaddr)
@@ -268,7 +200,6 @@ func (as *AddressSpace) Ensure(vaddr uint64) (uint64, error) {
 		tbl = newPFN << PageBits
 	}
 	pt.mem.WriteWord(tbl+levelIndex(vpn, Levels-1)*PTESize, pfn<<PageBits|FlagPresent|FlagWritable|FlagUser)
-	pt.maps++
 	return vpn, nil
 }
 
@@ -282,29 +213,4 @@ func (as *AddressSpace) ensureLarge(vaddr uint64) (uint64, error) {
 		return 0, fmt.Errorf("mmu: out of contiguous physical memory mapping vaddr %#x", vaddr)
 	}
 	return lvpn, as.PT.MapLarge(lvpn, base)
-}
-
-// EnsureRange maps every page overlapping [base, base+size).
-func (as *AddressSpace) EnsureRange(base, size uint64) error {
-	if size == 0 {
-		return nil
-	}
-	first := base >> PageBits
-	last := (base + size - 1) >> PageBits
-	for vpn := first; vpn <= last; vpn++ {
-		if _, err := as.Ensure(vpn << PageBits); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TranslateAddr translates a full virtual address to a physical address,
-// or ok=false if its page is unmapped.
-func (as *AddressSpace) TranslateAddr(vaddr uint64) (uint64, bool) {
-	pfn, ok := as.PT.Translate(vaddr >> PageBits)
-	if !ok {
-		return 0, false
-	}
-	return pfn<<PageBits | vaddr&(PageSize-1), true
 }

@@ -74,9 +74,6 @@ func NewPhysMem(size uint64) *PhysMem {
 	return m
 }
 
-// Frames returns the number of physical frames.
-func (m *PhysMem) Frames() uint64 { return m.frames }
-
 // page returns the words of addr's frame, creating them if create is
 // set; otherwise it returns nil for a frame that holds no words.
 func (m *PhysMem) page(addr uint64, create bool) *frameWords {
@@ -127,20 +124,6 @@ func (m *PhysMem) WriteWord(addr, val uint64) {
 	}
 }
 
-// WordCount returns the number of nonzero stored words (page-table
-// footprint in PTEs), useful for tests and reports.
-func (m *PhysMem) WordCount() int {
-	n := 0
-	for _, p := range m.pages {
-		for _, w := range p {
-			if w != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Allocator hands out free physical frames. Placement is randomized to
 // emulate the frame scatter of a long-running OS: consecutive virtual
 // pages land on unrelated frames, so page-table walks and DRAM rows see
@@ -183,9 +166,6 @@ func (a *Allocator) Alloc() (pfn uint64, ok bool) {
 		}
 	}
 }
-
-// Allocated returns the number of frames handed out.
-func (a *Allocator) Allocated() uint64 { return a.n }
 
 // AllocRun returns the base frame of n physically contiguous free
 // frames, aligned to n (which must be a power of two), or ok=false when

@@ -146,9 +146,6 @@ var DefBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 60, 12
 // Name returns the family name.
 func (f *Family) Name() string { return f.name }
 
-// Kind returns the family's metric type.
-func (f *Family) Kind() FamilyKind { return f.kind }
-
 // With returns the child for the given label values, creating it on
 // first use. The number of values must match the family's label names;
 // a mismatch panics (it is always a call-site bug). Children are
@@ -194,9 +191,6 @@ func (m *Metric) Add(n uint64) {
 	}
 	m.child.count.Add(n)
 }
-
-// Count returns a counter's current value.
-func (m *Metric) Count() uint64 { return m.child.count.Load() }
 
 // Set replaces a gauge's value.
 func (m *Metric) Set(v float64) {

@@ -255,14 +255,6 @@ func (a *ActiveSpan) ID() SpanID {
 	return a.rec.id
 }
 
-// Context returns the span's propagation context (for traceparent).
-func (a *ActiveSpan) Context() SpanContext {
-	if a == nil {
-		return SpanContext{}
-	}
-	return SpanContext{Trace: a.buf.trace, Span: a.rec.id}
-}
-
 // End completes the span, appending any final attributes. Duration is
 // measured on the monotonic clock. Second and later calls are no-ops.
 func (a *ActiveSpan) End(attrs ...Arg) {

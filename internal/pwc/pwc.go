@@ -171,14 +171,11 @@ func (p *PWC) ProbeN(vpn uint64, upper int) int {
 	return upper + 1 - (deepest + 1)
 }
 
-// Lookup is the real walk-time access: it returns how many memory
-// accesses the walk needs (1..4), refreshes LRU state of hit entries,
+// LookupN is the real walk-time access for a walk with the given
+// number of cacheable upper levels (see ProbeN): it returns how many
+// memory accesses the walk needs, refreshes LRU state of hit entries,
 // and decrements their protection counters (the pending request that
 // promised them is now being serviced).
-func (p *PWC) Lookup(vpn uint64) int { return p.LookupN(vpn, UpperLevels) }
-
-// LookupN is Lookup for a walk with the given number of cacheable upper
-// levels (see ProbeN).
 func (p *PWC) LookupN(vpn uint64, upper int) int {
 	deepest := -1
 	for l := 0; l < upper; l++ {

@@ -12,7 +12,7 @@ func testConfig() Config {
 
 func TestColdMissNeedsFullWalk(t *testing.T) {
 	p := New(testConfig())
-	if n := p.Lookup(0x12345); n != mmu.Levels {
+	if n := p.LookupN(0x12345, UpperLevels); n != mmu.Levels {
 		t.Errorf("cold Lookup = %d accesses, want %d", n, mmu.Levels)
 	}
 	if n := p.Probe(0x54321); n != mmu.Levels {
@@ -25,23 +25,23 @@ func TestFillThenHit(t *testing.T) {
 	vpn := uint64(0x123456789) & (1<<36 - 1)
 	p.Fill(vpn)
 	// Same vpn: all three upper levels hit, only the PT read remains.
-	if n := p.Lookup(vpn); n != 1 {
+	if n := p.LookupN(vpn, UpperLevels); n != 1 {
 		t.Errorf("after Fill, Lookup = %d, want 1", n)
 	}
 	// A vpn in the same 2MB region shares all upper levels.
-	if n := p.Lookup(vpn ^ 1); n != 1 {
+	if n := p.LookupN(vpn^1, UpperLevels); n != 1 {
 		t.Errorf("same-PD vpn Lookup = %d, want 1", n)
 	}
 	// Same 1GB region but different 2MB region: PD misses -> 2 accesses.
-	if n := p.Lookup(vpn ^ (1 << mmu.LevelBits)); n != 2 {
+	if n := p.LookupN(vpn^(1<<mmu.LevelBits), UpperLevels); n != 2 {
 		t.Errorf("same-PDPT vpn Lookup = %d, want 2", n)
 	}
 	// Same 512GB region, different 1GB: only PML4 hits -> 3 accesses.
-	if n := p.Lookup(vpn ^ (1 << (2 * mmu.LevelBits))); n != 3 {
+	if n := p.LookupN(vpn^(1<<(2*mmu.LevelBits)), UpperLevels); n != 3 {
 		t.Errorf("same-PML4 vpn Lookup = %d, want 3", n)
 	}
 	// Different top-level region: full walk.
-	if n := p.Lookup(vpn ^ (1 << (3 * mmu.LevelBits))); n != 4 {
+	if n := p.LookupN(vpn^(1<<(3*mmu.LevelBits)), UpperLevels); n != 4 {
 		t.Errorf("far vpn Lookup = %d, want 4", n)
 	}
 }
@@ -51,7 +51,7 @@ func TestProbeMatchesLookupEstimate(t *testing.T) {
 	vpn := uint64(0xabc000)
 	p.Fill(vpn)
 	for _, other := range []uint64{vpn, vpn ^ 1, vpn ^ (1 << 9), vpn ^ (1 << 18), vpn ^ (1 << 27)} {
-		if pr, lk := p.Probe(other), p.Lookup(other); pr != lk {
+		if pr, lk := p.Probe(other), p.LookupN(other, UpperLevels); pr != lk {
 			t.Errorf("Probe(%#x) = %d but Lookup = %d", other, pr, lk)
 		}
 	}
@@ -71,7 +71,7 @@ func TestCounterGuardProtects(t *testing.T) {
 	// Fill a new PD tag, forcing an eviction in the PD cache; the
 	// protected vpns[0] PD entry must survive.
 	p.Fill(base + 7<<9)
-	if n := p.Lookup(vpns[0]); n != 1 {
+	if n := p.LookupN(vpns[0], UpperLevels); n != 1 {
 		t.Errorf("protected entry evicted: Lookup = %d, want 1", n)
 	}
 	// The Lookup above decremented the counter back to zero, so now the
@@ -80,7 +80,7 @@ func TestCounterGuardProtects(t *testing.T) {
 	p.Fill(base + 9<<9)
 	p.Fill(base + 10<<9)
 	p.Fill(base + 11<<9)
-	if n := p.Lookup(vpns[0]); n == 1 {
+	if n := p.LookupN(vpns[0], UpperLevels); n == 1 {
 		t.Error("unprotected LRU entry survived four fills into a full set")
 	}
 }
@@ -96,7 +96,7 @@ func TestGuardDisabledIsPlainLRU(t *testing.T) {
 	p.Fill(base + 9<<9)
 	// base's PD entry was LRU (fills refreshed others later); with the
 	// guard off, probing gave no protection.
-	if n := p.Lookup(base); n != 2 {
+	if n := p.LookupN(base, UpperLevels); n != 2 {
 		t.Errorf("guard-off probe still protected the entry: Lookup = %d, want 2", n)
 	}
 }
@@ -111,10 +111,10 @@ func TestCounterSaturation(t *testing.T) {
 		p.Probe(vpn)
 	}
 	for i := 0; i < 10; i++ {
-		p.Lookup(vpn)
+		p.LookupN(vpn, UpperLevels)
 	}
 	// Still functional.
-	if n := p.Lookup(vpn); n != 1 {
+	if n := p.LookupN(vpn, UpperLevels); n != 1 {
 		t.Errorf("Lookup after saturation churn = %d", n)
 	}
 }
@@ -130,7 +130,7 @@ func TestAllProtectedFallsBackToLRU(t *testing.T) {
 	p.Probe(b) // both PD entries protected
 	c := a + 5<<9
 	p.Fill(c) // must still evict someone (plain LRU: a)
-	if n := p.Lookup(c); n != 1 {
+	if n := p.LookupN(c, UpperLevels); n != 1 {
 		t.Errorf("fill into fully-protected set failed: Lookup(c) = %d", n)
 	}
 }
@@ -139,8 +139,8 @@ func TestStats(t *testing.T) {
 	p := New(testConfig())
 	p.Probe(0x111) // miss
 	p.Fill(0x111)
-	p.Probe(0x111)  // hit
-	p.Lookup(0x111) // hit
+	p.Probe(0x111)                // hit
+	p.LookupN(0x111, UpperLevels) // hit
 	st := p.Stats()
 	if st.Probes.Hits != 1 || st.Probes.Total != 2 {
 		t.Errorf("probe stats = %+v", st.Probes)
@@ -173,7 +173,7 @@ func TestFillIdempotentRefresh(t *testing.T) {
 	p := New(testConfig())
 	p.Fill(0x77)
 	p.Fill(0x77) // refresh, no duplicates
-	if n := p.Lookup(0x77); n != 1 {
+	if n := p.LookupN(0x77, UpperLevels); n != 1 {
 		t.Errorf("Lookup = %d after double fill", n)
 	}
 }

@@ -310,9 +310,6 @@ func (e *Engine) AfterDaemon(d uint64, fn func()) {
 // spinning forever.
 func (e *Engine) Abort() { e.aborted = true }
 
-// Aborted reports whether Abort has been called.
-func (e *Engine) Aborted() bool { return e.aborted }
-
 // Step executes the next event, advancing the clock to its cycle.
 // It reports whether an event was executed. When only daemon events
 // remain the simulation is over: Step reports false without running

@@ -177,55 +177,56 @@ func TestDispatchedAndPending(t *testing.T) {
 	}
 }
 
+// TestIntegrator: only cycles at value zero count, however the value
+// got there.
 func TestIntegrator(t *testing.T) {
 	var g Integrator
-	g.Set(0, 2)
-	g.Set(10, 5) // 2 for 10 cycles = 20
-	g.Set(20, 0) // 5 for 10 cycles = 50
-	g.Finish(30) // 0 for 10 cycles
-	if got := g.Total(); got != 70 {
-		t.Errorf("Total = %d, want 70", got)
-	}
-	if avg := g.AverageOver(30); avg < 2.33 || avg > 2.34 {
-		t.Errorf("AverageOver = %f", avg)
+	g.Arm(0)
+	g.Add(0, 2)
+	g.Add(10, 3)  // 5 from 10 on
+	g.Add(20, -5) // 0 from 20 on
+	g.Finish(30)  // 0 for 10 cycles
+	if got := g.ZeroCycles(); got != 10 {
+		t.Errorf("ZeroCycles = %d, want 10", got)
 	}
 }
 
 func TestIntegratorZeroCycles(t *testing.T) {
 	var g Integrator
 	g.Arm(0)
-	g.Set(5, 1)  // 0..5 at zero while armed = 5
-	g.Set(15, 0) // busy 5..15
-	g.Disarm(25) // 15..25 at zero while armed = 10
-	g.Set(30, 0) // disarmed: not counted
+	g.Add(5, 1)   // 0..5 at zero while armed = 5
+	g.Add(15, -1) // busy 5..15
+	g.Disarm(25)  // 15..25 at zero while armed = 10
+	g.Add(30, 0)  // disarmed: not counted
 	g.Finish(40)
 	if got := g.ZeroCycles(); got != 15 {
 		t.Errorf("ZeroCycles = %d, want 15", got)
 	}
 }
 
+// TestIntegratorAdd: changes made before Arm set the value that the
+// accounting starts from.
 func TestIntegratorAdd(t *testing.T) {
 	var g Integrator
 	g.Add(0, 3)
-	g.Add(10, -3)
-	if g.Value() != 0 {
-		t.Errorf("Value = %d, want 0", g.Value())
-	}
+	g.Add(10, -3) // 0 from 10 on, not yet armed
+	g.Arm(15)
+	g.Add(17, 1)
 	g.Finish(20)
-	if g.Total() != 30 {
-		t.Errorf("Total = %d, want 30", g.Total())
+	if got := g.ZeroCycles(); got != 2 {
+		t.Errorf("ZeroCycles = %d, want 2", got)
 	}
 }
 
 func TestIntegratorBackwardsPanics(t *testing.T) {
 	var g Integrator
-	g.Set(10, 1)
+	g.Add(10, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("backwards time did not panic")
 		}
 	}()
-	g.Set(5, 2)
+	g.Add(5, 1)
 }
 
 func TestPort(t *testing.T) {
@@ -239,11 +240,11 @@ func TestPort(t *testing.T) {
 	if got := p.Acquire(100); got != 100 {
 		t.Errorf("late Acquire = %d, want 100", got)
 	}
-	if b := p.Backlog(100); b != 3 {
-		t.Errorf("Backlog = %d, want 3", b)
+	if got := p.Acquire(101); got != 103 {
+		t.Errorf("busy Acquire = %d, want 103", got)
 	}
-	if b := p.Backlog(200); b != 0 {
-		t.Errorf("idle Backlog = %d, want 0", b)
+	if got := p.Acquire(200); got != 200 {
+		t.Errorf("idle Acquire = %d, want 200", got)
 	}
 }
 
@@ -305,8 +306,8 @@ func TestEngineAbort(t *testing.T) {
 	if final != 20 {
 		t.Errorf("final cycle = %d, want 20", final)
 	}
-	if !e.Aborted() {
-		t.Error("Aborted() = false after Abort")
+	if !e.aborted {
+		t.Error("aborted = false after Abort")
 	}
 	if e.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1 event left behind", e.Pending())

@@ -12,7 +12,7 @@ func TestRunWithInterruptDrains(t *testing.T) {
 	if ran != 100 {
 		t.Fatalf("ran %d events, want 100", ran)
 	}
-	if e.Aborted() {
+	if e.aborted {
 		t.Fatal("engine aborted without an interrupt")
 	}
 }
@@ -28,7 +28,7 @@ func TestRunWithInterruptStops(t *testing.T) {
 	e.After(0, chain)
 	stop := false
 	e.RunWithInterrupt(50, func() bool { return stop || ran >= 200 })
-	if !e.Aborted() {
+	if !e.aborted {
 		t.Fatal("interrupt did not abort the engine")
 	}
 	// The interrupt is polled every 50 events, so the engine stops at

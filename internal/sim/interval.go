@@ -1,13 +1,12 @@
 package sim
 
-// Integrator accumulates the time-integral of a piecewise-constant
-// quantity, e.g. "number of ready wavefronts" or "occupied buffer slots".
-// Call Set whenever the value changes; call Total (or Average) at the end.
-// The zero value starts at value 0 at cycle 0.
+// Integrator accounts the cycles a piecewise-constant quantity, e.g.
+// "number of ready wavefronts", spends at zero while armed. Call Add
+// whenever the value changes and Finish at the end. The zero value
+// starts at value 0 at cycle 0, disarmed.
 type Integrator struct {
 	last  Cycle
 	value int64
-	sum   uint64 // integral of value over time
 	// zeroTime accumulates cycles during which value == 0 while armed;
 	// used for stall accounting ("no wavefront ready").
 	zeroTime uint64
@@ -27,48 +26,24 @@ func (g *Integrator) Disarm(c Cycle) {
 	g.armed = false
 }
 
-// Set records that the quantity becomes v at cycle c.
-func (g *Integrator) Set(c Cycle, v int64) {
-	g.advance(c)
-	g.value = v
-}
-
 // Add adjusts the quantity by delta at cycle c.
 func (g *Integrator) Add(c Cycle, delta int64) {
 	g.advance(c)
 	g.value += delta
 }
 
-// Value returns the current value of the quantity.
-func (g *Integrator) Value() int64 { return g.value }
-
 func (g *Integrator) advance(c Cycle) {
 	if c < g.last {
 		panic("sim: integrator time moved backwards")
 	}
-	dt := uint64(c - g.last)
-	if g.value > 0 {
-		g.sum += dt * uint64(g.value)
-	}
 	if g.armed && g.value == 0 {
-		g.zeroTime += dt
+		g.zeroTime += uint64(c - g.last)
 	}
 	g.last = c
 }
 
-// Finish closes the integration at cycle c.
+// Finish closes the accounting at cycle c.
 func (g *Integrator) Finish(c Cycle) { g.advance(c) }
-
-// Total returns the accumulated integral (value × cycles).
-func (g *Integrator) Total() uint64 { return g.sum }
 
 // ZeroCycles returns the number of cycles spent at value 0 while armed.
 func (g *Integrator) ZeroCycles() uint64 { return g.zeroTime }
-
-// AverageOver returns the mean value across the given span.
-func (g *Integrator) AverageOver(span Cycle) float64 {
-	if span == 0 {
-		return 0
-	}
-	return float64(g.sum) / float64(span)
-}

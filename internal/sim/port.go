@@ -21,11 +21,3 @@ func (p *Port) Acquire(now Cycle) Cycle {
 	p.free = start + Cycle(p.Cycles)
 	return start
 }
-
-// Backlog returns how many cycles after now the next slot would start.
-func (p *Port) Backlog(now Cycle) uint64 {
-	if p.free <= now {
-		return 0
-	}
-	return uint64(p.free - now)
-}

@@ -25,10 +25,9 @@ type WatchdogConfig struct {
 
 // Watchdog is an armed no-progress detector. Create with StartWatchdog.
 type Watchdog struct {
-	eng     *Engine
-	cfg     WatchdogConfig
-	last    uint64
-	tripped bool
+	eng  *Engine
+	cfg  WatchdogConfig
+	last uint64
 }
 
 // StartWatchdog arms a watchdog on the engine. Checks are daemon
@@ -47,13 +46,9 @@ func StartWatchdog(eng *Engine, cfg WatchdogConfig) *Watchdog {
 	return w
 }
 
-// Tripped reports whether the watchdog has fired.
-func (w *Watchdog) Tripped() bool { return w.tripped }
-
 func (w *Watchdog) check() {
 	cur := w.cfg.Progress()
 	if cur == w.last && w.cfg.Pending() {
-		w.tripped = true
 		w.cfg.OnStall(w)
 		return
 	}

@@ -18,7 +18,7 @@ func TestWatchdogCatchesWedgedPipeline(t *testing.T) {
 	e.After(10, spin)
 
 	var stalled *StallError
-	w := StartWatchdog(e, WatchdogConfig{
+	StartWatchdog(e, WatchdogConfig{
 		Interval: 1000,
 		Progress: func() uint64 { return 0 }, // nothing ever completes
 		Pending:  func() bool { return true },
@@ -32,11 +32,8 @@ func TestWatchdogCatchesWedgedPipeline(t *testing.T) {
 		},
 	})
 	final := e.Run()
-	if !w.Tripped() {
-		t.Fatal("watchdog did not trip on a wedged pipeline")
-	}
 	if stalled == nil {
-		t.Fatal("OnStall did not run")
+		t.Fatal("watchdog did not trip on a wedged pipeline")
 	}
 	// The first check at cycle 1000 already sees zero progress.
 	if final != 1000 {
@@ -65,16 +62,13 @@ func TestWatchdogToleratesProgress(t *testing.T) {
 	}
 	e.After(1, step)
 
-	w := StartWatchdog(e, WatchdogConfig{
+	StartWatchdog(e, WatchdogConfig{
 		Interval: 1000,
 		Progress: func() uint64 { return work },
 		Pending:  func() bool { return work < 50 },
 		OnStall:  func(*Watchdog) { t.Fatal("watchdog tripped despite progress") },
 	})
 	e.Run()
-	if w.Tripped() {
-		t.Fatal("Tripped() = true")
-	}
 	if work != 50 {
 		t.Errorf("work = %d, want 50", work)
 	}

@@ -93,36 +93,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := New(13)
-	s := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	if sum != 45 {
-		t.Errorf("shuffle lost elements: %v", s)
-	}
-}
-
 func TestForkIndependence(t *testing.T) {
 	parent := New(21)
 	child := parent.Fork()
